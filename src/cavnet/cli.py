@@ -33,7 +33,10 @@ SCHEME_NAMES = (
 
 
 def dump_json(value, indent: int = 0) -> str:
-    """Render JSON with full-precision floats and stable ordering."""
+    """Render JSON with full-precision floats and stable ordering.
+
+    A 1-D complex array renders as its list of ``[re, im]`` pairs.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -56,13 +59,48 @@ def dump_json(value, indent: int = 0) -> str:
             f"{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}"
             for k, v in value.items()
         ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        body = ",\n".join(rows)
+        return f"{{\n{body}\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         rows = [f"{inner}{dump_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        body = ",\n".join(rows)
+        return f"[\n{body}\n{pad}]"
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and np.issubdtype(value.dtype, np.complexfloating)
+    ):
+        return _dump_amplitudes(value, indent)
     raise ParameterError(f"cannot serialize {type(value).__name__}")
+
+
+def _dump_amplitudes(amps: np.ndarray, indent: int) -> str:
+    """Render a complex vector exactly as :func:`dump_json` renders its ``[re, im]`` pairs.
+
+    Each distinct float (by bit pattern, so -0.0 stays apart from 0.0) is
+    formatted once, each distinct pair block is built once, and the blocks
+    are joined in vector order through the inverse index.
+    """
+    if amps.size == 0:
+        return "[]"
+    if not np.isfinite(amps).all():
+        raise ParameterError("non-finite amplitude cannot be serialized")
+    bits = np.ascontiguousarray(amps, dtype=np.complex128).view(np.uint64)
+    floats, codes = np.unique(bits, return_inverse=True)
+    texts = [format_float(x) for x in floats.view(np.float64)]
+    pairs, inverse = np.unique(codes[0::2] * len(texts) + codes[1::2], return_inverse=True)
+    inner, leaf = "  " * (indent + 1), "  " * (indent + 2)
+    blocks = np.array(
+        [
+            f"{inner}[\n{leaf}{texts[re]},\n{leaf}{texts[im]}\n{inner}]"
+            for re, im in zip(*np.divmod(pairs, len(texts)))
+        ],
+        dtype=object,
+    )
+    body = ",\n".join(blocks[inverse].tolist())
+    return f"[\n{body}\n{'  ' * indent}]"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -154,7 +192,11 @@ def _build_scheme(args) -> schemes.Scheme:
 
 
 def cmd_run_scheme(args) -> int:
-    report = schemes.run_report(_build_scheme(args))
+    scheme = _build_scheme(args)
+    report = {
+        "scheme": schemes.scheme_to_jsonable(scheme),
+        "outcomes": schemes.reports_to_jsonable(schemes.run(scheme)),
+    }
     _emit(dump_json(report) + "\n", args.out)
     return 0
 

@@ -7,9 +7,12 @@ a spatial path of arbitrary small dimension.  Amplitudes are stored dense
 over the mixed-radix product basis with the *first* subsystem most
 significant, so ``index = (((d_0) * dim_1 + d_1) * dim_2 + ...)``.
 
-States are immutable: every operation returns a fresh ``PureState`` and the
-underlying numpy buffers are write-protected.  Norm is checked to 1e-9 after
-every public operation and never silently renormalized; global phase is
+States are immutable: every public operation here returns a fresh
+``PureState`` and the underlying numpy buffers are write-protected.  The one
+mutable buffer is private to :func:`cavnet.schemes.propagate`, which copies
+the initial amplitudes once, applies every element in place and freezes the
+result into a ``PureState`` at the end.  Norm is checked to 1e-9 whenever a
+``PureState`` is made and never silently renormalized; global phase is
 likewise never stripped.
 """
 

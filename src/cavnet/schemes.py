@@ -37,6 +37,7 @@ import numpy as np
 from . import elements as el
 from . import qstate, verify
 from .errors import (
+    ContractViolationError,
     DegenerateCouplingError,
     InvalidConfigurationError,
     InvalidLabelError,
@@ -93,131 +94,143 @@ class OutcomeReport:
 
 # --------------------------------------------------------------------------
 # element application
+#
+# Every element kind resolves to an ``_Op``: a unitary ``block`` over the
+# joint basis of ``ports`` (interferometer arms) and ``targets`` (subsystem
+# labels), most significant first.  ``ports`` is None for a block that
+# ignores the path, one port for a block that acts only in that arm, and two
+# ports for a block that mixes two arms.  The kernels rewrite only the path
+# slices an op names, in place on the buffer :func:`propagate` owns.
 
 
-def _embedded_path_matrix(dpath: int, ports: tuple[int, int], block: np.ndarray) -> np.ndarray:
-    a, b = ports
-    if a == b:
-        raise ParameterError(f"ports must differ, got {ports}")
-    for p in ports:
-        if not 0 <= p < dpath:
-            raise ParameterError(f"port {p} out of range for path of dim {dpath}")
-    m = np.eye(dpath, dtype=complex)
-    m[np.ix_([a, b], [a, b])] = block
-    return m
+def _unitary_block(matrix) -> np.ndarray:
+    """Read-only complex copy of ``matrix``, refused unless unitary to 1e-12."""
+    block = np.array(matrix, dtype=complex)
+    defect = np.abs(block.conj().T @ block - np.eye(len(block))).max()
+    if defect > el.ELEMENT_UNITARY_ATOL:
+        raise ContractViolationError(
+            f"element matrix is not unitary (max defect {defect:.3e})"
+        )
+    block.setflags(write=False)
+    return block
 
 
-def _path_controlled(dpath: int, port: int, block: np.ndarray) -> np.ndarray:
-    """Block-diagonal unitary applying ``block`` only in one interferometer arm."""
-    if not 0 <= port < dpath:
-        raise ParameterError(f"port {port} out of range for path of dim {dpath}")
-    d = block.shape[0]
-    m = np.kron(np.eye(dpath, dtype=complex), np.eye(d, dtype=complex))
-    s = slice(port * d, (port + 1) * d)
-    m[s, s] = block
-    return m
+_SWAP = _unitary_block([[0.0, 1.0], [1.0, 0.0]])
+_PBS = _unitary_block(el.pbs_unitary())
+_PR = _unitary_block(el.pr_unitary())
+_CAVITY_ATOM = _unitary_block(el.cavity_atom_block_unitary())
+_FIELD_PI = _unitary_block(el.field_pi_block_unitary())
+_FIELD_HALF_PI = _unitary_block(el.field_half_pi_block_unitary())
+_DISPERSIVE = _unitary_block(el.dispersive_block_unitary())
+_RAMSEY = _unitary_block(el.ramsey_unitary())
+_EXTERNAL_PI = _unitary_block(el.external_pi_unitary())
 
 
-def _sector_mass(state: PureState, assignments: dict[str, str | int]) -> float:
+@dataclass(frozen=True)
+class _Op:
+    targets: tuple[str, ...]
+    block: np.ndarray
+    ports: tuple[int, ...] | None = None
+
+
+def _arm(port: int | None) -> tuple[int, ...] | None:
+    return None if port is None else (port,)
+
+
+_RESOLVE = {
+    el.BS: lambda e: _Op((), _unitary_block(el.bs_unitary(e.reflectivity)), e.ports),
+    el.PhaseShifter: lambda e: _Op((), _unitary_block([[np.exp(1j * e.phase)]]), (e.port,)),
+    el.Reroute: lambda e: _Op((), _SWAP, (e.src, e.dst)),
+    el.PBS: lambda e: _Op((POL,), _PBS, e.ports),
+    el.PR: lambda e: _Op((POL,), _PR, (e.port,)),
+    el.CavityAtomBlock: lambda e: _Op((e.atom, POL), _CAVITY_ATOM, _arm(e.port)),
+    el.FieldPiBlock: lambda e: _Op((e.atom, e.field), _FIELD_PI, _arm(e.port)),
+    el.FieldHalfPiBlock: lambda e: _Op((e.atom, e.field), _FIELD_HALF_PI, _arm(e.port)),
+    el.DispersiveBlock: lambda e: _Op((e.atom, e.field), _DISPERSIVE, _arm(e.port)),
+    el.RamseyZone: lambda e: _Op((e.atom,), _RAMSEY),
+    el.ExternalPiPulse: lambda e: _Op((e.atom,), _EXTERNAL_PI),
+}
+
+
+def _sector_mass(tensor: np.ndarray, register: Register, assignments: dict) -> float:
     """Probability mass in the product sector fixed by ``assignments``."""
-    register = state.register
     slicer: list = [slice(None)] * len(register)
     for label, outcome in assignments.items():
         pos = register.position(label)
         slicer[pos] = register.subsystems[pos].index_of(outcome)
-    sector = state.amplitudes.reshape(register.dims)[tuple(slicer)]
-    return float(np.sum(np.abs(sector) ** 2))
+    return float(np.sum(np.abs(tensor[tuple(slicer)]) ** 2))
 
 
-def _apply_element(state: PureState, item: el.Element) -> PureState:
-    register = state.register
+def _reroute_guard(tensor: np.ndarray, register: Register, item: el.Reroute) -> None:
+    if _sector_mass(tensor, register, {PATH: item.dst}) > 1e-12:
+        raise InvalidConfigurationError(
+            f"reroute target port {item.dst} is already occupied"
+        )
+
+
+def _double_excitation_guard(
+    tensor: np.ndarray, register: Register, item: el.FieldPiBlock
+) -> None:
+    sector = {item.atom: "e", item.field: "1"}
+    if item.port is not None:
+        sector[PATH] = item.port
+    if _sector_mass(tensor, register, sector) > el.DOUBLE_EXCITATION_EPS:
+        raise InvalidConfigurationError(
+            "resonant pi block reached with population in the doubly "
+            f"excited |e,1> sector of ({item.atom}, {item.field})"
+        )
+
+
+_GUARDS = {el.Reroute: _reroute_guard, el.FieldPiBlock: _double_excitation_guard}
+
+
+def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
+    """``block`` applied on the joint basis of ``axes`` of ``view``, as a new array."""
+    k = len(axes)
+    local = block.reshape([view.shape[a] for a in axes] * 2)
+    out = np.tensordot(local, view, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
+    """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis."""
+    ports = op.ports or ()
+    axes = [axis_of(label) for label in op.targets]
+    path = axis_of(PATH) if ports else None
+    if len(set(axes + [path])) != len(axes) + 1:
+        raise ParameterError(f"target labels must be distinct, got {list(op.targets)}")
+    joint = max(len(ports), 1) * int(np.prod([tensor.shape[a] for a in axes]))
+    if op.block.shape != (joint, joint):
+        raise ShapeError(
+            f"block shape {op.block.shape} does not match joint target dim {joint}"
+        )
+    views = [tensor]
+    if ports:
+        dpath = tensor.shape[path]
+        if len(set(ports)) != len(ports) or not all(0 <= p < dpath for p in ports):
+            raise ParameterError(
+                f"ports {ports} must differ and exist on a path of dim {dpath}"
+            )
+        views = [tensor[(slice(None),) * path + (p,)] for p in ports]
+        axes = [a - (a > path) for a in axes]
+    if len(views) == 1:
+        views[0][...] = _block_product(views[0], axes, op.block)
+        return
+    mixed = _block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block)
+    for view, new in zip(views, mixed):
+        view[...] = new
+
+
+def _apply_element(tensor: np.ndarray, register: Register, item: el.Element) -> None:
     if isinstance(item, el.Detector):
-        return state
-
-    if isinstance(item, el.BS):
-        dpath = register.subsystem(PATH).dim
-        m = _embedded_path_matrix(dpath, item.ports, el.bs_unitary(item.reflectivity))
-        return qstate.apply_unitary(state, [PATH], m)
-
-    if isinstance(item, el.PhaseShifter):
-        dpath = register.subsystem(PATH).dim
-        if not 0 <= item.port < dpath:
-            raise ParameterError(f"port {item.port} out of range")
-        m = np.eye(dpath, dtype=complex)
-        m[item.port, item.port] = np.exp(1j * item.phase)
-        return qstate.apply_unitary(state, [PATH], m)
-
-    if isinstance(item, el.Reroute):
-        dpath = register.subsystem(PATH).dim
-        if _sector_mass(state, {PATH: item.dst}) > 1e-12:
-            raise InvalidConfigurationError(
-                f"reroute target port {item.dst} is already occupied"
-            )
-        m = np.eye(dpath, dtype=complex)
-        m[[item.src, item.dst]] = m[[item.dst, item.src]]
-        return qstate.apply_unitary(state, [PATH], m)
-
-    if isinstance(item, el.PBS):
-        dpath = register.subsystem(PATH).dim
-        a, b = item.ports
-        m = np.eye(dpath * 2, dtype=complex)
-        ar, br = a * 2 + 1, b * 2 + 1
-        m[ar, ar] = m[br, br] = 0.0
-        m[ar, br] = m[br, ar] = 1.0
-        return qstate.apply_unitary(state, [PATH, POL], m)
-
-    if isinstance(item, el.PR):
-        dpath = register.subsystem(PATH).dim
-        m = _path_controlled(dpath, item.port, el.pr_unitary())
-        return qstate.apply_unitary(state, [PATH, POL], m)
-
-    if isinstance(item, el.CavityAtomBlock):
-        block = el.cavity_atom_block_unitary()
-        if item.port is None:
-            return qstate.apply_unitary(state, [item.atom, POL], block)
-        dpath = register.subsystem(PATH).dim
-        m = _path_controlled(dpath, item.port, block)
-        return qstate.apply_unitary(state, [PATH, item.atom, POL], m)
-
-    if isinstance(item, el.FieldPiBlock):
-        guard = {item.atom: "e", item.field: "1"}
-        if item.port is not None:
-            guard[PATH] = item.port
-        if _sector_mass(state, guard) > el.DOUBLE_EXCITATION_EPS:
-            raise InvalidConfigurationError(
-                "resonant pi block reached with population in the doubly "
-                f"excited |e,1> sector of ({item.atom}, {item.field})"
-            )
-        block = el.field_pi_block_unitary()
-        if item.port is None:
-            return qstate.apply_unitary(state, [item.atom, item.field], block)
-        dpath = register.subsystem(PATH).dim
-        m = _path_controlled(dpath, item.port, block)
-        return qstate.apply_unitary(state, [PATH, item.atom, item.field], m)
-
-    if isinstance(item, el.FieldHalfPiBlock):
-        block = el.field_half_pi_block_unitary()
-        if item.port is None:
-            return qstate.apply_unitary(state, [item.atom, item.field], block)
-        dpath = register.subsystem(PATH).dim
-        m = _path_controlled(dpath, item.port, block)
-        return qstate.apply_unitary(state, [PATH, item.atom, item.field], m)
-
-    if isinstance(item, el.DispersiveBlock):
-        block = el.dispersive_block_unitary()
-        if item.port is None:
-            return qstate.apply_unitary(state, [item.atom, item.field], block)
-        dpath = register.subsystem(PATH).dim
-        m = _path_controlled(dpath, item.port, block)
-        return qstate.apply_unitary(state, [PATH, item.atom, item.field], m)
-
-    if isinstance(item, el.RamseyZone):
-        return qstate.apply_unitary(state, [item.atom], el.ramsey_unitary())
-
-    if isinstance(item, el.ExternalPiPulse):
-        return qstate.apply_unitary(state, [item.atom], el.external_pi_unitary())
-
-    raise ParameterError(f"unknown element {item!r}")
+        return
+    resolve = _RESOLVE.get(type(item))
+    if resolve is None:
+        raise ParameterError(f"unknown element {item!r}")
+    guard = _GUARDS.get(type(item))
+    if guard is not None:
+        guard(tensor, register, item)
+    _apply_op(tensor, register.position, resolve(item))
 
 
 def initial_state(scheme: Scheme) -> PureState:
@@ -225,12 +238,18 @@ def initial_state(scheme: Scheme) -> PureState:
 
 
 def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
-    """State after the first ``upto`` elements (all of them by default)."""
-    state = initial_state(scheme)
+    """State after the first ``upto`` elements (all of them by default).
+
+    The elements act in place on one private copy of the initial amplitudes;
+    the result is frozen into a :class:`PureState` (and its norm checked)
+    once, at the end.
+    """
+    register = scheme.register
+    tensor = initial_state(scheme).amplitudes.reshape(register.dims).copy()
     items = scheme.elements if upto is None else scheme.elements[:upto]
     for item in items:
-        state = _apply_element(state, item)
-    return state
+        _apply_element(tensor, register, item)
+    return PureState(register, tensor.reshape(-1))
 
 
 def _strip_flyer(state: PureState, label: str) -> PureState:
@@ -426,19 +445,13 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
 def mesh_matrix(items: Iterable[el.Element], dpath: int) -> np.ndarray:
     """Compose BS/PhaseShifter/Reroute elements into one path-space matrix."""
     m = np.eye(dpath, dtype=complex)
+    axis_of = {PATH: 0}.__getitem__
     for item in items:
-        if isinstance(item, el.BS):
-            m = _embedded_path_matrix(dpath, item.ports, el.bs_unitary(item.reflectivity)) @ m
-        elif isinstance(item, el.PhaseShifter):
-            p = np.eye(dpath, dtype=complex)
-            p[item.port, item.port] = np.exp(1j * item.phase)
-            m = p @ m
-        elif isinstance(item, el.Reroute):
-            p = np.eye(dpath, dtype=complex)
-            p[[item.src, item.dst]] = p[[item.dst, item.src]]
-            m = p @ m
-        else:
+        resolve = _RESOLVE.get(type(item))
+        op = resolve(item) if resolve is not None else None
+        if op is None or op.targets:
             raise ParameterError(f"{item!r} is not a path-only element")
+        _apply_op(m, axis_of, op)
     return m
 
 
@@ -1100,30 +1113,32 @@ def scheme_to_jsonable(scheme: Scheme) -> dict:
     }
 
 
-def _state_to_jsonable(state: PureState | None) -> list | None:
-    if state is None:
-        return None
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
-
-
 def reports_to_jsonable(reports: Sequence[OutcomeReport]) -> list[dict]:
+    """Outcome rows; ``corrected_state`` is the read-only amplitude array or None.
+
+    :func:`cavnet.cli.dump_json` renders the array as a list of ``[re, im]``
+    pairs; :func:`run_report` converts it to that list for ``json``.
+    """
     out = []
     for rep in reports:
+        state = rep.corrected_state
         out.append(
             {
                 "detector": rep.detector_id,
                 "probability": rep.probability,
                 "fidelity": rep.fidelity_vs_target,
                 "correction": rep.correction.describe(),
-                "corrected_state": _state_to_jsonable(rep.corrected_state),
+                "corrected_state": None if state is None else state.amplitudes,
             }
         )
     return out
 
 
 def run_report(scheme: Scheme) -> dict:
-    """Scheme plus outcomes in the documented JSON shape."""
-    return {
-        "scheme": scheme_to_jsonable(scheme),
-        "outcomes": reports_to_jsonable(run(scheme)),
-    }
+    """Scheme plus outcomes in the documented JSON shape, as plain Python values."""
+    outcomes = reports_to_jsonable(run(scheme))
+    for row in outcomes:
+        amps = row["corrected_state"]
+        if amps is not None:
+            row["corrected_state"] = np.column_stack((amps.real, amps.imag)).tolist()
+    return {"scheme": scheme_to_jsonable(scheme), "outcomes": outcomes}

@@ -1,12 +1,18 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavnet.cli import dump_json, main
+from cavnet import schemes
+from cavnet.cli import SCHEME_NAMES, dump_json, main
+from cavnet.errors import ParameterError
 
 
 def run_cli(*args):
@@ -146,3 +152,66 @@ def test_dump_json_formatting():
     assert "null" in text and "true" in text
     parsed = json.loads(text)
     assert parsed == {"a": 1.0, "b": [0.5, None, True], "c": "x"}
+
+
+# Edge values for the array renderer: signed zeros, subnormals, extremes.
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324,
+    2.5e-310, 1e308, -1e308,
+    1.7976931348623157e308,
+)
+
+
+@st.composite
+def amplitude_vectors(draw):
+    """Complex vectors drawn from a small pool of values, so many repeat."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = st.sampled_from(SPECIAL_FLOATS) | finite
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    part = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(part, part), max_size=40))
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude_vectors(), st.integers(0, 4))
+def test_dump_json_array_matches_pair_list(vec, indent):
+    pairs = [[float(z.real), float(z.imag)] for z in vec]
+    assert dump_json(vec, indent) == dump_json(pairs, indent)
+    assert dump_json({"state": vec}, indent) == dump_json({"state": pairs}, indent)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dump_json_rejects_non_finite(bad):
+    with pytest.raises(ParameterError):
+        dump_json([0.5, bad])
+    with pytest.raises(ParameterError):
+        dump_json(np.array([0.5j, complex(bad, 0.0)]))
+    with pytest.raises(ParameterError):
+        dump_json(np.array([complex(0.0, bad)]))
+
+
+RUN_SCHEME_CASES = [
+    (("ghz-atoms", "--n", "4"), lambda: schemes.build_ghz_atoms(4)),
+    (("w", "--n", "4"), lambda: schemes.build_w_pow2(4)),
+    (("w3-prob",), schemes.build_w3_probabilistic),
+    (("w3-det",), schemes.build_w3_deterministic),
+    (("cluster", "--n", "3"), lambda: schemes.build_cluster_atoms(3)),
+    (("ghz-fields", "--n", "4"), lambda: schemes.build_ghz_fields(4)),
+    (("field-cz",), schemes.build_field_cz_pair),
+    (("graph", "--kind", "ring", "--n", "3"), lambda: schemes.build_field_graph("ring", 3)),
+    (("graph", "--kind", "star", "--n", "3"), lambda: schemes.build_field_graph("star", 3)),
+]
+
+
+def test_run_scheme_cases_cover_every_scheme():
+    assert {argv[0] for argv, _ in RUN_SCHEME_CASES} == set(SCHEME_NAMES)
+
+
+@pytest.mark.parametrize(
+    "argv,build", RUN_SCHEME_CASES, ids=["_".join(argv) for argv, _ in RUN_SCHEME_CASES]
+)
+def test_run_scheme_stdout_equals_run_report_rendering(argv, build, capsys):
+    """The CLI renders amplitude arrays byte for byte like ``run_report``'s pair lists."""
+    assert main(["run-scheme", *argv]) == 0
+    assert capsys.readouterr().out == dump_json(schemes.run_report(build())) + "\n"

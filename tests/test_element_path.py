@@ -1,0 +1,277 @@
+"""Element application in ``propagate`` against full-register matrix oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavnet import elements as el
+from cavnet import schemes
+from cavnet.errors import (
+    InvalidConfigurationError,
+    InvalidLabelError,
+    ParameterError,
+    ShapeError,
+)
+from cavnet.qstate import (
+    KIND_ATOM_GE,
+    KIND_ATOM_LR,
+    KIND_FIELD,
+    KIND_PATH,
+    KIND_POL,
+    Register,
+    Subsystem,
+)
+from cavnet.schemes import Scheme
+
+KINDS = {
+    "a1": KIND_ATOM_LR,
+    "a2": KIND_ATOM_LR,
+    "f1": KIND_FIELD,
+    "f2": KIND_FIELD,
+    "path": KIND_PATH,
+    "pol": KIND_POL,
+    "fly": KIND_ATOM_GE,
+}
+GUARD_EPS = 1e-12
+
+
+def bare_scheme(register, amplitudes, items, detectors=()):
+    return Scheme(
+        name="bare",
+        n=0,
+        register=register,
+        initial=((register.labels, amplitudes),),
+        initial_spec=(),
+        elements=tuple(items),
+        detectors=tuple(detectors),
+        corrections={},
+        targets={},
+        flying=(),
+    )
+
+
+def random_state(register, seed, empty=()):
+    """Random normalized amplitudes, zero where a ``(label, index)`` of ``empty`` holds."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=register.dims) + 1j * rng.normal(size=register.dims)
+    for label, index in empty:
+        psi[(slice(None),) * register.position(label) + (index,)] = 0.0
+    psi = psi.reshape(-1)
+    return psi / np.linalg.norm(psi)
+
+
+# ------------------------------------------------------------ kron oracle
+
+
+def ket_bra(dim, i, j):
+    m = np.zeros((dim, dim), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def kron_all(factors):
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def full_matrix(register, block, labels, ports=None):
+    """Register matrix of ``block`` on the joint basis of (path ``ports``, ``labels``).
+
+    With ``ports`` the block acts only where the path is in one of those
+    ports; every other port sees the identity.
+    """
+    dims = {sub.label: sub.dim for sub in register.subsystems}
+    factor_dims = ([len(ports)] if ports else []) + [dims[lab] for lab in labels]
+    total = np.zeros((register.total_dim,) * 2, dtype=complex)
+    for (i, j), value in np.ndenumerate(np.asarray(block)):
+        if value == 0:
+            continue
+        ii, jj = np.unravel_index(i, factor_dims), np.unravel_index(j, factor_dims)
+        ops = {}
+        if ports:
+            ops["path"] = ket_bra(dims["path"], ports[ii[0]], ports[jj[0]])
+            ii, jj = ii[1:], jj[1:]
+        for lab, a, b in zip(labels, ii, jj):
+            ops[lab] = ket_bra(dims[lab], a, b)
+        total += value * kron_all(
+            ops.get(sub.label, np.eye(sub.dim)) for sub in register.subsystems
+        )
+    if ports:
+        idle = np.eye(dims["path"])
+        idle[list(ports), list(ports)] = 0.0
+        total += kron_all(
+            idle if sub.label == "path" else np.eye(sub.dim) for sub in register.subsystems
+        )
+    return total
+
+
+def arm(port):
+    return None if port is None else (port,)
+
+
+def oracle_matrix(register, item):
+    """Each element kind as written in the ``cavnet.elements`` docstrings."""
+    if isinstance(item, el.BS):
+        return full_matrix(register, el.bs_unitary(item.reflectivity), [], item.ports)
+    if isinstance(item, el.PhaseShifter):
+        return full_matrix(register, [[np.exp(1j * item.phase)]], [], (item.port,))
+    if isinstance(item, el.Reroute):
+        return full_matrix(register, [[0, 1], [1, 0]], [], (item.src, item.dst))
+    if isinstance(item, el.PBS):
+        return full_matrix(register, el.pbs_unitary(), ["pol"], item.ports)
+    if isinstance(item, el.PR):
+        return full_matrix(register, el.pr_unitary(), ["pol"], (item.port,))
+    if isinstance(item, el.CavityAtomBlock):
+        return full_matrix(
+            register, el.cavity_atom_block_unitary(), [item.atom, "pol"], arm(item.port)
+        )
+    ladder = {
+        el.FieldPiBlock: el.field_pi_block_unitary,
+        el.FieldHalfPiBlock: el.field_half_pi_block_unitary,
+        el.DispersiveBlock: el.dispersive_block_unitary,
+    }
+    if type(item) in ladder:
+        block = ladder[type(item)]()
+        return full_matrix(register, block, [item.atom, item.field], arm(item.port))
+    if isinstance(item, el.RamseyZone):
+        return full_matrix(register, el.ramsey_unitary(), [item.atom])
+    if isinstance(item, el.ExternalPiPulse):
+        return full_matrix(register, el.external_pi_unitary(), [item.atom])
+    if isinstance(item, el.Detector):
+        return np.eye(register.total_dim)
+    raise AssertionError(f"no oracle for {item!r}")
+
+
+def sector_mass(register, psi, assignments):
+    slicer = [slice(None)] * len(register)
+    for label, index in assignments.items():
+        slicer[register.position(label)] = index
+    return float(np.sum(np.abs(psi.reshape(register.dims)[tuple(slicer)]) ** 2))
+
+
+def guard_trips(register, psi, item):
+    """Whether the reroute-occupancy or double-excitation guard must refuse ``item``."""
+    if isinstance(item, el.Reroute):
+        return sector_mass(register, psi, {"path": item.dst}) > GUARD_EPS
+    if isinstance(item, el.FieldPiBlock):
+        sector = {item.atom: 1, item.field: 1}
+        if item.port is not None:
+            sector["path"] = item.port
+        return sector_mass(register, psi, sector) > GUARD_EPS
+    return False
+
+
+# ------------------------------------------------------------ strategies
+
+
+@st.composite
+def element_runs(draw):
+    """A register in random subsystem order, a path of dim 2-4, and 0-8 elements."""
+    dpath = draw(st.integers(2, 4))
+    order = draw(st.permutations(tuple(KINDS)))
+    port = st.integers(0, dpath - 1)
+    two_ports = st.lists(port, min_size=2, max_size=2, unique=True).map(tuple)
+    maybe_port = st.none() | port
+    field = st.sampled_from(("f1", "f2"))
+    element = st.one_of(
+        st.builds(el.BS, st.floats(0.01, 0.99), two_ports),
+        st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
+        two_ports.map(lambda p: el.Reroute(*p)),
+        two_ports.map(el.PBS),
+        st.builds(el.PR, port),
+        st.builds(el.CavityAtomBlock, st.sampled_from(("a1", "a2")), maybe_port),
+        st.builds(el.FieldPiBlock, st.just("fly"), field, maybe_port),
+        st.builds(el.FieldHalfPiBlock, st.just("fly"), field, maybe_port),
+        st.builds(el.DispersiveBlock, st.just("fly"), field, maybe_port),
+        st.just(el.RamseyZone("fly")),
+        st.just(el.ExternalPiPulse("fly")),
+        st.just(el.Detector("D", "path", 0)),
+    )
+    items = draw(st.lists(element, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dpath, order, items, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_runs())
+def test_propagate_matches_kron_oracle(run):
+    dpath, order, items, seed = run
+    register = Register(
+        Subsystem(lab, KINDS[lab], dpath if lab == "path" else 2) for lab in order
+    )
+    # last port and the excited flyer start empty, so both guards can pass or trip
+    psi = random_state(register, seed, empty=(("path", dpath - 1), ("fly", 1)))
+    scheme = bare_scheme(register, psi, items)
+    for item in items:
+        if guard_trips(register, psi, item):
+            with pytest.raises(InvalidConfigurationError):
+                schemes.propagate(scheme)
+            return
+        psi = oracle_matrix(register, item) @ psi
+    got = schemes.propagate(scheme)
+    assert np.abs(got.amplitudes - psi).max() < 1e-12
+
+
+def test_pbs_scheme_matches_numpy_oracle():
+    """L transmits and R swaps the two ports, here on non-adjacent axes."""
+    register = Register(
+        [
+            Subsystem("pol", KIND_POL),
+            Subsystem("atom1", KIND_ATOM_LR),
+            Subsystem("path", KIND_PATH, 3),
+        ]
+    )
+    psi = random_state(register, 7)
+    after = schemes.propagate(bare_scheme(register, psi, [el.PBS((2, 0))]))
+    want = psi.reshape(2, 2, 3).copy()  # axes (pol, atom1, path)
+    want[1, :, 0], want[1, :, 2] = want[1, :, 2].copy(), want[1, :, 0].copy()
+    assert np.abs(after.amplitudes - want.reshape(-1)).max() < 1e-15
+
+    # a polarized photon on arm 0: each detector sees one polarization
+    pol = np.array([np.sqrt(0.3), 1j * np.sqrt(0.7)])
+    photon = np.kron(np.kron([0.6, 0.8], [1.0, 0.0, 0.0]), pol)  # (atom1, path, pol)
+    register = Register(
+        [
+            Subsystem("atom1", KIND_ATOM_LR),
+            Subsystem("path", KIND_PATH, 3),
+            Subsystem("pol", KIND_POL),
+        ]
+    )
+    detectors = [el.Detector(f"D{p}", "path", p) for p in range(3)]
+    scheme = bare_scheme(register, photon, [el.PBS((0, 1))], detectors)
+    reports = {rep.detector_id: rep for rep in schemes.run(scheme)}
+    assert reports["D0"].probability == pytest.approx(0.3, abs=1e-15)
+    assert reports["D1"].probability == pytest.approx(0.7, abs=1e-15)
+    assert reports["D2"].probability == 0.0 and reports["D2"].post_state is None
+    for det, pol_index in (("D0", 0), ("D1", 1)):
+        post = reports[det].post_state.amplitudes.reshape(2, 2)  # (atom1, pol)
+        assert np.abs(np.abs(post[:, pol_index]) - [0.6, 0.8]).max() < 1e-15
+        assert np.abs(post[:, 1 - pol_index]).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "item,error",
+    [
+        (el.BS(0.5, (0, 3)), ParameterError),
+        (el.BS(0.5, (1, 1)), ParameterError),
+        (el.PhaseShifter(5, 0.1), ParameterError),
+        (el.PR(-1), ParameterError),
+        (el.CavityAtomBlock("nosuch", 0), InvalidLabelError),
+        (el.CavityAtomBlock("path", 0), ParameterError),
+        (el.RamseyZone("path"), ShapeError),
+        ("not an element", ParameterError),
+    ],
+)
+def test_propagate_rejects_bad_wiring(item, error):
+    register = Register(
+        [
+            Subsystem("atom1", KIND_ATOM_LR),
+            Subsystem("path", KIND_PATH, 3),
+            Subsystem("pol", KIND_POL),
+        ]
+    )
+    with pytest.raises(error):
+        schemes.propagate(bare_scheme(register, random_state(register, 1), [item]))
