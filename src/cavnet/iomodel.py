@@ -18,7 +18,12 @@ The flux identity d/dt(|c_L|^2+|c_R|^2+|c_e|^2) = |f_in|^2 - |f_L_out|^2
 output powers P_noflip + P_flip account for all probability up to grid
 truncation.
 
-``integrate_pulse`` solves the system with a classical fixed-step RK4;
+``integrate_pulse`` solves the system with a classical fixed-step RK4.
+One RK4 step of this linear system is an affine map y <- M y + u_i, so the
+recurrence is evaluated as a blocked scan: one matrix product per block of
+64 steps, with the block-start states carried by M^64.  It takes the same
+RK4 steps as a per-step loop and agrees with one to rounding (~1e-14).
+
 ``adiabatic_output_coefficients`` evaluates the long-pulse closed form;
 ``flip_probability_sweep`` maps P_flip over a (g, tau) grid with
 g_L = g_R = g and exports CSV.
@@ -41,6 +46,12 @@ from .errors import (
 )
 
 UNITARITY_BUDGET = 1e-6  # documented truncation + integration tolerance
+# Largest grid integrate_pulse accepts, more than 5x the largest grid in use
+# (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
+# An integration peaks at ~80 bytes per step (~140 with a complex drive), so
+# this caps one call near 0.3 GB; larger grids raise ParameterError first.
+MAX_STEPS = 4_000_000
+SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,8 @@ def _rk4_tableau(params: PulseParams, h: float) -> tuple[np.ndarray, np.ndarray,
     One classical RK4 step of y' = A y + b f(t) is exactly
     y_next = M y + v1 f(t) + v2 f(t + h/2) + v3 f(t + h) with
     M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and drive vectors below,
-    so the loop needs no per-step matrix work.
+    which turns the whole integration into the affine recurrence that
+    ``_scan_affine`` solves.
     """
     k, gl, gr = params.kappa, params.g_L, params.g_R
     a = np.array(
@@ -213,6 +225,75 @@ def _rk4_tableau(params: PulseParams, h: float) -> tuple[np.ndarray, np.ndarray,
     return m, v1, v2, v3
 
 
+def _trajectory(params: PulseParams, h: float, f_half: np.ndarray) -> np.ndarray:
+    """RK4 states y_0 = 0, ..., y_n as rows (c_L, c_R, c_e), then padding rows.
+
+    The drive terms u_i = v1 f_2i + v2 f_2i+1 + v3 f_2i+2 are one product
+    over the length-3 windows of the 2n+1 half-step samples ``f_half``.
+    """
+    m, v1, v2, v3 = _rk4_tableau(params, h)
+    n = (len(f_half) - 1) // 2
+    dtype = complex if np.iscomplexobj(f_half) else float
+    u = np.zeros((-(-n // SCAN_BLOCK) * SCAN_BLOCK, 3), dtype=dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
+    np.matmul(windows, np.array([v1, v2, v3]), out=u[:n])
+    return _scan_affine(m - np.eye(3), u)
+
+
+def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States y_0 = 0, y_{i+1} = m y_i + u_i with m = 1 + e, as a (len(u)+1, 3) array.
+
+    ``len(u)`` is a multiple of SCAN_BLOCK = B.  Every block is solved from
+    zero by one product with the block-Toeplitz matrix of m^0..m^(B-1).  The
+    block starts obey the same recurrence with m^B, driven by the blocks'
+    last local states (a recursive call), and m^(j+1) start is added to step
+    j of each block by one more product, using ``u`` as scratch space (its
+    contents are overwritten).  Powers are formed as m^j - 1, whose
+    small entries would lose their low digits if rounded against the
+    identity at every product; this keeps the scan as accurate as a per-step
+    loop.
+    """
+    b = SCAN_BLOCK
+    nb = len(u) // b
+    # d[j] = m^j - 1 by doubling, B being a power of two:
+    # m^(j+k) - 1 = d_j + d_k + d_j d_k
+    d = np.zeros((b + 1, 3, 3))
+    d[1] = e
+    k = 1
+    while k < b:
+        d[k + 1 : 2 * k + 1] = d[1 : k + 1] + (d[k] + d[1 : k + 1] @ d[k])
+        k *= 2
+    powers = d + np.eye(3)
+    # toeplitz[(k, c), (j, a)] = (m^(j-k))[a, c] for k <= j, zero for k > j
+    lag = np.arange(b)[None, :] - np.arange(b)[:, None]
+    lag[lag < 0] = b
+    table = np.concatenate((powers[:b], np.zeros((1, 3, 3))))
+    toeplitz = table[lag].transpose(0, 3, 1, 2).reshape(3 * b, 3 * b)
+
+    y = np.empty((nb * b + 1, 3), dtype=u.dtype)
+    y[0] = 0.0
+    body = y[1:].reshape(nb, 3 * b)
+    np.matmul(u.reshape(nb, 3 * b), toeplitz, out=body)
+    if nb > 1:
+        ends = np.zeros((-(-(nb - 1) // b) * b, 3), dtype=u.dtype)
+        ends[: nb - 1] = body[:-1, -3:]
+        starts = _scan_affine(d[b], ends)[1:nb]
+        carry = u.reshape(nb, 3 * b)[1:]  # u is spent: reuse it, not a new buffer
+        np.matmul(starts, powers[1:].transpose(2, 0, 1).reshape(3, 3 * b), out=carry)
+        body[1:] += carry
+    return y
+
+
+def _check_step_budget(grid: TimeGrid) -> None:
+    steps = (grid.t_end - grid.t_start) / grid.step
+    if steps > MAX_STEPS:
+        count = grid.n_steps if math.isfinite(steps) else steps
+        raise ParameterError(
+            f"grid [{grid.t_start}, {grid.t_end}] with step {grid.step} needs "
+            f"{count} RK4 steps, more than MAX_STEPS = {MAX_STEPS}"
+        )
+
+
 def integrate_pulse(
     params: PulseParams,
     grid: TimeGrid | None = None,
@@ -229,6 +310,11 @@ def integrate_pulse(
     on the half-step lattice or a sequence of 2*n_steps + 1 samples spaced
     half a step apart.  Probabilities are meaningful for unit-norm inputs;
     custom waveforms are used as given, never renormalized.
+
+    Grids over ``MAX_STEPS`` steps raise a parameter error before any
+    sample is drawn.  The RK4 recurrence is solved by the blocked scan of
+    ``_scan_affine``: the steps of a per-step loop in another summation
+    order, so the amplitudes agree with such a loop to rounding (~1e-14).
 
     P_flip is the trapezoid integral of |f_R_out|^2 on the grid.  Because
     both output waveforms vanish smoothly at the window ends, the trapezoid
@@ -248,47 +334,18 @@ def integrate_pulse(
                 "grid must cover [-5 tau, +5 tau] to capture the pulse, got "
                 f"[{grid.t_start}, {grid.t_end}] with tau = {params.tau}"
             )
+    _check_step_budget(grid)
 
     n = grid.n_steps
     h = grid.step
     f_half = _input_samples(grid, params, waveform)
-    m, v1, v2, v3 = _rk4_tableau(params, h)
-
-    complex_drive = np.iscomplexobj(f_half)
-    dtype = complex if complex_drive else float
-    c_l = np.empty(n + 1, dtype=dtype)
-    c_r = np.empty(n + 1, dtype=dtype)
-    c_e = np.empty(n + 1, dtype=dtype)
-    c_l[0] = c_r[0] = c_e[0] = 0.0
-
-    # plain Python scalars keep the per-step loop cheap and warning-free
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = (x.item() for x in m.ravel())
-    p0, p1, p2 = (x.item() for x in v1)
-    q0, q1, q2 = (x.item() for x in v2)
-    r0, r1, r2 = (x.item() for x in v3)
-    f_list = f_half.tolist()
-    y0 = y1 = y2 = dtype(0.0)
-    try:
-        for i in range(n):
-            fa = f_list[2 * i]
-            fb = f_list[2 * i + 1]
-            fc = f_list[2 * i + 2]
-            z0 = m00 * y0 + m01 * y1 + m02 * y2 + p0 * fa + q0 * fb + r0 * fc
-            z1 = m10 * y0 + m11 * y1 + m12 * y2 + p1 * fa + q1 * fb + r1 * fc
-            z2 = m20 * y0 + m21 * y1 + m22 * y2 + p2 * fa + q2 * fb + r2 * fc
-            y0, y1, y2 = z0, z1, z2
-            c_l[i + 1] = y0
-            c_r[i + 1] = y1
-            c_e[i + 1] = y2
-    except OverflowError:
-        raise NumericalBlowupError(
-            "amplitude overflow during integration; check parameters and step"
-        ) from None
-
-    if not (np.isfinite(c_l).all() and np.isfinite(c_r).all() and np.isfinite(c_e).all()):
+    with np.errstate(all="ignore"):  # a blow-up is reported by the check below
+        y = _trajectory(params, h, f_half)[: n + 1]
+    if not np.isfinite(y).all():
         raise NumericalBlowupError(
             "non-finite amplitudes during integration; check parameters and step"
         )
+    c_l, c_r, c_e = y.T
 
     times = grid.times()
     f_in = f_half[::2]
@@ -321,24 +378,11 @@ def adiabatic_output_coefficients(params: PulseParams) -> tuple[float, float]:
     gsq = params.g_total_sq
     if gsq == 0.0:
         raise DegenerateCouplingError(
-            "both couplings vanish; the pulse sees an empty cavity "
-            "(see empty_cavity_phase)"
+            "both couplings vanish; the pulse sees an empty cavity"
         )
     r_ll = 1.0 - 2.0 * params.g_R * params.g_R / gsq
     t_lr = 2.0 * params.g_L * params.g_R / gsq
     return r_ll, t_lr
-
-
-def empty_cavity_phase(kappa: float) -> float:
-    """Reflection amplitude off a resonant empty cavity, exactly -1.
-
-    With no coupled transition the steady state of the driven mode is
-    c = -2 f_in / sqrt(kappa), so f_out = f_in + sqrt(kappa) c = -f_in for
-    any kappa: the uncoupled polarization picks up a pi phase.
-    """
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ParameterError(f"kappa must be positive, got {kappa}")
-    return -1.0
 
 
 @dataclass(frozen=True)
@@ -361,7 +405,8 @@ def flip_probability_sweep(
     Rows follow the input ordering: all tau values for the first g, then
     the next g.  Time is measured in units of 1/kappa (kappa = 1).  An
     explicit ``step`` overrides the default step of every point; the
-    default window is always used.
+    default window is always used.  Every point's grid is checked against
+    ``MAX_STEPS`` before the first point is integrated.
     """
     gs = [float(g) for g in g_over_kappa]
     taus = [float(t) for t in kappa_tau]
@@ -376,15 +421,19 @@ def flip_probability_sweep(
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ParameterError(f"step must be positive, got {step}")
 
-    rows = []
+    points = []
     for g in gs:
         for tau in taus:
             params = PulseParams(g_L=g, g_R=g, kappa=1.0, tau=tau)
             grid = default_grid(params)
             if step is not None:
                 grid = TimeGrid(grid.t_start, grid.t_end, step)
-            result = integrate_pulse(params, grid)
-            rows.append(SweepPoint(g, tau, result.P_flip, result.P_noflip))
+            _check_step_budget(grid)
+            points.append((params, grid))
+    rows = []
+    for params, grid in points:
+        result = integrate_pulse(params, grid)
+        rows.append(SweepPoint(params.g_L, params.tau, result.P_flip, result.P_noflip))
     return rows
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavnet import schemes
+from cavnet import iomodel, schemes
 from cavnet.cli import SCHEME_NAMES, dump_json, main
 from cavnet.errors import ParameterError
 
@@ -113,6 +113,16 @@ def test_flip_sweep_blowup_exits_three():
     proc = run_cli("flip-sweep", "--g", "10000", "--tau", "1", "--step", "0.02")
     assert proc.returncode == 3
     assert "internal error" in proc.stderr
+
+
+def test_flip_sweep_over_step_budget_exits_two(monkeypatch, capsys):
+    steps = iomodel.default_grid(iomodel.PulseParams(1.0, 1.0, 1.0, 1.0)).n_steps
+    monkeypatch.setattr(iomodel, "MAX_STEPS", 1000)
+    assert main(["flip-sweep", "--g", "1", "--tau", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{steps} RK4 steps" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_retry_walk_json_and_mc():

@@ -1,6 +1,8 @@
 """Pulse integrator: frozen references, an independent frequency-domain
 oracle, unitarity, adiabatic formulas, and grid/waveform validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from cavnet.iomodel import (
     TimeGrid,
     adiabatic_output_coefficients,
     default_grid,
-    empty_cavity_phase,
     flip_probability_sweep,
     format_float,
     gaussian_input,
@@ -227,6 +228,45 @@ def test_unstable_step_blows_up_loudly():
         integrate_pulse(params, grid=grid)
 
 
+def test_blowup_raises_without_runtime_warnings():
+    # overflow inside the scan is reported once, by the finiteness check
+    params = matched(1e4)
+    grid = TimeGrid(-6.0, 46.0, 0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalBlowupError):
+            integrate_pulse(params, grid=grid)
+
+
+def test_step_budget_rejects_before_sampling(monkeypatch):
+    params = matched(1.0)
+    grid = default_grid(params)
+    monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps - 1)
+
+    def waveform(t):
+        raise AssertionError("sampled a waveform over the step budget")
+
+    with pytest.raises(ParameterError, match=str(grid.n_steps)):
+        integrate_pulse(params, grid=grid, waveform=waveform)
+    monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps)
+    assert integrate_pulse(params, grid=grid).P_flip > 0.0
+
+
+def test_step_budget_rejects_infinite_step_count():
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        integrate_pulse(matched(1.0), grid=TimeGrid(-6.0, 16.0, 1e-320))
+
+
+def test_sweep_checks_every_grid_before_integrating(monkeypatch):
+    small = default_grid(matched(1.0, tau=1.0)).n_steps
+    monkeypatch.setattr(io, "MAX_STEPS", small)
+    calls = []
+    monkeypatch.setattr(io, "integrate_pulse", lambda *a: calls.append(a))
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        flip_probability_sweep([1.0], [1.0, 40.0])
+    assert calls == []
+
+
 def test_sampled_waveform_matches_callable():
     params = matched(1.0, tau=1.0)
     grid = default_grid(params)
@@ -274,11 +314,8 @@ def test_adiabatic_limit_of_the_trajectory():
 
 
 def test_empty_cavity_phase_is_minus_one():
-    assert empty_cavity_phase(1.0) == -1.0
-    assert empty_cavity_phase(3.7) == -1.0
-    with pytest.raises(ParameterError):
-        empty_cavity_phase(0.0)
-    # slow-pulse trajectory reproduces the sign flip at pulse center
+    # a slow pulse off the empty cavity comes back with a pi phase: the
+    # trajectory reproduces the sign flip at pulse center
     params = PulseParams(g_L=0.0, g_R=0.0, kappa=1.0, tau=50.0)
     grid = default_grid(params)
     res = integrate_pulse(params, grid=grid)
