@@ -35,45 +35,59 @@ SCHEME_NAMES = (
 def dump_json(value, indent: int = 0) -> str:
     """Render JSON with full-precision floats and stable ordering.
 
-    A 1-D complex array renders as its list of ``[re, im]`` pairs.
+    A 1-D complex array renders as its list of ``[re, im]`` pairs.  The
+    text is collected as pieces in one list and joined once.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    pieces: list[str] = []
+    _render(value, indent, pieces)
+    return "".join(pieces)
+
+
+def _render(value, indent: int, out: list[str]) -> None:
+    """Append the JSON text of ``value``, nested ``indent`` levels deep, to ``out``."""
     if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
         x = float(value)
         if not math.isfinite(x):
             raise ParameterError(f"non-finite value {x} cannot be serialized")
-        return format_float(x)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
+        out.append(format_float(x))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        body = ",\n".join(rows)
-        return f"{{\n{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
+            out.append("{}")
+            return
+        inner = "  " * (indent + 1)
+        sep = "{\n"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{json.dumps(str(key))}: ")
+            _render(item, indent + 1, out)
+            sep = ",\n"
+        out.append(f"\n{'  ' * indent}}}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        rows = [f"{inner}{dump_json(v, indent + 1)}" for v in value]
-        body = ",\n".join(rows)
-        return f"[\n{body}\n{pad}]"
-    if (
+            out.append("[]")
+            return
+        inner = "  " * (indent + 1)
+        sep = "[\n"
+        for item in value:
+            out.append(sep + inner)
+            _render(item, indent + 1, out)
+            sep = ",\n"
+        out.append(f"\n{'  ' * indent}]")
+    elif (
         isinstance(value, np.ndarray)
         and value.ndim == 1
         and np.issubdtype(value.dtype, np.complexfloating)
     ):
-        return _dump_amplitudes(value, indent)
-    raise ParameterError(f"cannot serialize {type(value).__name__}")
+        out.append(_dump_amplitudes(value, indent))
+    else:
+        raise ParameterError(f"cannot serialize {type(value).__name__}")
 
 
 def _dump_amplitudes(amps: np.ndarray, indent: int) -> str:
@@ -103,12 +117,13 @@ def _dump_amplitudes(amps: np.ndarray, indent: int) -> str:
     return f"[\n{body}\n{'  ' * indent}]"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(out_path: str | None, *parts: str) -> None:
+    """Write ``parts`` one after another to stdout or to ``out_path``."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -132,6 +147,10 @@ def _parse_tau_range(raw: str) -> list[float]:
         raise ParameterError(f"--tau-range expects start:stop:count, got {raw!r}")
     if start <= 0 or stop <= 0 or count < 1:
         raise ParameterError("--tau-range needs positive start/stop and count >= 1")
+    if count > iomodel.MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"--tau-range count {count} exceeds MAX_SWEEP_POINTS = {iomodel.MAX_SWEEP_POINTS}"
+        )
     if count == 1:
         return [start]
     return [float(t) for t in np.geomspace(start, stop, count)]
@@ -197,7 +216,7 @@ def cmd_run_scheme(args) -> int:
         "scheme": schemes.scheme_to_jsonable(scheme),
         "outcomes": schemes.reports_to_jsonable(schemes.run(scheme)),
     }
-    _emit(dump_json(report) + "\n", args.out)
+    _emit(args.out, dump_json(report), "\n")
     return 0
 
 
@@ -211,7 +230,7 @@ def cmd_flip_sweep(args) -> int:
         else _parse_tau_range(args.tau_range)
     )
     rows = iomodel.flip_probability_sweep(gs, taus, step=args.step)
-    _emit(iomodel.sweep_csv_text(rows), args.out)
+    _emit(args.out, iomodel.sweep_csv_text(rows))
     return 0
 
 
@@ -234,7 +253,7 @@ def cmd_retry_walk(args) -> int:
         payload["mc_success_prob"] = schemes.retry_walk_mc(
             params, args.mc_trajectories, args.seed
         )
-    _emit(dump_json(payload) + "\n", args.out)
+    _emit(args.out, dump_json(payload), "\n")
     return 0
 
 

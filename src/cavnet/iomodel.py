@@ -51,6 +51,9 @@ UNITARITY_BUDGET = 1e-6  # documented truncation + integration tolerance
 # An integration peaks at ~80 bytes per step (~140 with a complex drive), so
 # this caps one call near 0.3 GB; larger grids raise ParameterError first.
 MAX_STEPS = 4_000_000
+# Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
+# golden sweep; larger sweeps raise ParameterError before any grid is built.
+MAX_SWEEP_POINTS = 10_000
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
 
 
@@ -173,7 +176,10 @@ def _input_samples(
     params: PulseParams,
     waveform: Callable[[np.ndarray], np.ndarray] | Sequence | None,
 ) -> np.ndarray:
-    """Drive samples on the half-step lattice t_start, t_start+h/2, ..."""
+    """Drive samples on the half-step lattice t_start, t_start+h/2, ...
+
+    A custom waveform must give finite samples of the right shape.
+    """
     n = grid.n_steps
     half_times = grid.t_start + 0.5 * grid.step * np.arange(2 * n + 1)
     if waveform is None:
@@ -189,6 +195,8 @@ def _input_samples(
             )
     if samples.shape != (2 * n + 1,):
         raise ShapeError(f"waveform callable returned shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ParameterError("waveform samples must be finite (got NaN or inf)")
     return samples
 
 
@@ -405,13 +413,19 @@ def flip_probability_sweep(
     Rows follow the input ordering: all tau values for the first g, then
     the next g.  Time is measured in units of 1/kappa (kappa = 1).  An
     explicit ``step`` overrides the default step of every point; the
-    default window is always used.  Every point's grid is checked against
-    ``MAX_STEPS`` before the first point is integrated.
+    default window is always used.  Sweeps over ``MAX_SWEEP_POINTS``
+    points are refused before any grid is built, and every point's grid is
+    checked against ``MAX_STEPS`` before the first point is integrated.
     """
     gs = [float(g) for g in g_over_kappa]
     taus = [float(t) for t in kappa_tau]
     if not gs or not taus:
         raise ParameterError("need at least one g and one tau value")
+    if len(gs) * len(taus) > MAX_SWEEP_POINTS:
+        raise ParameterError(
+            f"sweep of {len(gs)} x {len(taus)} points exceeds "
+            f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+        )
     for g in gs:
         if not (math.isfinite(g) and g > 0):
             raise ParameterError(f"g values must be positive, got {g}")
@@ -434,6 +448,7 @@ def flip_probability_sweep(
     for params, grid in points:
         result = integrate_pulse(params, grid)
         rows.append(SweepPoint(params.g_L, params.tau, result.P_flip, result.P_noflip))
+        del result  # else its trajectories stay alive through the next integration
     return rows
 
 

@@ -10,10 +10,12 @@ significant, so ``index = (((d_0) * dim_1 + d_1) * dim_2 + ...)``.
 States are immutable: every public operation here returns a fresh
 ``PureState`` and the underlying numpy buffers are write-protected.  The one
 mutable buffer is private to :func:`cavnet.schemes.propagate`, which copies
-the initial amplitudes once, applies every element in place and freezes the
-result into a ``PureState`` at the end.  Norm is checked to 1e-9 whenever a
-``PureState`` is made and never silently renormalized; global phase is
-likewise never stripped.
+the initial amplitudes once with the ``path`` axis moved to the front (so a
+path slice is one contiguous block), applies every element in place, and
+transposes the result back into a fresh register-order array that a
+``PureState`` adopts without another copy.  Norm is checked to 1e-9
+whenever a ``PureState`` is made and never silently renormalized; global
+phase is likewise never stripped.
 """
 
 from __future__ import annotations
@@ -180,7 +182,13 @@ class Register:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over a register's product basis."""
+    """Normalized amplitude vector over a register's product basis.
+
+    The amplitudes are copied into a read-only array, unless they already
+    are a read-only array that owns its memory: such an array is adopted
+    as it is, so a caller can hand over a fresh array it has frozen with
+    ``setflags(write=False)`` without paying a second copy.
+    """
 
     register: Register
     amplitudes: np.ndarray
@@ -195,8 +203,9 @@ class PureState:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ContractViolationError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        if amps.flags.writeable or amps.base is not None:
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -247,9 +256,12 @@ def from_factors(
             raise ShapeError(
                 f"factor over {tuple(labels)} has length {block.size}, expected {dim}"
             )
-        vec = np.kron(vec, block)
+        product = np.empty(vec.size * dim, dtype=complex)
+        np.multiply.outer(vec, block, out=product.reshape(vec.size, dim))
+        vec = product
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
+    vec.setflags(write=False)
     return PureState(register, vec)
 
 
@@ -286,7 +298,8 @@ def apply_unitary(
     moved = flat.reshape([register.subsystems[p].dim for p in positions] +
                          [register.subsystems[a].dim for a in rest])
     inverse = np.argsort(positions + rest)
-    out = np.transpose(moved, inverse).reshape(-1)
+    out = np.transpose(moved, inverse).flatten()
+    out.setflags(write=False)
     return PureState(register, out)
 
 
@@ -342,9 +355,9 @@ def project_out(
     prob = float(np.sum(np.abs(slab) ** 2))
     if prob <= PROJECT_EPS:
         return prob, None
-    reduced = register.without(target)
-    post = PureState(reduced, slab.reshape(-1) / np.sqrt(prob))
-    return prob, post
+    amps = slab.reshape(-1) / np.sqrt(prob)
+    amps.setflags(write=False)
+    return prob, PureState(register.without(target), amps)
 
 
 def overlap(a: PureState, b: PureState) -> complex:

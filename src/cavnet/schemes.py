@@ -152,29 +152,28 @@ _RESOLVE = {
 }
 
 
-def _sector_mass(tensor: np.ndarray, register: Register, assignments: dict) -> float:
+def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: dict) -> float:
     """Probability mass in the product sector fixed by ``assignments``."""
-    slicer: list = [slice(None)] * len(register)
+    slicer: list = [slice(None)] * tensor.ndim
     for label, outcome in assignments.items():
-        pos = register.position(label)
-        slicer[pos] = register.subsystems[pos].index_of(outcome)
+        slicer[axis_of(label)] = register.subsystem(label).index_of(outcome)
     return float(np.sum(np.abs(tensor[tuple(slicer)]) ** 2))
 
 
-def _reroute_guard(tensor: np.ndarray, register: Register, item: el.Reroute) -> None:
-    if _sector_mass(tensor, register, {PATH: item.dst}) > 1e-12:
+def _reroute_guard(tensor: np.ndarray, register: Register, axis_of, item: el.Reroute) -> None:
+    if _sector_mass(tensor, register, axis_of, {PATH: item.dst}) > 1e-12:
         raise InvalidConfigurationError(
             f"reroute target port {item.dst} is already occupied"
         )
 
 
 def _double_excitation_guard(
-    tensor: np.ndarray, register: Register, item: el.FieldPiBlock
+    tensor: np.ndarray, register: Register, axis_of, item: el.FieldPiBlock
 ) -> None:
     sector = {item.atom: "e", item.field: "1"}
     if item.port is not None:
         sector[PATH] = item.port
-    if _sector_mass(tensor, register, sector) > el.DOUBLE_EXCITATION_EPS:
+    if _sector_mass(tensor, register, axis_of, sector) > el.DOUBLE_EXCITATION_EPS:
         raise InvalidConfigurationError(
             "resonant pi block reached with population in the doubly "
             f"excited |e,1> sector of ({item.atom}, {item.field})"
@@ -221,7 +220,7 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
         view[...] = new
 
 
-def _apply_element(tensor: np.ndarray, register: Register, item: el.Element) -> None:
+def _apply_element(tensor: np.ndarray, register: Register, axis_of, item: el.Element) -> None:
     if isinstance(item, el.Detector):
         return
     resolve = _RESOLVE.get(type(item))
@@ -229,8 +228,8 @@ def _apply_element(tensor: np.ndarray, register: Register, item: el.Element) -> 
         raise ParameterError(f"unknown element {item!r}")
     guard = _GUARDS.get(type(item))
     if guard is not None:
-        guard(tensor, register, item)
-    _apply_op(tensor, register.position, resolve(item))
+        guard(tensor, register, axis_of, item)
+    _apply_op(tensor, axis_of, resolve(item))
 
 
 def initial_state(scheme: Scheme) -> PureState:
@@ -240,16 +239,27 @@ def initial_state(scheme: Scheme) -> PureState:
 def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     """State after the first ``upto`` elements (all of them by default).
 
-    The elements act in place on one private copy of the initial amplitudes;
-    the result is frozen into a :class:`PureState` (and its norm checked)
-    once, at the end.
+    The elements act in place on one private copy of the initial amplitudes
+    whose axes are the register's with ``path`` moved to the front, so each
+    path slice an element touches is one contiguous block; a register
+    without a path keeps its order.  At the end the buffer is transposed
+    back into a fresh register-order array, which is frozen into a
+    :class:`PureState` (and its norm checked) once.
     """
     register = scheme.register
-    tensor = initial_state(scheme).amplitudes.reshape(register.dims).copy()
+    order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != PATH)
+    axis = [order.index(pos) for pos in range(len(register))]
+
+    def axis_of(label: str) -> int:
+        return axis[register.position(label)]
+
+    tensor = initial_state(scheme).tensor_view().transpose(order).copy()
     items = scheme.elements if upto is None else scheme.elements[:upto]
     for item in items:
-        _apply_element(tensor, register, item)
-    return PureState(register, tensor.reshape(-1))
+        _apply_element(tensor, register, axis_of, item)
+    amplitudes = tensor.transpose(axis).flatten()
+    amplitudes.setflags(write=False)
+    return PureState(register, amplitudes)
 
 
 def _strip_flyer(state: PureState, label: str) -> PureState:

@@ -189,15 +189,13 @@ def graph_target(
     n = graph.vertices
     prefix = {"atom-LR": "atom", "field-01": "field", "atom-ge": "atom"}[kind]
     register = _two_level_register(n, kind, register, prefix)
+    index = np.arange(register.total_dim)
+    parity = np.zeros(register.total_dim, dtype=index.dtype)
+    for u, v in graph.edges:  # CZ: the sign flips where both ends are logical |1>
+        parity ^= (index >> (n - 1 - u)) & (index >> (n - 1 - v)) & 1
     amps = np.full(register.total_dim, 1.0 / np.sqrt(register.total_dim), dtype=complex)
-    for index in range(register.total_dim):
-        phase = 1.0
-        for u, v in graph.edges:
-            bit_u = (index >> (n - 1 - u)) & 1
-            bit_v = (index >> (n - 1 - v)) & 1
-            if bit_u and bit_v:
-                phase = -phase
-        amps[index] *= phase
+    amps *= 1.0 - 2.0 * parity
+    amps.setflags(write=False)
     return PureState(register, amps)
 
 

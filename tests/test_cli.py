@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavnet import iomodel, schemes
-from cavnet.cli import SCHEME_NAMES, dump_json, main
+from cavnet.cli import SCHEME_NAMES, _dump_amplitudes, _parse_tau_range, dump_json, main
 from cavnet.errors import ParameterError
 
 
@@ -125,6 +125,36 @@ def test_flip_sweep_over_step_budget_exits_two(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_flip_sweep_point_count_over_budget_exits_two_at_once(capsys):
+    assert main(["flip-sweep", "--g", "1", "--tau-range", "0.1:40:1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1000000000" in captured.err and "MAX_SWEEP_POINTS" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_tau_range_count_is_checked_before_spacing(monkeypatch):
+    monkeypatch.setattr(iomodel, "MAX_SWEEP_POINTS", 3)
+    assert _parse_tau_range("1:4:3") == pytest.approx([1.0, 2.0, 4.0])
+
+    def no_spacing(*args, **kwargs):
+        raise AssertionError("spaced an over-budget range")
+
+    monkeypatch.setattr(np, "geomspace", no_spacing)
+    with pytest.raises(ParameterError, match="MAX_SWEEP_POINTS"):
+        _parse_tau_range("1:4:4")
+
+
+def test_flip_sweep_point_budget_counts_the_whole_grid(monkeypatch, capsys):
+    monkeypatch.setattr(iomodel, "MAX_SWEEP_POINTS", 3)
+    assert main(["flip-sweep", "--g", "1", "--tau-range", "1:4:4"]) == 2
+    assert main(["flip-sweep", "--g", "1,2", "--tau", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("MAX_SWEEP_POINTS") == 2
+    assert main(["flip-sweep", "--g", "1", "--tau-range", "1:4:3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_retry_walk_json_and_mc():
     proc = run_cli(
         "retry-walk", "--p", "0.8", "--n", "4", "--mc-trajectories", "20000",
@@ -189,6 +219,73 @@ def test_dump_json_array_matches_pair_list(vec, indent):
     pairs = [[float(z.real), float(z.imag)] for z in vec]
     assert dump_json(vec, indent) == dump_json(pairs, indent)
     assert dump_json({"state": vec}, indent) == dump_json({"state": pairs}, indent)
+
+
+def reference_dump_json(value, indent=0):
+    """The nested renderer ``dump_json`` replaced: each container builds its own text."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not math.isfinite(x):
+            raise ParameterError(f"non-finite value {x} cannot be serialized")
+        return iomodel.format_float(x)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {reference_dump_json(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        body = ",\n".join(rows)
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = [f"{inner}{reference_dump_json(v, indent + 1)}" for v in value]
+        body = ",\n".join(rows)
+        return f"[\n{body}\n{pad}]"
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and np.issubdtype(value.dtype, np.complexfloating)
+    ):
+        return _dump_amplitudes(value, indent)
+    raise ParameterError(f"cannot serialize {type(value).__name__}")
+
+
+json_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | json_floats
+    | json_floats.map(np.float64)
+    | st.text(max_size=8)
+    | amplitude_vectors()
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents, st.integers(0, 4))
+def test_dump_json_matches_nested_reference(doc, indent):
+    assert dump_json(doc, indent) == reference_dump_json(doc, indent)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

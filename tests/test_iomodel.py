@@ -288,6 +288,33 @@ def test_sampled_waveform_length_guard():
         integrate_pulse(params, grid=grid, waveform=np.ones(grid.n_steps + 1))
 
 
+def test_non_finite_waveform_samples_are_parameter_errors():
+    params = matched(1.0)
+    grid = default_grid(params)
+    samples = np.ones(2 * grid.n_steps + 1)
+    samples[7] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        integrate_pulse(params, grid=grid, waveform=samples)
+    with pytest.raises(ParameterError, match="finite"):
+        integrate_pulse(params, grid=grid, waveform=lambda t: np.where(t > 0, np.inf, 0.0))
+    with pytest.raises(ParameterError, match="finite"):
+        integrate_pulse(params, grid=grid, waveform=lambda t: np.full(t.shape, -np.inf + 0j))
+
+
+def test_sweep_point_budget_rejects_before_any_grid(monkeypatch):
+    monkeypatch.setattr(io, "MAX_SWEEP_POINTS", 3)
+    grids = []
+    monkeypatch.setattr(io, "default_grid", lambda *a: grids.append(a))
+    with pytest.raises(ParameterError, match="MAX_SWEEP_POINTS"):
+        flip_probability_sweep([1.0, 2.0], [1.0, 2.0])
+    assert grids == []
+
+
+def test_sweep_point_budget_accepts_exactly_the_budget(monkeypatch):
+    monkeypatch.setattr(io, "MAX_SWEEP_POINTS", 2)
+    assert len(flip_probability_sweep([1.0, 2.0], [1.0])) == 2
+
+
 # ---------------------------------------------------------------- adiabatic
 
 

@@ -127,6 +127,33 @@ def test_pure_state_amplitudes_write_protected():
         st.amplitudes[0] = 0.0
 
 
+def test_pure_state_copies_what_the_caller_can_still_write():
+    reg = two_qubit_register()
+    writable = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    st = PureState(reg, writable)
+    writable[:] = [0.0, 1.0, 0.0, 0.0]
+    assert st.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    owner = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    view = owner[:]
+    view.setflags(write=False)
+    st = PureState(reg, view)
+    owner[:] = [0.0, 1.0, 0.0, 0.0]
+    assert st.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert not st.amplitudes.flags.writeable
+
+
+def test_pure_state_adopts_frozen_arrays_that_own_their_memory():
+    fresh = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    fresh.setflags(write=False)
+    assert PureState(two_qubit_register(), fresh).amplitudes is fresh
+    prob, post = project_out(bell_state(), "a", "R")
+    pair = from_factors(two_qubit_register(), [(("a", "b"), [SQ2, 0, 0, SQ2])])
+    made = [post, pair, apply_unitary(pair, ["b"], np.eye(2))]
+    for st in made:  # fresh results are adopted, not copied a second time
+        assert st.amplitudes.base is None and not st.amplitudes.flags.writeable
+
+
 def test_pure_state_shape_guard():
     with pytest.raises(ShapeError):
         PureState(two_qubit_register(), np.array([1.0, 0.0]))
