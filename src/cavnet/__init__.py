@@ -6,82 +6,19 @@ single-photon pulse integrator (``iomodel``), scheme builders plus the
 measurement loop and retry walk (``schemes``), and target states with
 verification helpers (``verify``).  ``cli`` exposes the same machinery
 as a command line tool.
+
+The package root re-exports only the scheme builders and the entry points;
+everything else is reached through its submodule.
 """
 
-from .elements import (
-    BS,
-    PBS,
-    PR,
-    CavityAtomBlock,
-    Detector,
-    DispersiveBlock,
-    Element,
-    ExternalPiPulse,
-    FieldHalfPiBlock,
-    FieldPiBlock,
-    PhaseShifter,
-    RamseyZone,
-    Reroute,
-    bs_unitary,
-    cavity_atom_block_unitary,
-    dispersive_block_unitary,
-    external_pi_unitary,
-    field_half_pi_block_unitary,
-    field_pi_block_unitary,
-    pbs_unitary,
-    pr_unitary,
-    ramsey_unitary,
-)
-from .errors import (
-    AccuracyError,
-    CavnetError,
-    ContractViolationError,
-    DegenerateCouplingError,
-    GraphError,
-    InvalidConfigurationError,
-    InvalidLabelError,
-    LossyWiringError,
-    NotSingleExcitationError,
-    NumericalBlowupError,
-    ParameterError,
-    ShapeError,
-)
 from .iomodel import (
     PulseParams,
-    PulseResult,
-    SweepPoint,
-    TimeGrid,
     adiabatic_output_coefficients,
-    default_grid,
     flip_probability_sweep,
-    gaussian_input,
     integrate_pulse,
-    slowest_decay_rate,
-    sweep_csv_text,
-    write_sweep_csv,
-)
-from .qstate import (
-    KIND_ATOM_GE,
-    KIND_ATOM_LR,
-    KIND_FIELD,
-    KIND_PATH,
-    KIND_POL,
-    PureState,
-    Register,
-    Subsystem,
-    apply_unitary,
-    from_factors,
-    product_state,
-    project,
-    project_out,
-    projection_probability,
-    overlap,
 )
 from .schemes import (
-    OutcomeReport,
     RetryWalkParams,
-    RetryWalkResult,
-    Scheme,
     build_cluster_atoms,
     build_field_cz_pair,
     build_field_graph,
@@ -90,76 +27,20 @@ from .schemes import (
     build_w3_deterministic,
     build_w3_probabilistic,
     build_w_pow2,
-    initial_state,
-    mesh_matrix,
     propagate,
     retry_walk,
     retry_walk_mc,
     run,
-    run_report,
-    scheme_to_jsonable,
 )
-from .verify import (
-    Graph,
-    LocalCorrection,
-    canonicalize_single_excitation,
-    fidelity,
-    ghz_target,
-    graph_target,
-    search_local_correction,
-    stabilizer_expectations,
-    w_target,
-)
+from .verify import Graph, stabilizer_expectations
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError",
-    "BS",
-    "CavityAtomBlock",
-    "CavnetError",
-    "ContractViolationError",
-    "DegenerateCouplingError",
-    "Detector",
-    "DispersiveBlock",
-    "Element",
-    "ExternalPiPulse",
-    "FieldHalfPiBlock",
-    "FieldPiBlock",
     "Graph",
-    "GraphError",
-    "InvalidConfigurationError",
-    "InvalidLabelError",
-    "KIND_ATOM_GE",
-    "KIND_ATOM_LR",
-    "KIND_FIELD",
-    "KIND_PATH",
-    "KIND_POL",
-    "LocalCorrection",
-    "LossyWiringError",
-    "NotSingleExcitationError",
-    "NumericalBlowupError",
-    "OutcomeReport",
-    "PBS",
-    "PR",
-    "ParameterError",
-    "PhaseShifter",
     "PulseParams",
-    "PulseResult",
-    "PureState",
-    "RamseyZone",
-    "Register",
-    "Reroute",
     "RetryWalkParams",
-    "RetryWalkResult",
-    "Scheme",
-    "ShapeError",
-    "Subsystem",
-    "SweepPoint",
-    "TimeGrid",
     "adiabatic_output_coefficients",
-    "apply_unitary",
-    "bs_unitary",
     "build_cluster_atoms",
     "build_field_cz_pair",
     "build_field_graph",
@@ -168,40 +49,11 @@ __all__ = [
     "build_w3_deterministic",
     "build_w3_probabilistic",
     "build_w_pow2",
-    "canonicalize_single_excitation",
-    "cavity_atom_block_unitary",
-    "default_grid",
-    "dispersive_block_unitary",
-    "external_pi_unitary",
-    "fidelity",
-    "field_half_pi_block_unitary",
-    "field_pi_block_unitary",
     "flip_probability_sweep",
-    "from_factors",
-    "gaussian_input",
-    "ghz_target",
-    "graph_target",
-    "initial_state",
     "integrate_pulse",
-    "mesh_matrix",
-    "overlap",
-    "pbs_unitary",
-    "pr_unitary",
-    "product_state",
-    "project",
-    "project_out",
-    "projection_probability",
     "propagate",
-    "ramsey_unitary",
     "retry_walk",
     "retry_walk_mc",
     "run",
-    "run_report",
-    "scheme_to_jsonable",
-    "search_local_correction",
-    "slowest_decay_rate",
     "stabilizer_expectations",
-    "sweep_csv_text",
-    "w_target",
-    "write_sweep_csv",
 ]

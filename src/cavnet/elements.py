@@ -49,15 +49,6 @@ def bs_unitary(reflectivity: float) -> np.ndarray:
     return np.array([[t, r], [r, -t]], dtype=complex)
 
 
-def atomic_bs_unitary() -> np.ndarray:
-    """Balanced splitter for a flying atom's two momentum paths.
-
-    Same matrix as :func:`bs_unitary` at R = 1/2; the atom's |p0> input
-    leaves as (|p0> + |p1>)/sqrt(2).
-    """
-    return bs_unitary(0.5)
-
-
 def cavity_atom_block_unitary() -> np.ndarray:
     """Polarized-photon reflection off a single-sided cavity holding an L/R atom.
 
@@ -72,15 +63,6 @@ def cavity_atom_block_unitary() -> np.ndarray:
     u[1, 1] = -1.0  # L,R reflects
     u[2, 2] = -1.0  # R,L reflects
     return u
-
-
-def pbs_route(pol: str) -> str:
-    """Which output port a polarizing beam splitter sends a photon to."""
-    if pol == "L":
-        return "transmit"
-    if pol == "R":
-        return "reflect"
-    raise ParameterError(f"polarization label must be 'L' or 'R', got {pol!r}")
 
 
 def pbs_unitary() -> np.ndarray:

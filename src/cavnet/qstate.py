@@ -265,6 +265,20 @@ def from_factors(
     return PureState(register, vec)
 
 
+def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
+    """``block`` applied on the joint basis of ``axes`` of ``view``, as a new array.
+
+    The one block kernel: :func:`apply_unitary` and the in-place element
+    kernels of :mod:`cavnet.schemes` both apply their matrices through it.
+    The target axes go to the front, one matrix product acts on the
+    flattened rest, and the result is returned in ``view``'s axis order.
+    """
+    order = axes + [a for a in range(view.ndim) if a not in axes]
+    moved = view.transpose(order)
+    out = np.dot(block, moved.reshape(len(block), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(order))
+
+
 def apply_unitary(
     state: PureState, targets: Sequence[str], matrix: np.ndarray
 ) -> PureState:
@@ -277,8 +291,7 @@ def apply_unitary(
     if len(set(targets)) != len(targets):
         raise ParameterError(f"target labels must be distinct, got {list(targets)}")
     positions = [register.position(lab) for lab in targets]
-    dims = [register.subsystems[p].dim for p in positions]
-    joint = int(np.prod(dims))
+    joint = int(np.prod([register.subsystems[p].dim for p in positions]))
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (joint, joint):
         raise ShapeError(
@@ -290,15 +303,7 @@ def apply_unitary(
             f"matrix is not unitary (max defect {defect:.3e} > 1e-9)"
         )
 
-    tensor = state.amplitudes.reshape(register.dims)
-    rest = [ax for ax in range(len(register)) if ax not in positions]
-    moved = np.transpose(tensor, positions + rest)
-    flat = moved.reshape(joint, -1)
-    flat = matrix @ flat
-    moved = flat.reshape([register.subsystems[p].dim for p in positions] +
-                         [register.subsystems[a].dim for a in rest])
-    inverse = np.argsort(positions + rest)
-    out = np.transpose(moved, inverse).flatten()
+    out = _block_product(state.tensor_view(), positions, matrix).flatten()
     out.setflags(write=False)
     return PureState(register, out)
 

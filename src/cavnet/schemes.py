@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,7 +66,13 @@ FLYER_PURITY_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Scheme:
-    """A fully wired experiment ready for :func:`run`."""
+    """A fully wired experiment ready for :func:`run`.
+
+    ``initial_spec`` declares the starting product state as JSON entries and
+    ``initial`` holds its amplitude factors for :func:`qstate.from_factors`.
+    The builders declare only the spec and derive ``initial`` from it; a
+    hand-wired scheme may set both fields freely.
+    """
 
     name: str
     n: int
@@ -183,14 +189,6 @@ def _double_excitation_guard(
 _GUARDS = {el.Reroute: _reroute_guard, el.FieldPiBlock: _double_excitation_guard}
 
 
-def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
-    """``block`` applied on the joint basis of ``axes`` of ``view``, as a new array."""
-    k = len(axes)
-    local = block.reshape([view.shape[a] for a in axes] * 2)
-    out = np.tensordot(local, view, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
-
-
 def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
     """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis."""
     ports = op.ports or ()
@@ -213,9 +211,9 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
         views = [tensor[(slice(None),) * path + (p,)] for p in ports]
         axes = [a - (a > path) for a in axes]
     if len(views) == 1:
-        views[0][...] = _block_product(views[0], axes, op.block)
+        views[0][...] = qstate._block_product(views[0], axes, op.block)
         return
-    mixed = _block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block)
+    mixed = qstate._block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block)
     for view, new in zip(views, mixed):
         view[...] = new
 
@@ -334,22 +332,57 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
 # small construction helpers
 
 
-def _basis_factor(register: Register, label: str, outcome: str) -> tuple[tuple[str, ...], np.ndarray]:
-    sub = register.subsystem(label)
-    vec = np.zeros(sub.dim, dtype=complex)
-    vec[sub.index_of(outcome)] = 1.0
-    return ((label,), vec)
+def _spec_factor(register: Register, entry: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """Amplitude factor of one ``initial_spec`` entry.
+
+    The entry's state is a basis label of its one subsystem, ``"+"`` for
+    (|0> + |1>)/sqrt(2), or ``"pair"`` for (|0,g> + |1,e>)/sqrt(2) over a
+    (field, atom) pair.
+    """
+    labels = tuple(entry["subsystems"])
+    state = entry["state"]
+    if state == "pair":
+        vec = np.zeros(4, dtype=complex)
+        vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
+    elif state == "+":
+        vec = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    else:
+        sub = register.subsystem(labels[0])
+        vec = np.zeros(sub.dim, dtype=complex)
+        vec[sub.index_of(state)] = 1.0
+    return labels, vec
 
 
-def _plus_factor(label: str) -> tuple[tuple[str, ...], np.ndarray]:
-    return ((label,), np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+def _scheme(
+    name: str,
+    n: int,
+    register: Register,
+    spec: Iterable[dict],
+    items: Iterable[el.Element],
+    detectors: Iterable[el.Detector],
+    corrections: dict[str, LocalCorrection],
+    targets: dict[str, PureState | None],
+    flying: tuple[str, ...] = (),
+) -> Scheme:
+    """A :class:`Scheme` whose ``initial`` factors are derived from ``spec``."""
+    spec = tuple(spec)
+    return Scheme(
+        name=name,
+        n=n,
+        register=register,
+        initial=tuple(_spec_factor(register, entry) for entry in spec),
+        initial_spec=spec,
+        elements=tuple(items),
+        detectors=tuple(detectors),
+        corrections=corrections,
+        targets=targets,
+        flying=flying,
+    )
 
 
-def _pair_factor(field: str, atom: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """(|0,g> + |1,e>)/sqrt(2) over (field, atom)."""
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
-    return ((field, atom), vec)
+def _port_detectors(ports: int) -> tuple[el.Detector, ...]:
+    """Detectors ``D1 .. D<ports>`` on path ports ``0 .. ports-1``."""
+    return tuple(el.Detector(f"D{j + 1}", PATH, j) for j in range(ports))
 
 
 def _hadamard_mesh(ports: Sequence[int]) -> list[el.BS]:
@@ -374,10 +407,6 @@ def _hadamard_mesh(ports: Sequence[int]) -> list[el.BS]:
                 mesh.append(el.BS(0.5, (ports[i], ports[i | bit])))
         bit <<= 1
     return mesh
-
-
-def _hadamard_sign(j: int, k: int) -> int:
-    return -1 if bin(j & k).count("1") % 2 else 1
 
 
 def _fourier_tritter() -> np.ndarray:
@@ -469,17 +498,69 @@ def mesh_matrix(items: Iterable[el.Element], dpath: int) -> np.ndarray:
 # atom-entangling schemes (flying polarized photon)
 
 
-def _atom_register(n: int, dpath: int) -> Register:
+def _photon_scheme(
+    name: str,
+    pattern: Sequence[str],
+    dpath: int,
+    items: Iterable[el.Element],
+    detectors: Iterable[el.Detector],
+    corrections: dict[str, LocalCorrection],
+    targets: dict[str, PureState | None],
+) -> Scheme:
+    """Atoms ``atom1 ..`` prepared in ``pattern``, one L-polarized photon in port 0.
+
+    The register is the L/R atoms, a path of ``dpath`` ports and the
+    photon's polarization, which is the flying subsystem.
+    """
+    n = len(pattern)
     subs = [Subsystem(f"atom{i + 1}", KIND_ATOM_LR) for i in range(n)]
-    subs.append(Subsystem(PATH, KIND_PATH, dpath))
-    subs.append(Subsystem(POL, KIND_POL))
-    return Register(subs)
-
-
-def _atoms_only(register: Register) -> Register:
-    return Register(
-        sub for sub in register.subsystems if sub.kind == KIND_ATOM_LR
+    subs += [Subsystem(PATH, KIND_PATH, dpath), Subsystem(POL, KIND_POL)]
+    spec = [{"subsystems": [f"atom{i + 1}"], "state": s} for i, s in enumerate(pattern)]
+    spec += [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
+    return _scheme(
+        name, n, Register(subs), spec, items, detectors, corrections, targets, (POL,)
     )
+
+
+def _ghz_wiring(
+    n: int, prefix: str, labels: tuple[str, str], block: Callable[[str, int], el.Element]
+):
+    """Pattern, elements, corrections and targets shared by the two GHZ builders.
+
+    For ``labels = (a, b)`` the qubits ``prefix1 ..`` start in the pairwise
+    pattern ``a a b b a a ...``.  A balanced splitter opens two arms, arm 0
+    passes the odd-numbered qubits and arm 1 the even-numbered ones
+    (``block(label, port)`` is one pass), and a second splitter recombines
+    them.  Arm 1 flips only the even-numbered qubits, so the recorded X layer
+    acts wherever that branch holds ``a``; it leaves the GHZ state over ``b``
+    with sign + at D1 and - at D2.
+    """
+    a, b = labels
+    pattern = [a if i % 4 in (0, 1) else b for i in range(n)]
+    arms = [*range(0, n, 2), *range(1, n, 2)]  # qubit i + 1 rides arm i % 2
+    items = [el.BS(0.5, (0, 1))]
+    items += [block(f"{prefix}{i + 1}", i % 2) for i in arms]
+    items.append(el.BS(0.5, (0, 1)))
+    flipped = {a: b, b: a}
+    branch1 = [s if i % 2 == 0 else flipped[s] for i, s in enumerate(pattern)]
+    x_layer = LocalCorrection(
+        tuple((f"{prefix}{i + 1}", "X") for i, s in enumerate(branch1) if s == a)
+    )
+    corrections = {"D1": x_layer, "D2": x_layer}
+    targets = {"D1": verify.ghz_target(n, 1, b), "D2": verify.ghz_target(n, -1, b)}
+    return pattern, items, corrections, targets
+
+
+def _hadamard_z_layers(ports: int, atoms: int) -> dict[str, LocalCorrection]:
+    """Z layer per detector ``D<j+1>``: Z on each atom k with Hadamard sign -1."""
+    return {
+        f"D{j + 1}": LocalCorrection(
+            tuple(
+                (f"atom{k + 1}", "Z") for k in range(atoms) if bin(j & k).count("1") % 2
+            )
+        )
+        for j in range(ports)
+    }
 
 
 def build_ghz_atoms(n: int) -> Scheme:
@@ -494,52 +575,11 @@ def build_ghz_atoms(n: int) -> Scheme:
     """
     if n < 2 or n % 2:
         raise ParameterError(f"this scheme needs an even atom count >= 2, got {n}")
-    register = _atom_register(n, dpath=2)
-    pattern = ["L" if (i % 4) in (0, 1) else "R" for i in range(n)]
-
-    factors = [_basis_factor(register, f"atom{i + 1}", pattern[i]) for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, POL, "L"))
-    spec = tuple(
-        [{"subsystems": [f"atom{i + 1}"], "state": pattern[i]} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
+    pattern, items, corrections, targets = _ghz_wiring(
+        n, "atom", ("L", "R"), el.CavityAtomBlock
     )
-
-    items: list[el.Element] = [el.BS(0.5, (0, 1))]
-    for i in range(0, n, 2):  # odd-numbered atoms ride arm 0
-        items.append(el.CavityAtomBlock(f"atom{i + 1}", port=0))
-    for i in range(1, n, 2):
-        items.append(el.CavityAtomBlock(f"atom{i + 1}", port=1))
-    items.append(el.BS(0.5, (0, 1)))
-
-    detectors = (
-        el.Detector("D1", PATH, 0),
-        el.Detector("D2", PATH, 1),
-    )
-    # arm 1 visits the even-numbered atoms, so only those flip in branch 1
-    branch1 = [
-        pattern[i] if i % 2 == 0 else ("R" if pattern[i] == "L" else "L")
-        for i in range(n)
-    ]
-    x_layer = LocalCorrection(
-        tuple((f"atom{i + 1}", "X") for i in range(n) if branch1[i] == "L")
-    )
-    atoms = _atoms_only(register)
-    targets = {
-        "D1": verify.ghz_target(n, 1, "R", atoms),
-        "D2": verify.ghz_target(n, -1, "R", atoms),
-    }
-    return Scheme(
-        name="ghz-atoms",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections={"D1": x_layer, "D2": x_layer},
-        targets=targets,
-        flying=(POL,),
+    return _photon_scheme(
+        "ghz-atoms", pattern, 2, items, _port_detectors(2), corrections, targets
     )
 
 
@@ -553,45 +593,13 @@ def build_w_pow2(n: int) -> Scheme:
     """
     if n < 2 or n & (n - 1):
         raise ParameterError(f"this scheme needs a power-of-two atom count, got {n}")
-    register = _atom_register(n, dpath=n)
-    factors = [_basis_factor(register, f"atom{i + 1}", "L") for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, POL, "L"))
-    spec = tuple(
-        [{"subsystems": [f"atom{i + 1}"], "state": "L"} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
-    )
-
     mesh = _hadamard_mesh(range(n))
-    items: list[el.Element] = list(mesh)
-    for k in range(n):
-        items.append(el.CavityAtomBlock(f"atom{k + 1}", port=k))
-    items.extend(mesh)
-
-    detectors = tuple(el.Detector(f"D{j + 1}", PATH, j) for j in range(n))
-    atoms = _atoms_only(register)
-    corrections = {}
-    targets = {}
-    for j in range(n):
-        corrections[f"D{j + 1}"] = LocalCorrection(
-            tuple(
-                (f"atom{k + 1}", "Z")
-                for k in range(n)
-                if _hadamard_sign(j, k) < 0
-            )
-        )
-        targets[f"D{j + 1}"] = verify.w_target(n, atoms)
-    return Scheme(
-        name="w",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections=corrections,
-        targets=targets,
-        flying=(POL,),
+    cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(n)]
+    items = [*mesh, *cavities, *mesh]
+    corrections = _hadamard_z_layers(n, n)
+    targets = dict.fromkeys(corrections, verify.w_target(n))
+    return _photon_scheme(
+        "w", ["L"] * n, n, items, _port_detectors(n), corrections, targets
     )
 
 
@@ -603,49 +611,13 @@ def build_w3_probabilistic() -> Scheme:
     D5 fires with probability 1/4 (failure); each of D1..D4 fires with
     probability 3/16 and yields the three-atom W after its Z layer.
     """
-    n = 3
-    register = _atom_register(n, dpath=5)
-    factors = [_basis_factor(register, f"atom{i + 1}", "L") for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, POL, "L"))
-    spec = tuple(
-        [{"subsystems": [f"atom{i + 1}"], "state": "L"} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
-    )
-
     mesh = _hadamard_mesh(range(4))
-    items: list[el.Element] = list(mesh)
-    for k in range(3):
-        items.append(el.CavityAtomBlock(f"atom{k + 1}", port=k))
-    items.append(el.Reroute(3, 4))
-    items.extend(mesh)
-
-    detectors = tuple(el.Detector(f"D{j + 1}", PATH, j) for j in range(4)) + (
-        el.Detector("D5", PATH, 4),
-    )
-    atoms = _atoms_only(register)
-    corrections = {}
-    targets: dict[str, PureState | None] = {"D5": None}
-    for j in range(4):
-        corrections[f"D{j + 1}"] = LocalCorrection(
-            tuple(
-                (f"atom{k + 1}", "Z")
-                for k in range(3)
-                if _hadamard_sign(j, k) < 0
-            )
-        )
-        targets[f"D{j + 1}"] = verify.w_target(3, atoms)
-    return Scheme(
-        name="w3-prob",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections=corrections,
-        targets=targets,
-        flying=(POL,),
+    cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(3)]
+    items = [*mesh, *cavities, el.Reroute(3, 4), *mesh]
+    corrections = _hadamard_z_layers(4, 3)
+    targets = {"D5": None, **dict.fromkeys(corrections, verify.w_target(3))}
+    return _photon_scheme(
+        "w3-prob", ["L"] * 3, 5, items, _port_detectors(5), corrections, targets
     )
 
 
@@ -658,46 +630,23 @@ def build_w3_deterministic() -> Scheme:
     splitters plus fixed phase shifters).  Every detector fires with
     probability 1/3 and reaches the W state after a per-atom phase layer.
     """
-    n = 3
-    register = _atom_register(n, dpath=3)
-    factors = [_basis_factor(register, f"atom{i + 1}", "L") for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, POL, "L"))
-    spec = tuple(
-        [{"subsystems": [f"atom{i + 1}"], "state": "L"} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
-    )
-
     tritter = _fourier_tritter()
-    items: list[el.Element] = [el.BS(1.0 / 3.0, (0, 1)), el.BS(0.5, (0, 2))]
-    for k in range(3):
-        items.append(el.CavityAtomBlock(f"atom{k + 1}", port=k))
-    items.extend(_unitary_mesh(tritter, (0, 1, 2)))
-
-    detectors = tuple(el.Detector(f"D{j + 1}", PATH, j) for j in range(3))
-    atoms = _atoms_only(register)
-    corrections = {}
-    targets = {}
-    for j in range(3):
-        corrections[f"D{j + 1}"] = LocalCorrection(
+    items = [el.BS(1.0 / 3.0, (0, 1)), el.BS(0.5, (0, 2))]
+    items += [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(3)]
+    items += _unitary_mesh(tritter, (0, 1, 2))
+    corrections = {
+        f"D{j + 1}": LocalCorrection(
             tuple(
                 (f"atom{k + 1}", ("phase", float(-np.angle(tritter[j, k]))))
                 for k in range(3)
                 if abs(np.angle(tritter[j, k])) > 1e-12
             )
         )
-        targets[f"D{j + 1}"] = verify.w_target(3, atoms)
-    return Scheme(
-        name="w3-det",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections=corrections,
-        targets=targets,
-        flying=(POL,),
+        for j in range(3)
+    }
+    targets = dict.fromkeys(corrections, verify.w_target(3))
+    return _photon_scheme(
+        "w3-det", ["L"] * 3, 3, items, _port_detectors(3), corrections, targets
     )
 
 
@@ -720,41 +669,15 @@ def build_cluster_atoms(n: int) -> Scheme:
     """
     if n < 1:
         raise ParameterError(f"cluster chain needs n >= 1, got {n}")
-    register = _atom_register(n, dpath=2)
-    factors = [_basis_factor(register, f"atom{i + 1}", "L") for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, POL, "L"))
-    spec = tuple(
-        [{"subsystems": [f"atom{i + 1}"], "state": "L"} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
-    )
-
     items: list[el.Element] = [el.BS(0.5, (0, 1))]
     for i in range(n):
         items.append(el.CavityAtomBlock(f"atom{i + 1}", port=1))
         items.append(el.PR(port=1))
         items.append(el.BS(0.5, (0, 1)))
-
-    detectors = (
-        el.Detector("D1", PATH, 0),
-        el.Detector("D2", PATH, 1),
-    )
-    atoms = _atoms_only(register)
-    target = verify.graph_target(Graph.path(n), KIND_ATOM_LR, atoms)
-    return Scheme(
-        name="cluster",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections={
-            "D1": LocalCorrection(),
-            "D2": LocalCorrection(((f"atom{n}", "Z"),)),
-        },
-        targets={"D1": target, "D2": target},
-        flying=(POL,),
+    corrections = {"D1": LocalCorrection(), "D2": LocalCorrection(((f"atom{n}", "Z"),))}
+    targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(n), KIND_ATOM_LR))
+    return _photon_scheme(
+        "cluster", ["L"] * n, 2, items, _port_detectors(2), corrections, targets
     )
 
 
@@ -773,55 +696,16 @@ def build_ghz_fields(n: int) -> Scheme:
     """
     if n < 2 or n % 2:
         raise ParameterError(f"this scheme needs an even cavity count >= 2, got {n}")
+    pattern, items, corrections, targets = _ghz_wiring(
+        n, "field", ("1", "0"), lambda field, port: el.FieldPiBlock("atom", field, port)
+    )
     subs = [Subsystem(f"field{i + 1}", KIND_FIELD) for i in range(n)]
-    subs.append(Subsystem(PATH, KIND_PATH, 2))
-    subs.append(Subsystem("atom", KIND_ATOM_GE))
-    register = Register(subs)
-
-    pattern = ["1" if (i % 4) in (0, 1) else "0" for i in range(n)]
-    factors = [_basis_factor(register, f"field{i + 1}", pattern[i]) for i in range(n)]
-    factors.append(_basis_factor(register, PATH, "0"))
-    factors.append(_basis_factor(register, "atom", "g"))
-    spec = tuple(
-        [{"subsystems": [f"field{i + 1}"], "state": pattern[i]} for i in range(n)]
-        + [{"subsystems": [PATH], "state": "0"}, {"subsystems": ["atom"], "state": "g"}]
-    )
-
-    items: list[el.Element] = [el.BS(0.5, (0, 1))]
-    for i in range(0, n, 2):
-        items.append(el.FieldPiBlock("atom", f"field{i + 1}", port=0))
-    for i in range(1, n, 2):
-        items.append(el.FieldPiBlock("atom", f"field{i + 1}", port=1))
-    items.append(el.BS(0.5, (0, 1)))
-
-    detectors = (
-        el.Detector("D1", PATH, 0),
-        el.Detector("D2", PATH, 1),
-    )
-    # arm 1 exchanges with the even-numbered cavities only
-    branch1 = [
-        pattern[i] if i % 2 == 0 else ("1" if pattern[i] == "0" else "0")
-        for i in range(n)
-    ]
-    x_layer = LocalCorrection(
-        tuple((f"field{i + 1}", "X") for i in range(n) if branch1[i] == "1")
-    )
-    fields = Register(sub for sub in register.subsystems if sub.kind == KIND_FIELD)
-    targets = {
-        "D1": verify.ghz_target(n, 1, "0", fields),
-        "D2": verify.ghz_target(n, -1, "0", fields),
-    }
-    return Scheme(
-        name="ghz-fields",
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=tuple(items),
-        detectors=detectors,
-        corrections={"D1": x_layer, "D2": x_layer},
-        targets=targets,
-        flying=("atom",),
+    subs += [Subsystem(PATH, KIND_PATH, 2), Subsystem("atom", KIND_ATOM_GE)]
+    spec = [{"subsystems": [f"field{i + 1}"], "state": s} for i, s in enumerate(pattern)]
+    spec += [{"subsystems": [PATH], "state": "0"}, {"subsystems": ["atom"], "state": "g"}]
+    return _scheme(
+        "ghz-fields", n, Register(subs), spec, items, _port_detectors(2),
+        corrections, targets, ("atom",),
     )
 
 
@@ -843,11 +727,6 @@ def build_field_cz_pair() -> Scheme:
             Subsystem("atom", KIND_ATOM_GE),
         )
     )
-    factors = [
-        _basis_factor(register, "field1", "1"),
-        _plus_factor("field2"),
-        _basis_factor(register, "atom", "g"),
-    ]
     spec = (
         {"subsystems": ["field1"], "state": "1"},
         {"subsystems": ["field2"], "state": "+"},
@@ -859,27 +738,10 @@ def build_field_cz_pair() -> Scheme:
         el.DispersiveBlock("atom", "field2"),
         el.RamseyZone("atom"),
     )
-    detectors = (
-        el.Detector("Dg", "atom", "g"),
-        el.Detector("De", "atom", "e"),
-    )
-    fields = Register(sub for sub in register.subsystems if sub.kind == KIND_FIELD)
-    target = verify.graph_target(Graph.path(2), KIND_FIELD, fields)
-    return Scheme(
-        name="field-cz",
-        n=2,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=spec,
-        elements=items,
-        detectors=detectors,
-        corrections={
-            "Dg": LocalCorrection(),
-            "De": LocalCorrection((("field1", "Z"),)),
-        },
-        targets={"Dg": target, "De": target},
-        flying=(),
-    )
+    detectors = (el.Detector("Dg", "atom", "g"), el.Detector("De", "atom", "e"))
+    corrections = {"Dg": LocalCorrection(), "De": LocalCorrection((("field1", "Z"),))}
+    targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(2), KIND_FIELD))
+    return _scheme("field-cz", 2, register, spec, items, detectors, corrections, targets)
 
 
 def _graph_for_kind(kind: str, n: int) -> Graph:
@@ -940,7 +802,6 @@ def build_field_graph(
             passes = [(j, j - 1) for j in range(1, n)] + [(0, n - 1)]
 
     subs: list[Subsystem] = []
-    factors: list[tuple[tuple[str, ...], np.ndarray]] = []
     spec: list[dict] = []
     paired_set = set(paired)
     for v in range(n):
@@ -949,55 +810,27 @@ def build_field_graph(
         if v in paired_set:
             atom_label = f"atom{v + 1}"
             subs.append(Subsystem(atom_label, KIND_ATOM_GE))
-            factors.append(_pair_factor(field_label, atom_label))
-            spec.append(
-                {"subsystems": [field_label, atom_label], "state": "pair"}
-            )
+            spec.append({"subsystems": [field_label, atom_label], "state": "pair"})
         else:
-            factors.append(_plus_factor(field_label))
             spec.append({"subsystems": [field_label], "state": "+"})
-    register = Register(subs)
 
-    items: list[el.Element] = []
-    for atom_vertex, field_vertex in passes:
-        items.append(
-            el.DispersiveBlock(f"atom{atom_vertex + 1}", f"field{field_vertex + 1}")
-        )
-    for v in paired:
-        items.append(el.RamseyZone(f"atom{v + 1}"))
+    items: list[el.Element] = [
+        el.DispersiveBlock(f"atom{a + 1}", f"field{f + 1}") for a, f in passes
+    ]
+    items += [el.RamseyZone(f"atom{v + 1}") for v in paired]
+    detectors = [
+        el.Detector(f"D{v + 1}{out}", f"atom{v + 1}", out) for v in paired for out in "ge"
+    ]
 
-    detectors: list[el.Detector] = []
-    for v in paired:
-        detectors.append(el.Detector(f"D{v + 1}g", f"atom{v + 1}", "g"))
-        detectors.append(el.Detector(f"D{v + 1}e", f"atom{v + 1}", "e"))
-
-    fields = Register(sub for sub in register.subsystems if sub.kind == KIND_FIELD)
-    target = verify.graph_target(target_graph, KIND_FIELD, fields)
     corrections: dict[str, LocalCorrection] = {}
-    targets: dict[str, PureState | None] = {}
-    for combo in itertools.product(*(["g", "e"] for _ in paired)):
-        combo_id = ",".join(
-            f"D{v + 1}{out}" for v, out in zip(paired, combo)
-        )
+    for combo in itertools.product("ge", repeat=len(paired)):
+        combo_id = ",".join(f"D{v + 1}{out}" for v, out in zip(paired, combo))
         corrections[combo_id] = LocalCorrection(
-            tuple(
-                (f"field{v + 1}", "Z")
-                for v, out in zip(paired, combo)
-                if out == "e"
-            )
+            tuple((f"field{v + 1}", "Z") for v, out in zip(paired, combo) if out == "e")
         )
-        targets[combo_id] = target
-    return Scheme(
-        name=scheme_name,
-        n=n,
-        register=register,
-        initial=tuple(factors),
-        initial_spec=tuple(spec),
-        elements=tuple(items),
-        detectors=tuple(detectors),
-        corrections=corrections,
-        targets=targets,
-        flying=(),
+    targets = dict.fromkeys(corrections, verify.graph_target(target_graph, KIND_FIELD))
+    return _scheme(
+        scheme_name, n, Register(subs), spec, items, detectors, corrections, targets
     )
 
 

@@ -9,7 +9,6 @@ from cavnet.errors import ParameterError
 SQ2 = np.sqrt(0.5)
 
 ALL_FIXED_UNITARIES = [
-    el.atomic_bs_unitary(),
     el.cavity_atom_block_unitary(),
     el.pbs_unitary(),
     el.pr_unitary(),
@@ -46,10 +45,6 @@ def test_bs_rejects_degenerate_reflectivity():
             el.bs_unitary(bad)
 
 
-def test_atomic_bs_is_balanced():
-    assert np.allclose(el.atomic_bs_unitary(), el.bs_unitary(0.5), atol=1e-15)
-
-
 def test_cavity_block_swaps_matched_and_flips_mismatched():
     u = el.cavity_atom_block_unitary()
     # basis (atom, pol): LL, LR, RL, RR
@@ -62,10 +57,6 @@ def test_cavity_block_swaps_matched_and_flips_mismatched():
 
 
 def test_pbs_transmits_l_reflects_r():
-    assert el.pbs_route("L") == "transmit"
-    assert el.pbs_route("R") == "reflect"
-    with pytest.raises(ParameterError):
-        el.pbs_route("H")
     u = el.pbs_unitary()
     # basis (path, pol): aL, aR, bL, bR
     aL, aR, bL, bR = np.eye(4)

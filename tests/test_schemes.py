@@ -10,12 +10,15 @@ from cavnet import schemes, verify
 from cavnet.errors import (
     DegenerateCouplingError,
     InvalidConfigurationError,
+    LossyWiringError,
     ParameterError,
 )
 from cavnet.qstate import (
     KIND_ATOM_GE,
+    KIND_ATOM_LR,
     KIND_FIELD,
     KIND_PATH,
+    KIND_POL,
     Register,
     Subsystem,
     product_state,
@@ -302,6 +305,45 @@ def test_run_without_detectors_returns_empty():
         flying=(),
     )
     assert run(sch) == []
+
+
+def bare_photon_scheme(amplitudes, ports):
+    """Bare (atom1, path[2], pol) scheme with no elements and detectors on ``ports``."""
+    reg = Register(
+        [
+            Subsystem("atom1", KIND_ATOM_LR),
+            Subsystem("path", KIND_PATH, dim=2),
+            Subsystem("pol", KIND_POL),
+        ]
+    )
+    return Scheme(
+        name="bare",
+        n=1,
+        register=reg,
+        initial=((reg.labels, np.asarray(amplitudes, dtype=complex)),),
+        initial_spec=(),
+        elements=(),
+        detectors=tuple(el.Detector(f"D{p + 1}", "path", p) for p in ports),
+        corrections={},
+        targets={},
+        flying=("pol",),
+    )
+
+
+def test_run_rejects_flyer_entangled_at_detection():
+    # (|L,0,L> + |R,0,R>)/sqrt(2): the polarization still carries the atom
+    amps = np.zeros(8)
+    amps[0] = amps[5] = SQ2
+    with pytest.raises(LossyWiringError, match="still entangled at detection"):
+        run(bare_photon_scheme(amps, ports=(0, 1)))
+
+
+def test_run_rejects_detectors_missing_amplitude():
+    # (|L,0,L> + |L,1,L>)/sqrt(2) with only port 0 watched: half the photon is lost
+    amps = np.zeros(8)
+    amps[0] = amps[2] = SQ2
+    with pytest.raises(LossyWiringError, match="probabilities sum to"):
+        run(bare_photon_scheme(amps, ports=(0,)))
 
 
 def test_field_pi_block_rejects_double_excitation():
