@@ -93,23 +93,28 @@ def _render(value, indent: int, out: list[str]) -> None:
 def _dump_amplitudes(amps: np.ndarray, indent: int) -> str:
     """Render a complex vector exactly as :func:`dump_json` renders its ``[re, im]`` pairs.
 
-    Each distinct float (by bit pattern, so -0.0 stays apart from 0.0) is
-    formatted once, each distinct pair block is built once, and the blocks
-    are joined in vector order through the inverse index.
+    The 16-byte ``[re, im]`` records are sorted once by their bit patterns
+    (so -0.0 stays apart from 0.0), each distinct record is rendered once,
+    and the blocks are joined in vector order through the inverse index.
     """
     if amps.size == 0:
         return "[]"
     if not np.isfinite(amps).all():
         raise ParameterError("non-finite amplitude cannot be serialized")
-    bits = np.ascontiguousarray(amps, dtype=np.complex128).view(np.uint64)
-    floats, codes = np.unique(bits, return_inverse=True)
-    texts = [format_float(x) for x in floats.view(np.float64)]
-    pairs, inverse = np.unique(codes[0::2] * len(texts) + codes[1::2], return_inverse=True)
+    bits = np.ascontiguousarray(amps, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ranked = bits[order]
+    fresh = np.empty(len(ranked), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=fresh[1:])
+    fresh[1:] |= ranked[1:, 1] != ranked[:-1, 1]
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
     inner, leaf = "  " * (indent + 1), "  " * (indent + 2)
     blocks = np.array(
         [
-            f"{inner}[\n{leaf}{texts[re]},\n{leaf}{texts[im]}\n{inner}]"
-            for re, im in zip(*np.divmod(pairs, len(texts)))
+            f"{inner}[\n{leaf}{format_float(re)},\n{leaf}{format_float(im)}\n{inner}]"
+            for re, im in ranked[fresh].view(np.float64)
         ],
         dtype=object,
     )

@@ -8,18 +8,22 @@ over the mixed-radix product basis with the *first* subsystem most
 significant, so ``index = (((d_0) * dim_1 + d_1) * dim_2 + ...)``.
 
 States are immutable: every public operation here returns a fresh
-``PureState`` and the underlying numpy buffers are write-protected.  The one
-mutable buffer is private to :func:`cavnet.schemes.propagate`, which copies
-the initial amplitudes once with the ``path`` axis moved to the front (so a
-path slice is one contiguous block), applies every element in place, and
-transposes the result back into a fresh register-order array that a
-``PureState`` adopts without another copy.  Norm is checked to 1e-9
+``PureState`` and the underlying numpy buffers are write-protected.  Two
+mutable buffers exist, each private to one function.
+:func:`cavnet.schemes.propagate` copies the initial amplitudes once with
+the ``path`` axis moved to the front (so a path slice is one contiguous
+block), applies every element in place, and transposes the result back
+into a fresh register-order array that a ``PureState`` adopts without
+another copy.  :meth:`cavnet.verify.LocalCorrection.apply` applies its
+``X`` and ``Z`` ops in place on one copy, frozen and adopted the same
+way.  Norm is checked to 1e-9
 whenever a ``PureState`` is made and never silently renormalized; global
 phase is likewise never stripped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -102,9 +106,15 @@ class Subsystem:
 
 @dataclass(frozen=True)
 class Register:
-    """Ordered collection of subsystems defining the product basis."""
+    """Ordered collection of subsystems defining the product basis.
+
+    ``dims`` and ``total_dim`` are computed once, here; ``total_dim`` is an
+    exact Python integer, however many subsystems there are.
+    """
 
     subsystems: tuple[Subsystem, ...]
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[Subsystem]):
@@ -116,7 +126,10 @@ class Register:
             if sub.label in positions:
                 raise ParameterError(f"duplicate subsystem label {sub.label!r}")
             positions[sub.label] = i
+        dims = tuple(sub.dim for sub in subs)
         object.__setattr__(self, "subsystems", subs)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", math.prod(dims))
         object.__setattr__(self, "_positions", positions)
 
     def __eq__(self, other: object) -> bool:
@@ -127,14 +140,6 @@ class Register:
 
     def __len__(self) -> int:
         return len(self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(sub.dim for sub in self.subsystems)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -261,11 +261,18 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 
 
 def _strip_flyer(state: PureState, label: str) -> PureState:
-    """Remove a flying subsystem that must be in a product with the rest."""
+    """Remove a flying subsystem that must be in a product with the rest.
+
+    The outcome masses are scanned in basis order only until one holds
+    more than half, since no later one can then hold more; the subsystem
+    is projected out once, onto the largest mass seen.
+    """
     sub = state.register.subsystem(label)
-    probs = [
-        qstate.projection_probability(state, label, out) for out in sub.basis_labels
-    ]
+    probs: list[float] = []
+    for out in sub.basis_labels:
+        probs.append(qstate.projection_probability(state, label, out))
+        if probs[-1] > 0.5:
+            break
     best = int(np.argmax(probs))
     prob, post = qstate.project_out(state, label, sub.basis_labels[best])
     if post is None or prob < 1.0 - FLYER_PURITY_ATOL:
@@ -918,19 +925,28 @@ def retry_walk_mc(
         raise ParameterError("need at least one trajectory")
     rng = np.random.default_rng(seed)
     n, p = params.n_cavities, params.p_flip
+    # The live walkers are the prefix pos[:live], kept in their original order,
+    # so the k-th uniform draw of a step always goes to the same walker.
     pos = np.ones(trajectories, dtype=np.int64)
-    absorbed = 0
+    draws = np.empty(trajectories)
+    step = np.empty(trajectories, dtype=np.int8)
+    keep = np.empty(trajectories, dtype=bool)
+    live = trajectories
     for _ in range(params.max_steps):
-        if pos.size == 0:
+        if live == 0:
             break
-        forward = rng.random(pos.size) < p
-        pos = np.where(pos == 0, 1, np.where(forward, pos + 1, pos - 1))
-        done = pos == n + 1
-        hits = int(np.count_nonzero(done))
-        if hits:
-            absorbed += hits
-            pos = pos[~done]
-    return absorbed / trajectories
+        walkers, s, k = pos[:live], step[:live], keep[:live]
+        np.less(rng.random(out=draws[:live]), p, out=s)
+        s *= 2
+        s -= 1  # +1 forward, -1 back
+        walkers += s
+        np.abs(walkers, out=walkers)  # a walker at 0 steps to 1 either way
+        np.less_equal(walkers, n, out=k)
+        survivors = int(np.count_nonzero(k))
+        if survivors < live:
+            pos[:survivors] = walkers[k]
+            live = survivors
+    return (trajectories - live) / trajectories
 
 
 # --------------------------------------------------------------------------

@@ -92,7 +92,19 @@ class LocalCorrection:
     """A product of single-qubit fix-ups, one entry per touched subsystem.
 
     Each op is the label ``"I"``, ``"X"``, ``"Z"``, or ``("phase", phi)``
-    for ``diag(1, exp(i*phi))``.
+    for ``diag(1, exp(i*phi))``, applied in order.
+
+    ``X`` and ``Z`` are Pauli-frame updates, not matrix products: on one
+    writable copy of the amplitudes, ``Z`` negates the subsystem's ``|1>``
+    slab and ``X`` swaps its ``|0>`` and ``|1>`` slabs.  Only
+    ``("phase", phi)`` goes through :func:`cavnet.qstate.apply_unitary`.
+
+    Signed zeros: the copy is ``amplitudes + 0.0`` and ``Z`` writes
+    ``0.0 - slab``, so the Pauli ops leave every zero as ``+0.0``, which is
+    what the ``apply_unitary`` matrix product gives on every scheme's
+    outcomes.  On inputs that hold ``-0.0`` that product's zero signs
+    depend on the BLAS kernel and the call shape, so there the two routes
+    may differ in the sign of a zero; the values are always equal.
     """
 
     ops: tuple[tuple[str, object], ...] = ()
@@ -110,11 +122,38 @@ class LocalCorrection:
         raise ParameterError(f"unknown correction op {op!r}")
 
     def apply(self, state: PureState) -> PureState:
+        register = state.register
+        flat = None  # writable copy holding the Pauli ops applied since the last freeze
         for label, op in self.ops:
             if op == "I":
                 continue
-            state = apply_unitary(state, [label], self._matrix(op))
-        return state
+            if op != "X" and op != "Z":
+                if flat is not None:
+                    flat.setflags(write=False)
+                    state, flat = PureState(register, flat), None
+                state = apply_unitary(state, [label], self._matrix(op))
+                continue
+            pos = register.position(label)
+            if register.dims[pos] != 2:
+                raise ShapeError(
+                    f"{op} correction needs a two-level subsystem, {label!r} has "
+                    f"dim {register.dims[pos]}"
+                )
+            if flat is None:
+                flat = state.amplitudes + 0.0
+            tensor = flat.reshape(register.dims)
+            one = tensor[(slice(None),) * pos + (1, ...)]
+            if op == "Z":
+                np.subtract(0.0, one, out=one)
+            else:
+                zero = tensor[(slice(None),) * pos + (0, ...)]
+                held = zero.copy()
+                zero[...] = one
+                one[...] = held
+        if flat is None:
+            return state
+        flat.setflags(write=False)
+        return PureState(register, flat)
 
     def describe(self) -> list:
         """JSON-friendly rendering of the correction."""

@@ -1,5 +1,7 @@
 """State-vector layer: registers, product states, unitaries, projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ def test_register_without_preserves_order():
     assert reg.without("b").labels == ("a", "c")
     with pytest.raises(InvalidLabelError):
         reg.without("z")
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 200])
+def test_register_total_dim_is_exact_and_allocates_nothing(n):
+    tracemalloc.start()
+    try:
+        register = Register(Subsystem(f"q{i}", KIND_FIELD) for i in range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert register.total_dim == 2**n
+    assert register.dims == (2,) * n
+    assert peak < 200_000
 
 
 def test_product_state_places_single_amplitude():

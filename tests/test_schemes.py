@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavnet import elements as el
-from cavnet import schemes, verify
+from cavnet import qstate, schemes, verify
 from cavnet.errors import (
     DegenerateCouplingError,
     InvalidConfigurationError,
@@ -346,6 +348,40 @@ def test_run_rejects_detectors_missing_amplitude():
         run(bare_photon_scheme(amps, ports=(0,)))
 
 
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(qstate, name)
+
+    def counted(state, target, outcome):
+        calls.append(outcome)
+        return real(state, target, outcome)
+
+    monkeypatch.setattr(qstate, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("pol,scanned", [("L", ["L"]), ("R", ["L", "R"])])
+def test_flyer_strip_stops_at_the_dominant_outcome(monkeypatch, pol, scanned):
+    # |L,0,pol>: the polarization is a product with the rest
+    amps = np.zeros(8)
+    amps[0 if pol == "L" else 1] = 1.0
+    masses = count_calls(monkeypatch, "projection_probability")
+    projections = count_calls(monkeypatch, "project_out")
+    (report,) = run(bare_photon_scheme(amps, ports=(0,)))
+    assert masses == scanned
+    assert projections == [0, pol]
+    assert report.post_state.register.labels == ("atom1",)
+    assert report.post_state.amplitude(["L"]) == pytest.approx(1.0)
+
+
+def test_flyer_strip_error_names_the_largest_mass():
+    # sqrt(0.3)|L,0,L> + sqrt(0.7)|R,0,R>: the largest polarization mass is 0.7
+    amps = np.zeros(8)
+    amps[0], amps[5] = np.sqrt(0.3), np.sqrt(0.7)
+    with pytest.raises(LossyWiringError, match=r"dominant outcome probability 0\.7"):
+        run(bare_photon_scheme(amps, ports=(0,)))
+
+
 def test_field_pi_block_rejects_double_excitation():
     reg = Register(
         [
@@ -480,6 +516,39 @@ def test_retry_walk_mc_is_seed_deterministic():
     assert a == b
     assert 0.0 < a < 1.0
     assert a != c
+
+
+def reference_retry_walk_mc(params, trajectories, seed):
+    """The walk as first written: fresh arrays every step, absorbed walkers dropped."""
+    rng = np.random.default_rng(seed)
+    n, p = params.n_cavities, params.p_flip
+    pos = np.ones(trajectories, dtype=np.int64)
+    absorbed = 0
+    for _ in range(params.max_steps):
+        if pos.size == 0:
+            break
+        forward = rng.random(pos.size) < p
+        pos = np.where(pos == 0, 1, np.where(forward, pos + 1, pos - 1))
+        done = pos == n + 1
+        hits = int(np.count_nonzero(done))
+        if hits:
+            absorbed += hits
+            pos = pos[~done]
+    return absorbed / trajectories
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.floats(1e-3, 1.0),
+    n=st.integers(1, 8),
+    max_steps=st.integers(1, 300),
+    trajectories=st.integers(1, 3000),
+    seed=st.integers(0, 2**63),
+)
+def test_retry_walk_mc_matches_reference_exactly(p, n, max_steps, trajectories, seed):
+    params = RetryWalkParams(p_flip=p, n_cavities=n, max_steps=max_steps)
+    got = retry_walk_mc(params, trajectories, seed)
+    assert got == reference_retry_walk_mc(params, trajectories, seed)
 
 
 # ---------------------------------------------------------------- reporting
