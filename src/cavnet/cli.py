@@ -20,16 +20,19 @@ from .errors import CavnetError, ParameterError
 from .iomodel import format_float
 from .verify import Graph
 
-SCHEME_NAMES = (
-    "ghz-atoms",
-    "w",
-    "w3-prob",
-    "w3-det",
-    "cluster",
-    "ghz-fields",
-    "field-cz",
-    "graph",
-)
+# run-scheme name -> (builder in cavnet.schemes, whether it takes --n).  The
+# builder is looked up when the command runs, so a wrapped builder is called.
+_SCHEMES = {
+    "ghz-atoms": ("build_ghz_atoms", True),
+    "w": ("build_w_pow2", True),
+    "w3-prob": ("build_w3_probabilistic", False),
+    "w3-det": ("build_w3_deterministic", False),
+    "cluster": ("build_cluster_atoms", True),
+    "ghz-fields": ("build_ghz_fields", True),
+    "field-cz": ("build_field_cz_pair", False),
+    "graph": ("build_field_graph", False),
+}
+SCHEME_NAMES = tuple(_SCHEMES)
 
 
 def dump_json(value, indent: int = 0) -> str:
@@ -186,33 +189,16 @@ def _load_graph(path: str) -> Graph:
 
 
 def _build_scheme(args) -> schemes.Scheme:
-    name = args.scheme
-    needs_n = {"ghz-atoms", "w", "cluster", "ghz-fields"}
-    if name in needs_n:
+    name, needs_n = _SCHEMES[args.scheme]
+    builder = getattr(schemes, name)
+    if needs_n:
         if args.n is None:
-            raise ParameterError(f"scheme {name} requires --n")
-        builder = {
-            "ghz-atoms": schemes.build_ghz_atoms,
-            "w": schemes.build_w_pow2,
-            "cluster": schemes.build_cluster_atoms,
-            "ghz-fields": schemes.build_ghz_fields,
-        }[name]
+            raise ParameterError(f"scheme {args.scheme} requires --n")
         return builder(args.n)
-    if name == "w3-prob":
-        return schemes.build_w3_probabilistic()
-    if name == "w3-det":
-        return schemes.build_w3_deterministic()
-    if name == "field-cz":
-        return schemes.build_field_cz_pair()
-    if name == "graph":
-        if args.graph is not None:
-            if args.kind is not None or args.n is not None:
-                raise ParameterError("--graph excludes --kind/--n")
-            return schemes.build_field_graph(graph=_load_graph(args.graph))
-        if args.kind is None or args.n is None:
-            raise ParameterError("scheme graph needs --kind and --n, or --graph FILE")
-        return schemes.build_field_graph(kind=args.kind, n=args.n)
-    raise ParameterError(f"unknown scheme {name!r}")
+    if args.scheme == "graph":  # build_field_graph refuses both or neither
+        graph = None if args.graph is None else _load_graph(args.graph)
+        return builder(args.kind, args.n, graph)
+    return builder()
 
 
 def cmd_run_scheme(args) -> int:

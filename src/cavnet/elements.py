@@ -21,7 +21,7 @@ load-bearing and pinned by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 

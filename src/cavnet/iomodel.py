@@ -474,8 +474,3 @@ def sweep_csv_text(rows: Sequence[SweepPoint]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows: Sequence[SweepPoint], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(sweep_csv_text(rows))

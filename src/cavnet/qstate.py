@@ -14,11 +14,11 @@ mutable buffers exist, each private to one function.
 the ``path`` axis moved to the front (so a path slice is one contiguous
 block), applies every element in place, and transposes the result back
 into a fresh register-order array that a ``PureState`` adopts without
-another copy.  :meth:`cavnet.verify.LocalCorrection.apply` applies its
-``X`` and ``Z`` ops in place on one copy, frozen and adopted the same
-way.  Norm is checked to 1e-9
-whenever a ``PureState`` is made and never silently renormalized; global
-phase is likewise never stripped.
+another copy.  :meth:`cavnet.verify.LocalCorrection.apply` applies all
+its ops, ``X``, ``Z`` and ``("phase", phi)`` alike, in place on one copy,
+frozen and adopted the same way.  Norm is checked to 1e-9 whenever a
+``PureState`` is made and never silently renormalized; global phase is
+likewise never stripped.
 """
 
 from __future__ import annotations
@@ -132,12 +132,6 @@ class Register:
         object.__setattr__(self, "total_dim", math.prod(dims))
         object.__setattr__(self, "_positions", positions)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Register) and self.subsystems == other.subsystems
-
-    def __hash__(self) -> int:
-        return hash(self.subsystems)
-
     def __len__(self) -> int:
         return len(self.subsystems)
 
@@ -185,6 +179,11 @@ class Register:
         return Register(remaining)
 
 
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, as one ``vdot``."""
+    return float(np.sqrt(np.vdot(amps, amps).real))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over a register's product basis.
@@ -205,8 +204,8 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, register dim is "
                 f"{self.register.total_dim}"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        norm = _norm(amps)
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ContractViolationError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
         if amps.flags.writeable or amps.base is not None:
             amps = amps.copy()
@@ -215,7 +214,7 @@ class PureState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def amplitude(self, outcomes: Sequence[str | int]) -> complex:
         """Amplitude of one product basis state given per-subsystem labels."""
@@ -303,7 +302,7 @@ def apply_unitary(
             f"matrix shape {matrix.shape} does not match joint target dim {joint}"
         )
     defect = np.abs(matrix.conj().T @ matrix - np.eye(joint)).max()
-    if defect > UNITARY_ATOL:
+    if not defect <= UNITARY_ATOL:
         raise ContractViolationError(
             f"matrix is not unitary (max defect {defect:.3e} > 1e-9)"
         )
@@ -324,40 +323,17 @@ def projection_probability(
     return float(np.sum(np.abs(slab) ** 2))
 
 
-def project(
-    state: PureState, target: str, outcome: str | int
-) -> tuple[float, PureState | None]:
-    """Project one subsystem onto a basis outcome.
-
-    Returns ``(probability, renormalized post state)``; the post state is
-    ``None`` when the probability is below 1e-12.  The projected subsystem
-    is kept in the register (pinned to the outcome).
-    """
-    register = state.register
-    pos = register.position(target)
-    idx = register.subsystems[pos].index_of(outcome)
-    tensor = state.amplitudes.reshape(register.dims).copy()
-    mask = np.zeros(register.subsystems[pos].dim, dtype=bool)
-    mask[idx] = True
-    shape = [1] * len(register)
-    shape[pos] = register.subsystems[pos].dim
-    tensor = tensor * mask.reshape(shape)
-    prob = float(np.sum(np.abs(tensor) ** 2))
-    if prob <= PROJECT_EPS:
-        return prob, None
-    post = PureState(register, tensor.reshape(-1) / np.sqrt(prob))
-    return prob, post
-
-
 def project_out(
     state: PureState, target: str, outcome: str | int
 ) -> tuple[float, PureState | None]:
-    """Like :func:`project`, but drops the projected subsystem from the register."""
+    """Project one subsystem onto a basis outcome and drop it from the register.
+
+    Returns ``(probability, renormalized post state)``; the post state is
+    ``None`` when the probability is below 1e-12.
+    """
     register = state.register
     if len(register) == 1:
-        raise ParameterError(
-            "cannot drop the last subsystem; use project() to pin it instead"
-        )
+        raise ParameterError("cannot drop the last subsystem of a register")
     pos = register.position(target)
     idx = register.subsystems[pos].index_of(outcome)
     tensor = state.amplitudes.reshape(register.dims)

@@ -40,7 +40,6 @@ from .errors import (
     ContractViolationError,
     DegenerateCouplingError,
     InvalidConfigurationError,
-    InvalidLabelError,
     LossyWiringError,
     ParameterError,
     ShapeError,
@@ -62,6 +61,12 @@ POL = "pol"
 
 PROB_SUM_ATOL = 1e-9
 FLYER_PURITY_ATOL = 1e-9
+# Most walkers retry_walk_mc accepts, 10x the README's 1M-walker example: at
+# 18 bytes of buffers per walker this caps one call near 180 MB.
+MAX_MC_TRAJECTORIES = 10_000_000
+# Most cavities RetryWalkParams accepts; retry_walk builds a dense
+# (n+2) x (n+2) transition matrix, about 8 MB at this cap.
+MAX_WALK_CAVITIES = 1_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ def _unitary_block(matrix) -> np.ndarray:
     """Read-only complex copy of ``matrix``, refused unless unitary to 1e-12."""
     block = np.array(matrix, dtype=complex)
     defect = np.abs(block.conj().T @ block - np.eye(len(block))).max()
-    if defect > el.ELEMENT_UNITARY_ATOL:
+    if not defect <= el.ELEMENT_UNITARY_ATOL:
         raise ContractViolationError(
             f"element matrix is not unitary (max defect {defect:.3e})"
         )
@@ -488,19 +493,6 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
     return out
 
 
-def mesh_matrix(items: Iterable[el.Element], dpath: int) -> np.ndarray:
-    """Compose BS/PhaseShifter/Reroute elements into one path-space matrix."""
-    m = np.eye(dpath, dtype=complex)
-    axis_of = {PATH: 0}.__getitem__
-    for item in items:
-        resolve = _RESOLVE.get(type(item))
-        op = resolve(item) if resolve is not None else None
-        if op is None or op.targets:
-            raise ParameterError(f"{item!r} is not a path-only element")
-        _apply_op(m, axis_of, op)
-    return m
-
-
 # --------------------------------------------------------------------------
 # atom-entangling schemes (flying polarized photon)
 
@@ -866,6 +858,10 @@ class RetryWalkParams:
             raise DegenerateCouplingError("p_flip = 0 never advances the walk")
         if self.n_cavities < 1:
             raise ParameterError(f"need at least one cavity, got {self.n_cavities}")
+        if self.n_cavities > MAX_WALK_CAVITIES:
+            raise ParameterError(
+                f"{self.n_cavities} cavities exceed MAX_WALK_CAVITIES = {MAX_WALK_CAVITIES}"
+            )
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be positive, got {self.max_steps}")
 
@@ -920,9 +916,17 @@ def retry_walk(params: RetryWalkParams) -> RetryWalkResult:
 def retry_walk_mc(
     params: RetryWalkParams, trajectories: int, seed: int
 ) -> float:
-    """Monte-Carlo estimate of ``success_prob`` over independent walkers."""
+    """Monte-Carlo estimate of ``success_prob`` over independent walkers.
+
+    More than ``MAX_MC_TRAJECTORIES`` walkers raise a parameter error
+    before any buffer is allocated.
+    """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
+    if trajectories > MAX_MC_TRAJECTORIES:
+        raise ParameterError(
+            f"{trajectories} trajectories exceed MAX_MC_TRAJECTORIES = {MAX_MC_TRAJECTORIES}"
+        )
     rng = np.random.default_rng(seed)
     n, p = params.n_cavities, params.p_flip
     # The live walkers are the prefix pos[:live], kept in their original order,
@@ -976,7 +980,7 @@ def reports_to_jsonable(reports: Sequence[OutcomeReport]) -> list[dict]:
     """Outcome rows; ``corrected_state`` is the read-only amplitude array or None.
 
     :func:`cavnet.cli.dump_json` renders the array as a list of ``[re, im]``
-    pairs; :func:`run_report` converts it to that list for ``json``.
+    pairs.
     """
     out = []
     for rep in reports:
@@ -991,13 +995,3 @@ def reports_to_jsonable(reports: Sequence[OutcomeReport]) -> list[dict]:
             }
         )
     return out
-
-
-def run_report(scheme: Scheme) -> dict:
-    """Scheme plus outcomes in the documented JSON shape, as plain Python values."""
-    outcomes = reports_to_jsonable(run(scheme))
-    for row in outcomes:
-        amps = row["corrected_state"]
-        if amps is not None:
-            row["corrected_state"] = np.column_stack((amps.real, amps.imag)).tolist()
-    return {"scheme": scheme_to_jsonable(scheme), "outcomes": outcomes}

@@ -10,7 +10,6 @@ action.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,13 @@ class LocalCorrection:
     Each op is the label ``"I"``, ``"X"``, ``"Z"``, or ``("phase", phi)``
     for ``diag(1, exp(i*phi))``, applied in order.
 
-    ``X`` and ``Z`` are Pauli-frame updates, not matrix products: on one
-    writable copy of the amplitudes, ``Z`` negates the subsystem's ``|1>``
-    slab and ``X`` swaps its ``|0>`` and ``|1>`` slabs.  Only
-    ``("phase", phi)`` goes through :func:`cavnet.qstate.apply_unitary`.
+    Every op but ``"I"`` acts on one writable copy of the amplitudes; with
+    no such op the input state itself is returned.  ``X`` and ``Z``
+    are Pauli-frame updates, not matrix products: ``Z`` negates the
+    subsystem's ``|1>`` slab and ``X`` swaps its ``|0>`` and ``|1>`` slabs.
+    ``("phase", phi)`` multiplies the copy by its matrix through
+    :func:`cavnet.qstate._block_product`, the kernel of
+    :func:`cavnet.qstate.apply_unitary`.
 
     Signed zeros: the copy is ``amplitudes + 0.0`` and ``Z`` writes
     ``0.0 - slab``, so the Pauli ops leave every zero as ``+0.0``, which is
@@ -109,30 +111,18 @@ class LocalCorrection:
 
     ops: tuple[tuple[str, object], ...] = ()
 
-    @staticmethod
-    def _matrix(op) -> np.ndarray:
-        if op == "I":
-            return np.eye(2, dtype=complex)
-        if op == "X":
-            return _X
-        if op == "Z":
-            return _Z
-        if isinstance(op, tuple) and len(op) == 2 and op[0] == "phase":
-            return np.diag([1.0, np.exp(1j * float(op[1]))])
-        raise ParameterError(f"unknown correction op {op!r}")
-
     def apply(self, state: PureState) -> PureState:
         register = state.register
-        flat = None  # writable copy holding the Pauli ops applied since the last freeze
+        flat = None  # the one writable copy, made at the first non-identity op
         for label, op in self.ops:
             if op == "I":
                 continue
-            if op != "X" and op != "Z":
-                if flat is not None:
-                    flat.setflags(write=False)
-                    state, flat = PureState(register, flat), None
-                state = apply_unitary(state, [label], self._matrix(op))
-                continue
+            if op in ("X", "Z"):
+                block = None
+            elif isinstance(op, tuple) and len(op) == 2 and op[0] == "phase":
+                block = np.diag([1.0, np.exp(1j * float(op[1]))])
+            else:
+                raise ParameterError(f"unknown correction op {op!r}")
             pos = register.position(label)
             if register.dims[pos] != 2:
                 raise ShapeError(
@@ -142,6 +132,9 @@ class LocalCorrection:
             if flat is None:
                 flat = state.amplitudes + 0.0
             tensor = flat.reshape(register.dims)
+            if block is not None:
+                tensor[...] = qstate._block_product(tensor, [pos], block)
+                continue
             one = tensor[(slice(None),) * pos + (1, ...)]
             if op == "Z":
                 np.subtract(0.0, one, out=one)
@@ -168,7 +161,7 @@ class LocalCorrection:
         return out
 
 
-def _two_level_register(n: int, kind: str, register: Register | None, prefix: str) -> Register:
+def _two_level_register(n: int, kind: str, register: Register | None) -> Register:
     if register is not None:
         if len(register) != n:
             raise ShapeError(f"register has {len(register)} subsystems, expected {n}")
@@ -176,6 +169,7 @@ def _two_level_register(n: int, kind: str, register: Register | None, prefix: st
             if sub.dim != 2:
                 raise ShapeError("target construction needs two-level subsystems")
         return register
+    prefix = {KIND_ATOM_LR: "atom", KIND_FIELD: "field", KIND_ATOM_GE: "atom"}[kind]
     return Register(Subsystem(f"{prefix}{i + 1}", kind) for i in range(n))
 
 
@@ -194,8 +188,7 @@ def ghz_target(
         kind = _KIND_BY_LABEL[zero_label]
     except KeyError:
         raise ParameterError(f"unknown basis label {zero_label!r}") from None
-    prefix = {"atom-LR": "atom", "field-01": "field", "atom-ge": "atom"}[kind]
-    register = _two_level_register(n, kind, register, prefix)
+    register = _two_level_register(n, kind, register)
     lead = register.subsystems[0].index_of(zero_label)
     amps = np.zeros(register.total_dim, dtype=complex)
     all_lead = 0
@@ -212,7 +205,7 @@ def w_target(n: int, register: Register | None = None) -> PureState:
     """Uniform single-excitation state over n atoms, |..R..> sum / sqrt(n)."""
     if n < 2:
         raise ParameterError("w_target needs n >= 2")
-    register = _two_level_register(n, KIND_ATOM_LR, register, "atom")
+    register = _two_level_register(n, KIND_ATOM_LR, register)
     amps = np.zeros(register.total_dim, dtype=complex)
     for k in range(n):
         amps[1 << (n - 1 - k)] = 1.0 / np.sqrt(n)
@@ -226,8 +219,7 @@ def graph_target(
 ) -> PureState:
     """Graph state: one CZ per edge applied to |+>^n in the logical basis."""
     n = graph.vertices
-    prefix = {"atom-LR": "atom", "field-01": "field", "atom-ge": "atom"}[kind]
-    register = _two_level_register(n, kind, register, prefix)
+    register = _two_level_register(n, kind, register)
     index = np.arange(register.total_dim)
     parity = np.zeros(register.total_dim, dtype=index.dtype)
     for u, v in graph.edges:  # CZ: the sign flips where both ends are logical |1>
@@ -294,38 +286,3 @@ def canonicalize_single_excitation(
 def fidelity(state: PureState, target: PureState) -> float:
     """|<target|state>|^2 -- insensitive to global phase by construction."""
     return float(abs(overlap(target, state)) ** 2)
-
-
-def search_local_correction(
-    state: PureState,
-    target: PureState,
-    atol: float = 1e-9,
-) -> LocalCorrection | None:
-    """Exhaustive per-qubit {I, X, Z, XZ} search: debugging aid, not a scheme tool.
-
-    Returns the first correction whose application reaches the target with
-    fidelity 1 - atol, or None.
-    """
-    register = state.register
-    labels = register.labels
-    candidates = ("I", "X", "Z", "XZ")
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": _X,
-        "Z": _Z,
-        "XZ": _X @ _Z,
-    }
-    for combo in itertools.product(candidates, repeat=len(labels)):
-        trial = state
-        for label, op in zip(labels, combo):
-            if op != "I":
-                trial = apply_unitary(trial, [label], mats[op])
-        if fidelity(trial, target) >= 1.0 - atol:
-            ops = []
-            for label, op in zip(labels, combo):
-                if op == "XZ":
-                    ops.extend([(label, "Z"), (label, "X")])
-                elif op != "I":
-                    ops.append((label, op))
-            return LocalCorrection(tuple(ops))
-    return None

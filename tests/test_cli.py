@@ -85,6 +85,7 @@ def test_flip_sweep_csv_and_out_file(tmp_path):
     proc2 = run_cli("flip-sweep", "--g", "1", "--tau", "1,2", "--out", str(out))
     assert proc2.returncode == 0
     assert out.read_text() == proc.stdout
+    assert b"\r" not in out.read_bytes()
 
 
 def test_flip_sweep_tau_range_is_log_spaced():
@@ -177,6 +178,20 @@ def test_retry_walk_degenerate_p_exits_two():
     assert run_cli("retry-walk", "--p", "0", "--n", "4").returncode == 2
     assert run_cli("retry-walk", "--p", "1.5", "--n", "4").returncode == 2
     assert run_cli("retry-walk", "--p", "0.5", "--n", "0").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "0.5", "--n", "4", "--mc-trajectories", "1000000000000000"),
+        ("--p", "0.5", "--n", "100000000000"),
+    ],
+)
+def test_retry_walk_over_budget_exits_two_at_once(argv, capsys):
+    assert main(["retry-walk", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "MAX_MC_TRAJECTORIES" in captured.err or "MAX_WALK_CAVITIES" in captured.err
 
 
 def test_main_callable_in_process(capsys):
@@ -298,6 +313,30 @@ def test_dump_json_rejects_non_finite(bad):
         dump_json(np.array([complex(0.0, bad)]))
 
 
+def run_report(scheme):
+    """Reference rendering: the report as plain Python values, amplitudes as pair lists."""
+    outcomes = schemes.reports_to_jsonable(schemes.run(scheme))
+    for row in outcomes:
+        amps = row["corrected_state"]
+        if amps is not None:
+            row["corrected_state"] = np.column_stack((amps.real, amps.imag)).tolist()
+    return {"scheme": schemes.scheme_to_jsonable(scheme), "outcomes": outcomes}
+
+
+def test_run_report_is_json_serializable():
+    payload = run_report(schemes.build_ghz_atoms(2))
+    text = json.dumps(payload)
+    back = json.loads(text)
+    assert back["scheme"]["name"] == "ghz-atoms"
+    assert back["scheme"]["n"] == 2
+    assert len(back["outcomes"]) == 2
+    types = [row["type"] for row in back["scheme"]["elements"]]
+    assert types[0] == "BS"
+    for row in back["outcomes"]:
+        assert row["probability"] == pytest.approx(0.5, abs=1e-12)
+        assert isinstance(row["corrected_state"], list)
+
+
 RUN_SCHEME_CASES = [
     (("ghz-atoms", "--n", "4"), lambda: schemes.build_ghz_atoms(4)),
     (("w", "--n", "4"), lambda: schemes.build_w_pow2(4)),
@@ -311,6 +350,15 @@ RUN_SCHEME_CASES = [
 ]
 
 
+def test_run_scheme_calls_the_builder_bound_in_schemes(monkeypatch):
+    """Wrapping a builder in ``cavnet.schemes`` (as a tracer does) wraps the CLI's call."""
+    calls = []
+    real = schemes.build_field_cz_pair
+    monkeypatch.setattr(schemes, "build_field_cz_pair", lambda: calls.append(1) or real())
+    assert main(["run-scheme", "field-cz"]) == 0
+    assert calls == [1]
+
+
 def test_run_scheme_cases_cover_every_scheme():
     assert {argv[0] for argv, _ in RUN_SCHEME_CASES} == set(SCHEME_NAMES)
 
@@ -321,4 +369,4 @@ def test_run_scheme_cases_cover_every_scheme():
 def test_run_scheme_stdout_equals_run_report_rendering(argv, build, capsys):
     """The CLI renders amplitude arrays byte for byte like ``run_report``'s pair lists."""
     assert main(["run-scheme", *argv]) == 0
-    assert capsys.readouterr().out == dump_json(schemes.run_report(build())) + "\n"
+    assert capsys.readouterr().out == dump_json(run_report(build())) + "\n"

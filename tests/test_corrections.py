@@ -2,8 +2,9 @@
 
 ``reference_apply`` is that loop: one full-state matrix product per
 non-identity op.  ``apply`` negates and swaps slabs for ``Z`` and ``X``
-instead.  The two agree in value on every input, and bit for bit, zero
-signs included, on every builder's outcomes.  On inputs that hold
+instead, and multiplies phase ops into its one copy of the state.  The two
+agree in value on every input, and bit for bit, zero signs included, on
+every builder's outcomes.  On inputs that hold
 ``-0.0`` the BLAS product's zero signs depend on its kernel and on the
 call shape, so there only values are compared.
 """
@@ -13,8 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavnet import schemes
-from cavnet.errors import InvalidLabelError, ParameterError, ShapeError
+from cavnet import qstate, schemes, verify
+from cavnet.errors import (
+    ContractViolationError,
+    InvalidLabelError,
+    ParameterError,
+    ShapeError,
+)
 from cavnet.qstate import (
     KIND_ATOM_GE,
     KIND_ATOM_LR,
@@ -32,11 +38,15 @@ from cavnet.verify import LocalCorrection
 TWO_LEVEL_KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
 
 
+PAULI = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
+
+
 def reference_apply(correction, state):
     """Every non-identity op as one ``apply_unitary`` call, in order."""
     for label, op in correction.ops:
         if op != "I":
-            state = apply_unitary(state, [label], LocalCorrection._matrix(op))
+            matrix = PAULI[op] if op in PAULI else np.diag([1.0, np.exp(1j * float(op[1]))])
+            state = apply_unitary(state, [label], np.asarray(matrix, dtype=complex))
     return state
 
 
@@ -122,6 +132,22 @@ def test_builder_outcomes_match_apply_unitary_loop_bit_for_bit(name):
         assert_bit_equal(report.corrected_state.amplitudes, ref.amplitudes)
 
 
+def test_phase_corrections_do_not_call_apply_unitary(monkeypatch):
+    reports = schemes.run(schemes.build_w3_deterministic())
+    expected = [reference_apply(r.correction, r.post_state).amplitudes for r in reports]
+    assert sum(bool(r.correction.ops) for r in reports) == 2  # D2 and D3 carry phases
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_unitary called")
+
+    monkeypatch.setattr(verify, "apply_unitary", refuse)
+    monkeypatch.setattr(qstate, "apply_unitary", refuse)
+    rerun = schemes.run(schemes.build_w3_deterministic())
+    assert len(rerun) == len(expected)
+    for report, ref in zip(rerun, expected):
+        assert_bit_equal(report.corrected_state.amplitudes, ref)
+
+
 def test_pauli_ops_are_exact_sign_and_axis_flips():
     register = Register([Subsystem("a", KIND_ATOM_LR), Subsystem("f", KIND_FIELD)])
     vec = np.array([0.1, 0.2j, -0.3, 0.4 + 0.5j])
@@ -157,9 +183,11 @@ def test_phase_ops_run_between_pauli_ops_in_order():
 def test_apply_rejects_what_the_matrix_route_rejected():
     register = Register([Subsystem("q", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
     state = product_state(register, ["L", 0])
-    for op in ("X", "Z"):
+    for op in ("X", "Z", ("phase", 0.3)):
         with pytest.raises(ShapeError):
             LocalCorrection((("path", op),)).apply(state)
+    with pytest.raises(ContractViolationError):
+        LocalCorrection((("q", ("phase", np.nan)),)).apply(state)
     with pytest.raises(InvalidLabelError):
         LocalCorrection((("nosuch", "Z"),)).apply(state)
     with pytest.raises(ParameterError, match="unknown correction op"):

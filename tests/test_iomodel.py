@@ -25,7 +25,6 @@ from cavnet.iomodel import (
     integrate_pulse,
     slowest_decay_rate,
     sweep_csv_text,
-    write_sweep_csv,
 )
 
 # Flip probabilities frozen from a half-step-converged run; the integrator
@@ -378,7 +377,7 @@ def test_sweep_validates_inputs():
         flip_probability_sweep([1.0], [0.0])
 
 
-def test_csv_format(tmp_path):
+def test_csv_format():
     rows = flip_probability_sweep([1.0], [1.0, 2.0])
     text = sweep_csv_text(rows)
     lines = text.split("\n")
@@ -388,11 +387,6 @@ def test_csv_format(tmp_path):
     assert float(first[0]) == 1.0
     # 17 significant digits round-trip exactly
     assert float(first[2]) == rows[0].P_flip
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    data = path.read_bytes()
-    assert b"\r" not in data
-    assert data.decode("ascii") == text
 
 
 def test_format_float_round_trip():

@@ -25,7 +25,6 @@ from cavnet.qstate import (
     from_factors,
     overlap,
     product_state,
-    project,
     project_out,
     projection_probability,
 )
@@ -105,6 +104,15 @@ def test_register_without_preserves_order():
         reg.without("z")
 
 
+def test_register_equality_and_hash_follow_the_subsystems():
+    a = Register([Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, 3)])
+    b = Register([Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, 3)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Register([Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, 4)])
+    assert a != Register([Subsystem("p", KIND_PATH, 3), Subsystem("a", KIND_ATOM_LR)])
+    assert a != a.subsystems
+
+
 @pytest.mark.parametrize("n", [62, 63, 64, 200])
 def test_register_total_dim_is_exact_and_allocates_nothing(n):
     tracemalloc.start()
@@ -134,6 +142,24 @@ def test_pure_state_norm_guard():
     # 1e-9 band is inclusive of tiny drift
     amps = np.array([1.0 + 5e-10, 0.0, 0.0, 0.0])
     PureState(reg, amps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_pure_state_norm_guard_refuses_non_finite(bad):
+    reg = Register([Subsystem("a", KIND_ATOM_LR)])
+    with pytest.raises(ContractViolationError):
+        PureState(reg, np.array([bad, 0.0]))
+    with pytest.raises(ContractViolationError):
+        PureState(reg, np.array([1.0, bad]))
+
+
+def test_norm_equals_linalg_norm():
+    rng = np.random.default_rng(5)
+    reg = Register(Subsystem(f"q{i}", KIND_FIELD) for i in range(6))
+    vec = rng.normal(size=64) + 1j * rng.normal(size=64)
+    st = PureState(reg, vec / np.linalg.norm(vec))
+    assert st.norm == pytest.approx(np.linalg.norm(st.amplitudes), abs=1e-15)
+    assert qstate._norm(np.array([3.0, 4.0j])) == 5.0
 
 
 def test_pure_state_amplitudes_write_protected():
@@ -217,6 +243,8 @@ def test_apply_unitary_rejects_non_unitary():
     st = product_state(reg, ["L", "L"])
     with pytest.raises(ContractViolationError):
         apply_unitary(st, ["a"], np.array([[1, 0], [0, 2]], dtype=complex))
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        apply_unitary(st, ["a"], np.array([[np.nan, 0], [0, 1]], dtype=complex))
     with pytest.raises(ShapeError):
         apply_unitary(st, ["a"], np.eye(4, dtype=complex))
     with pytest.raises(ParameterError):
@@ -228,13 +256,13 @@ def bell_state():
     return PureState(reg, np.array([SQ2, 0, 0, SQ2]))
 
 
-def test_projection_probability_matches_project():
+def test_projection_probability_matches_project_out():
     st = bell_state()
     assert projection_probability(st, "a", "L") == pytest.approx(0.5)
-    prob, post = project(st, "a", "L")
+    prob, post = project_out(st, "a", "L")
     assert prob == pytest.approx(0.5)
-    assert post.amplitude(["L", "L"]) == pytest.approx(1.0)
-    assert len(post.register) == 2
+    assert post.amplitude(["L"]) == pytest.approx(1.0)
+    assert post.register.labels == ("b",)
 
 
 def test_project_out_drops_subsystem():
@@ -248,9 +276,6 @@ def test_project_out_drops_subsystem():
 def test_project_zero_probability_returns_none():
     reg = two_qubit_register()
     st = product_state(reg, ["L", "L"])
-    prob, post = project(st, "a", "R")
-    assert prob == 0.0
-    assert post is None
     prob, post = project_out(st, "a", "R")
     assert prob == 0.0
     assert post is None
@@ -327,10 +352,9 @@ def test_randomized_state_properties():
 
         # project_out agrees with projection_probability
         lab = reg.subsystem(target).basis_labels[int(rng.integers(len(probs)))]
-        if len(reg) > 1:
-            prob, post = project_out(after_u, target, lab)
-        else:
-            prob, post = project(after_u, target, lab)
+        if len(reg) == 1:  # the last subsystem cannot be projected out
+            continue
+        prob, post = project_out(after_u, target, lab)
         assert prob == pytest.approx(
             projection_probability(after_u, target, lab), abs=1e-12
         )

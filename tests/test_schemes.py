@@ -1,7 +1,5 @@
 """Scheme builders, the measurement loop, meshes, and the retry walk."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 from cavnet import elements as el
 from cavnet import qstate, schemes, verify
 from cavnet.errors import (
+    ContractViolationError,
     DegenerateCouplingError,
     InvalidConfigurationError,
     LossyWiringError,
@@ -37,15 +36,35 @@ from cavnet.schemes import (
     build_w3_probabilistic,
     build_w_pow2,
     initial_state,
-    mesh_matrix,
     retry_walk,
     retry_walk_mc,
     run,
-    run_report,
 )
 from cavnet.verify import Graph, fidelity, ghz_target, stabilizer_expectations, w_target
 
 SQ2 = np.sqrt(0.5)
+
+
+def mesh_matrix(items, dpath):
+    """Path-space matrix of BS/PhaseShifter/Reroute elements, built with raw numpy.
+
+    Independent of the element kernels: each element is the identity with
+    its block written into the rows and columns of its ports.
+    """
+    m = np.eye(dpath, dtype=complex)
+    for item in items:
+        if isinstance(item, el.BS):
+            ports, block = list(item.ports), el.bs_unitary(item.reflectivity)
+        elif isinstance(item, el.PhaseShifter):
+            ports, block = [item.port], [[np.exp(1j * item.phase)]]
+        elif isinstance(item, el.Reroute):
+            ports, block = [item.src, item.dst], [[0, 1], [1, 0]]
+        else:
+            raise AssertionError(f"{item!r} is not a path-only element")
+        step = np.eye(dpath, dtype=complex)
+        step[np.ix_(ports, ports)] = block
+        m = step @ m
+    return m
 
 
 def outcome_map(reports):
@@ -175,14 +194,46 @@ def test_fourier_tritter_mesh_decomposition():
     assert np.abs(mesh_matrix(items, 3) - tritter).max() < 1e-12
 
 
-def test_unitary_mesh_handles_random_unitaries():
-    rng = np.random.default_rng(11)
-    for dim in (2, 3, 4):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(m)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        items = schemes._unitary_mesh(q, tuple(range(dim)))
-        assert np.abs(mesh_matrix(items, dim) - q).max() < 1e-10
+def test_unitary_block_refuses_non_unitary_and_nan():
+    with pytest.raises(ContractViolationError):
+        schemes._unitary_block([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        schemes._unitary_block([[np.nan, 0.0], [0.0, 1.0]])
+    assert not schemes._unitary_block([[0.0, 1.0], [1.0, 0.0]]).flags.writeable
+
+
+@st.composite
+def port_unitaries(draw):
+    """Random unitaries, phased permutations, and phased near-identities.
+
+    A permutation makes ``_two_mode_elements`` take its antidiagonal
+    branch; a Givens rotation by less than 1e-12 rad is recorded by the
+    reduction but realized as pure phases by the diagonal branch.
+    """
+    dim = draw(st.integers(2, 4))
+    angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=dim, max_size=dim))
+    phases = np.exp(1j * np.array(angles))[:, None]
+    kind = draw(st.sampled_from(["haar", "permutation", "near-identity"]))
+    if kind == "haar":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+    if kind == "permutation":
+        return phases * np.eye(dim)[list(draw(st.permutations(range(dim))))]
+    i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+    t = draw(st.floats(2e-15, 1e-13))
+    g = np.eye(dim, dtype=complex)
+    g[np.ix_([i, j], [i, j])] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return phases * g
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=port_unitaries(), data=st.data())
+def test_unitary_mesh_handles_random_unitaries(v, data):
+    ports = data.draw(st.permutations(range(len(v))))
+    items = schemes._unitary_mesh(v, ports)
+    assert all(isinstance(item, (el.BS, el.PhaseShifter)) for item in items)
+    assert np.abs(mesh_matrix(items, len(v))[np.ix_(ports, ports)] - v).max() < 1e-10
 
 
 # ---------------------------------------------------------------- cluster
@@ -499,6 +550,21 @@ def test_retry_walk_parameter_guards():
         RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=0)
 
 
+def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
+    params = RetryWalkParams(p_flip=0.5, n_cavities=2)
+    # buffers for 10**15 walkers could not be allocated: the check comes first
+    with pytest.raises(ParameterError, match="MAX_MC_TRAJECTORIES"):
+        retry_walk_mc(params, 10**15, seed=1)
+    monkeypatch.setattr(schemes, "MAX_MC_TRAJECTORIES", 5)
+    assert 0.0 <= retry_walk_mc(params, 5, seed=1) <= 1.0
+    with pytest.raises(ParameterError, match="MAX_MC_TRAJECTORIES"):
+        retry_walk_mc(params, 6, seed=1)
+    monkeypatch.setattr(schemes, "MAX_WALK_CAVITIES", 3)
+    RetryWalkParams(p_flip=0.5, n_cavities=3)
+    with pytest.raises(ParameterError, match="MAX_WALK_CAVITIES"):
+        RetryWalkParams(p_flip=0.5, n_cavities=4)
+
+
 def test_retry_walk_mc_tracks_analytic():
     for p, n in ((0.5, 2), (0.8, 4), (0.95, 3)):
         params = RetryWalkParams(p_flip=p, n_cavities=n, max_steps=200)
@@ -549,20 +615,3 @@ def test_retry_walk_mc_matches_reference_exactly(p, n, max_steps, trajectories, 
     params = RetryWalkParams(p_flip=p, n_cavities=n, max_steps=max_steps)
     got = retry_walk_mc(params, trajectories, seed)
     assert got == reference_retry_walk_mc(params, trajectories, seed)
-
-
-# ---------------------------------------------------------------- reporting
-
-
-def test_run_report_is_json_serializable():
-    payload = run_report(build_ghz_atoms(2))
-    text = json.dumps(payload)
-    back = json.loads(text)
-    assert back["scheme"]["name"] == "ghz-atoms"
-    assert back["scheme"]["n"] == 2
-    assert len(back["outcomes"]) == 2
-    types = [row["type"] for row in back["scheme"]["elements"]]
-    assert types[0] == "BS"
-    for row in back["outcomes"]:
-        assert row["probability"] == pytest.approx(0.5, abs=1e-12)
-        assert isinstance(row["corrected_state"], list)

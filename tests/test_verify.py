@@ -21,7 +21,6 @@ from cavnet.verify import (
     fidelity,
     ghz_target,
     graph_target,
-    search_local_correction,
     stabilizer_expectations,
     w_target,
 )
@@ -201,16 +200,3 @@ def test_fidelity_ignores_global_phase():
     tgt = ghz_target(2, register=reg)
     rotated = PureState(reg, tgt.amplitudes * np.exp(0.7j))
     assert fidelity(rotated, tgt) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_search_local_correction_finds_z():
-    reg = qubit_register(2)
-    plus = ghz_target(2, sign=1, register=reg)
-    minus = ghz_target(2, sign=-1, register=reg)
-    corr = search_local_correction(minus, plus)
-    assert corr is not None
-    assert fidelity(corr.apply(minus), plus) == pytest.approx(1.0, abs=1e-12)
-    # orthogonal-by-construction case with no single-qubit fix
-    w4 = w_target(4)
-    ghz4 = ghz_target(4, register=w4.register)
-    assert search_local_correction(w4, ghz4) is None
