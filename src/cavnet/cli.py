@@ -88,50 +88,68 @@ def _render(value, indent: int, out: list[str]) -> None:
         and value.ndim == 1
         and np.issubdtype(value.dtype, np.complexfloating)
     ):
-        out.append(_dump_amplitudes(value, indent))
+        _dump_amplitudes(value, indent, out)
     else:
         raise ParameterError(f"cannot serialize {type(value).__name__}")
 
 
-def _dump_amplitudes(amps: np.ndarray, indent: int) -> str:
-    """Render a complex vector exactly as :func:`dump_json` renders its ``[re, im]`` pairs.
+def _dump_amplitudes(amps: np.ndarray, indent: int, out: list[str]) -> None:
+    """Append the text :func:`dump_json` gives ``amps``'s ``[re, im]`` pairs to ``out``.
 
-    The 16-byte ``[re, im]`` records are sorted once by their bit patterns
-    (so -0.0 stays apart from 0.0), each distinct record is rendered once,
-    and the blocks are joined in vector order through the inverse index.
+    Records are compared as 16-byte bit patterns, so -0.0 stays apart from
+    0.0.  A run of k equal consecutive records is appended as one string
+    repeated k times; only the first record of each run is sorted, to
+    render each distinct record once.
     """
     if amps.size == 0:
-        return "[]"
-    if not np.isfinite(amps).all():
-        raise ParameterError("non-finite amplitude cannot be serialized")
+        out.append("[]")
+        return
     bits = np.ascontiguousarray(amps, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ranked = bits[order]
-    fresh = np.empty(len(ranked), dtype=bool)
-    fresh[0] = True
-    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=fresh[1:])
-    fresh[1:] |= ranked[1:, 1] != ranked[:-1, 1]
+    starts = np.flatnonzero(_differs_from_previous(bits))
+    runs = np.diff(starts, append=len(bits))
+    heads = bits[starts]
+    if not np.isfinite(heads.view(np.float64)).all():
+        raise ParameterError("non-finite amplitude cannot be serialized")
+    order = np.lexsort((heads[:, 1], heads[:, 0]))
+    ranked = heads[order]
+    fresh = _differs_from_previous(ranked)
     inverse = np.empty(len(ranked), dtype=np.intp)
     inverse[order] = np.cumsum(fresh) - 1
     inner, leaf = "  " * (indent + 1), "  " * (indent + 2)
-    blocks = np.array(
-        [
-            f"{inner}[\n{leaf}{format_float(re)},\n{leaf}{format_float(im)}\n{inner}]"
-            for re, im in ranked[fresh].view(np.float64)
-        ],
-        dtype=object,
-    )
-    body = ",\n".join(blocks[inverse].tolist())
-    return f"[\n{body}\n{'  ' * indent}]"
+    # every record after the first carries the separator in front of it
+    texts = [
+        f",\n{inner}[\n{leaf}{format_float(re)},\n{leaf}{format_float(im)}\n{inner}]"
+        for re, im in ranked[fresh].view(np.float64)
+    ]
+    runs[0] -= 1
+    out.append("[\n" + texts[inverse[0]][2:])
+    out.extend(texts[j] * k for j, k in zip(inverse.tolist(), runs.tolist()))
+    out.append(f"\n{'  ' * indent}]")
+
+
+def _differs_from_previous(records: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a two-column array that differ from the row before (row 0 does)."""
+    mask = np.empty(len(records), dtype=bool)
+    mask[0] = True
+    np.not_equal(records[1:, 0], records[:-1, 0], out=mask[1:])
+    mask[1:] |= records[1:, 1] != records[:-1, 1]
+    return mask
 
 
 def _emit(out_path: str | None, *parts: str) -> None:
-    """Write ``parts`` one after another to stdout or to ``out_path``."""
+    """Write ``parts`` one after another to stdout or to ``out_path``.
+
+    They are written in slices of 1 MiB: a text stream encodes what it is
+    given into a second buffer, which for a whole document would hold a
+    second copy of it, the peak of a large ``run-scheme``.
+    """
+    step = 1 << 20
+    slices = (part[i : i + step] for part in parts for i in range(0, len(part), step))
     if out_path is None:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines(slices)
     else:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.writelines(parts)
+            fh.writelines(slices)
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:

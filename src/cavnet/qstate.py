@@ -16,9 +16,17 @@ block), applies every element in place, and transposes the result back
 into a fresh register-order array that a ``PureState`` adopts without
 another copy.  :meth:`cavnet.verify.LocalCorrection.apply` applies all
 its ops, ``X``, ``Z`` and ``("phase", phi)`` alike, in place on one copy,
-frozen and adopted the same way.  Norm is checked to 1e-9 whenever a
-``PureState`` is made and never silently renormalized; global phase is
-likewise never stripped.
+frozen and adopted the same way.  Both apply their blocks through
+``_apply_block``.  A block that is a signed permutation (one entry of +1
+or -1 per row) moves slabs instead of multiplying: the resonant pi,
+cavity-atom, dispersive, polarization-rotator, PBS, reroute and external
+pi blocks, and the ``X`` and ``Z`` corrections.  Splitters, phase
+shifters, the Ramsey zone, the half-pi block and phase corrections are
+matrix products.  Zero-sign rule: a slab move writes ``src + 0.0`` or
+``0.0 - src``, so every zero it writes is ``+0.0``, as the matrix product
+gives on every scheme; a ``+1`` fixed point is left as it is.  Norm is
+checked to 1e-9 whenever a ``PureState`` is made and never silently
+renormalized; global phase is likewise never stripped.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ from .errors import (
 NORM_ATOL = 1e-9
 UNITARY_ATOL = 1e-9
 PROJECT_EPS = 1e-12
+# Largest register Register accepts: 4x the w-16 register (2,097,152), so one
+# state vector is at most 128 MB and a refused size is refused before any
+# amplitude is allocated.
+MAX_TOTAL_DIM = 2**23
 
 KIND_ATOM_LR = "atom-LR"
 KIND_ATOM_GE = "atom-ge"
@@ -109,7 +121,8 @@ class Register:
     """Ordered collection of subsystems defining the product basis.
 
     ``dims`` and ``total_dim`` are computed once, here; ``total_dim`` is an
-    exact Python integer, however many subsystems there are.
+    exact Python integer, however many subsystems there are, and a register
+    over more than ``MAX_TOTAL_DIM`` basis states raises a parameter error.
     """
 
     subsystems: tuple[Subsystem, ...]
@@ -127,9 +140,15 @@ class Register:
                 raise ParameterError(f"duplicate subsystem label {sub.label!r}")
             positions[sub.label] = i
         dims = tuple(sub.dim for sub in subs)
+        total_dim = math.prod(dims)
+        if total_dim > MAX_TOTAL_DIM:
+            raise ParameterError(  # as a power of 2: str() refuses ints over 4300 digits
+                f"register dimension 2**{math.log2(total_dim):.2f} exceeds "
+                f"MAX_TOTAL_DIM = {MAX_TOTAL_DIM}"
+            )
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "total_dim", math.prod(dims))
+        object.__setattr__(self, "total_dim", total_dim)
         object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
@@ -272,15 +291,87 @@ def from_factors(
 def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
     """``block`` applied on the joint basis of ``axes`` of ``view``, as a new array.
 
-    The one block kernel: :func:`apply_unitary` and the in-place element
-    kernels of :mod:`cavnet.schemes` both apply their matrices through it.
-    The target axes go to the front, one matrix product acts on the
-    flattened rest, and the result is returned in ``view``'s axis order.
+    The dense kernel, used by :func:`apply_unitary` and by :func:`_apply_block`
+    for every block that is not a signed permutation.  The target axes go to
+    the front, one matrix product acts on the flattened rest, and the result
+    is returned in ``view``'s axis order.
     """
     order = axes + [a for a in range(view.ndim) if a not in axes]
     moved = view.transpose(order)
     out = np.dot(block, moved.reshape(len(block), -1)).reshape(moved.shape)
     return out.transpose(np.argsort(order))
+
+
+def _slab_cycles(matrix: np.ndarray) -> tuple[tuple[tuple[int, int, bool], ...], ...] | None:
+    """The slab moves that apply ``matrix``, or None unless it is a signed permutation.
+
+    A signed permutation holds exactly one nonzero entry per row, +1 or -1,
+    and no two in one column.  Row ``i`` with its entry ``s`` in column ``j``
+    reads ``out_i = s * in_j``, a move ``(i, j, s == -1)``.  The moves are
+    grouped into cycles, each listed so that its last move reads the slab its
+    first move overwrote; fixed points with +1 are left out.
+    """
+    nonzero = matrix != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return None
+    src = nonzero.argmax(axis=1)
+    signs = matrix[np.arange(len(matrix)), src]
+    if not ((signs == 1) | (signs == -1)).all() or len(set(src.tolist())) != len(src):
+        return None
+    cycles = []
+    seen: set[int] = set()
+    for start in range(len(matrix)):
+        cycle = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            cycle.append((i, int(src[i]), bool(signs[i] == -1)))
+            i = int(src[i])
+        if len(cycle) > 1 or (cycle and cycle[0][2]):
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+class _Block:
+    """A unitary matrix, with its signed-permutation structure found once, here."""
+
+    __slots__ = ("matrix", "cycles")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.cycles = _slab_cycles(matrix)
+
+
+def _slab(view: np.ndarray, axes: list[int], joint: int) -> np.ndarray:
+    """The view of ``view`` at joint basis index ``joint`` of ``axes``."""
+    index: list = [slice(None)] * view.ndim
+    for axis in reversed(axes):  # the last target axis is the least significant
+        joint, index[axis] = divmod(joint, view.shape[axis])
+    return view[(*index, ...)]  # the Ellipsis keeps a one-element slab an array
+
+
+def _apply_block(view: np.ndarray, axes: list[int], block: _Block) -> None:
+    """Apply ``block`` in place on the joint basis of ``axes`` of ``view``.
+
+    A signed permutation moves slabs: a slab is ``view`` at one joint index
+    of ``axes``, each cycle saves one slab in a temporary, a +1 move writes
+    ``src + 0.0`` and a -1 move ``0.0 - src``, and a +1 fixed point is not
+    touched.  Every zero a move writes is therefore ``+0.0``.  Any other
+    block goes through :func:`_block_product`.
+    """
+    if block.cycles is None:
+        view[...] = _block_product(view, axes, block.matrix)
+        return
+    for cycle in block.cycles:
+        slabs = {dst: _slab(view, axes, dst) for dst, _, _ in cycle}
+        first = cycle[0][0]
+        held = slabs[first] if len(cycle) == 1 else slabs[first].copy()
+        for dst, src, negate in cycle:
+            source = held if src == first else slabs[src]
+            if negate:
+                np.subtract(0.0, source, out=slabs[dst])
+            else:
+                np.add(source, 0.0, out=slabs[dst])
 
 
 def apply_unitary(
@@ -330,18 +421,27 @@ def project_out(
 
     Returns ``(probability, renormalized post state)``; the post state is
     ``None`` when the probability is below 1e-12.
+
+    The slab is taken straight into the array the post state adopts and
+    scaled there: its real and imaginary parts are multiplied by
+    ``1 / sqrt(prob)``.  That is what numpy's complex-by-real division
+    computes too, except that division turns some zeros to ``+0.0``.
     """
     register = state.register
     if len(register) == 1:
         raise ParameterError("cannot drop the last subsystem of a register")
     pos = register.position(target)
     idx = register.subsystems[pos].index_of(outcome)
+    dims = register.dims[:pos] + register.dims[pos + 1 :]
+    amps = np.empty(math.prod(dims), dtype=complex)
     tensor = state.amplitudes.reshape(register.dims)
-    slab = np.take(tensor, idx, axis=pos)
-    prob = float(np.sum(np.abs(slab) ** 2))
+    # mode="clip" lets take write into ``out`` unbuffered; idx is already checked
+    np.take(tensor, idx, axis=pos, out=amps.reshape(dims), mode="clip")
+    prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= PROJECT_EPS:
         return prob, None
-    amps = slab.reshape(-1) / np.sqrt(prob)
+    parts = amps.view(np.float64)
+    parts *= 1.0 / np.sqrt(prob)
     amps.setflags(write=False)
     return prob, PureState(register.without(target), amps)
 

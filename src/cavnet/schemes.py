@@ -67,6 +67,10 @@ MAX_MC_TRAJECTORIES = 10_000_000
 # Most cavities RetryWalkParams accepts; retry_walk builds a dense
 # (n+2) x (n+2) transition matrix, about 8 MB at this cap.
 MAX_WALK_CAVITIES = 1_000
+# Most steps RetryWalkParams accepts, 10x the default budget: both walks
+# loop over steps in Python, and one step of retry_walk at MAX_WALK_CAVITIES
+# takes about 0.3 ms, so this caps that loop near 30 s.
+MAX_WALK_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,10 @@ class OutcomeReport:
 # joint basis of ``ports`` (interferometer arms) and ``targets`` (subsystem
 # labels), most significant first.  ``ports`` is None for a block that
 # ignores the path, one port for a block that acts only in that arm, and two
-# ports for a block that mixes two arms.  The kernels rewrite only the path
-# slices an op names, in place on the buffer :func:`propagate` owns.
+# ports for a block that mixes two arms.  :func:`qstate._apply_block` rewrites
+# only the path slices an op names, in place on the buffer :func:`propagate`
+# owns; the fixed blocks below are signed permutations, except the Ramsey
+# zone and the half-pi block, so they move slabs.
 
 
 def _unitary_block(matrix) -> np.ndarray:
@@ -126,21 +132,25 @@ def _unitary_block(matrix) -> np.ndarray:
     return block
 
 
-_SWAP = _unitary_block([[0.0, 1.0], [1.0, 0.0]])
-_PBS = _unitary_block(el.pbs_unitary())
-_PR = _unitary_block(el.pr_unitary())
-_CAVITY_ATOM = _unitary_block(el.cavity_atom_block_unitary())
-_FIELD_PI = _unitary_block(el.field_pi_block_unitary())
-_FIELD_HALF_PI = _unitary_block(el.field_half_pi_block_unitary())
-_DISPERSIVE = _unitary_block(el.dispersive_block_unitary())
-_RAMSEY = _unitary_block(el.ramsey_unitary())
-_EXTERNAL_PI = _unitary_block(el.external_pi_unitary())
+def _block(matrix) -> qstate._Block:
+    return qstate._Block(_unitary_block(matrix))
+
+
+_SWAP = _block([[0.0, 1.0], [1.0, 0.0]])
+_PBS = _block(el.pbs_unitary())
+_PR = _block(el.pr_unitary())
+_CAVITY_ATOM = _block(el.cavity_atom_block_unitary())
+_FIELD_PI = _block(el.field_pi_block_unitary())
+_FIELD_HALF_PI = _block(el.field_half_pi_block_unitary())
+_DISPERSIVE = _block(el.dispersive_block_unitary())
+_RAMSEY = _block(el.ramsey_unitary())
+_EXTERNAL_PI = _block(el.external_pi_unitary())
 
 
 @dataclass(frozen=True)
 class _Op:
     targets: tuple[str, ...]
-    block: np.ndarray
+    block: qstate._Block
     ports: tuple[int, ...] | None = None
 
 
@@ -149,8 +159,8 @@ def _arm(port: int | None) -> tuple[int, ...] | None:
 
 
 _RESOLVE = {
-    el.BS: lambda e: _Op((), _unitary_block(el.bs_unitary(e.reflectivity)), e.ports),
-    el.PhaseShifter: lambda e: _Op((), _unitary_block([[np.exp(1j * e.phase)]]), (e.port,)),
+    el.BS: lambda e: _Op((), _block(el.bs_unitary(e.reflectivity)), e.ports),
+    el.PhaseShifter: lambda e: _Op((), _block([[np.exp(1j * e.phase)]]), (e.port,)),
     el.Reroute: lambda e: _Op((), _SWAP, (e.src, e.dst)),
     el.PBS: lambda e: _Op((POL,), _PBS, e.ports),
     el.PR: lambda e: _Op((POL,), _PR, (e.port,)),
@@ -202,25 +212,27 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
     if len(set(axes + [path])) != len(axes) + 1:
         raise ParameterError(f"target labels must be distinct, got {list(op.targets)}")
     joint = max(len(ports), 1) * int(np.prod([tensor.shape[a] for a in axes]))
-    if op.block.shape != (joint, joint):
-        raise ShapeError(
-            f"block shape {op.block.shape} does not match joint target dim {joint}"
-        )
-    views = [tensor]
+    shape = op.block.matrix.shape
+    if shape != (joint, joint):
+        raise ShapeError(f"block shape {shape} does not match joint target dim {joint}")
+    view = tensor
     if ports:
         dpath = tensor.shape[path]
         if len(set(ports)) != len(ports) or not all(0 <= p < dpath for p in ports):
             raise ParameterError(
                 f"ports {ports} must differ and exist on a path of dim {dpath}"
             )
-        views = [tensor[(slice(None),) * path + (p,)] for p in ports]
-        axes = [a - (a > path) for a in axes]
-    if len(views) == 1:
-        views[0][...] = qstate._block_product(views[0], axes, op.block)
-        return
-    mixed = qstate._block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block)
-    for view, new in zip(views, mixed):
-        view[...] = new
+        view = tensor[(slice(None),) * path + (_port_slice(ports),)]
+        axes = [path] + axes
+    qstate._apply_block(view, axes, op.block)
+
+
+def _port_slice(ports: tuple[int, ...]) -> slice:
+    """Basic slice of the path axis holding ``ports`` (one or two), in that order."""
+    p, q = ports[0], ports[-1]
+    step = q - p or 1
+    stop = q + (1 if step > 0 else -1)
+    return slice(p, stop if stop >= 0 else None, step)
 
 
 def _apply_element(tensor: np.ndarray, register: Register, axis_of, item: el.Element) -> None:
@@ -438,18 +450,20 @@ def _two_mode_elements(w: np.ndarray, ports: tuple[int, int]) -> list[el.Element
         if abs(phase) > 1e-12:
             out.append(el.PhaseShifter(port, phase))
 
+    # A reflectivity that rounds to 1 makes no splitter, so that rotation is
+    # a phased swap; one that rounds to 0 has |w01| < 1e-12 already.
+    reflectivity = float(abs(w[0, 1]) ** 2)
     if abs(w[0, 1]) < 1e-12:  # diagonal: pure phases
         push_phase(p, np.angle(w[0, 0]))
         push_phase(q, np.angle(w[1, 1]))
         return out
-    if abs(w[0, 0]) < 1e-12:  # antidiagonal: phased swap, as BS-pi-BS
+    if abs(w[0, 0]) < 1e-12 or reflectivity == 1.0:  # antidiagonal: phased swap, as BS-pi-BS
         push_phase(p, np.angle(w[1, 0]))
         push_phase(q, np.angle(w[0, 1]))
         out.append(el.BS(0.5, ports))
         out.append(el.PhaseShifter(q, np.pi))
         out.append(el.BS(0.5, ports))
         return out
-    reflectivity = float(abs(w[0, 1]) ** 2)
     c = float(np.angle(w[0, 0]))
     d = float(np.angle(w[0, 1]))
     b = float(np.angle(w[1, 0])) - c
@@ -592,11 +606,12 @@ def build_w_pow2(n: int) -> Scheme:
     """
     if n < 2 or n & (n - 1):
         raise ParameterError(f"this scheme needs a power-of-two atom count, got {n}")
+    target = verify.w_target(n)  # refuses an oversized register before the n log n mesh
     mesh = _hadamard_mesh(range(n))
     cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(n)]
     items = [*mesh, *cavities, *mesh]
     corrections = _hadamard_z_layers(n, n)
-    targets = dict.fromkeys(corrections, verify.w_target(n))
+    targets = dict.fromkeys(corrections, target)
     return _photon_scheme(
         "w", ["L"] * n, n, items, _port_detectors(n), corrections, targets
     )
@@ -812,6 +827,7 @@ def build_field_graph(
             spec.append({"subsystems": [field_label, atom_label], "state": "pair"})
         else:
             spec.append({"subsystems": [field_label], "state": "+"})
+    register = Register(subs)  # refuses an oversized register before the 2**k tables
 
     items: list[el.Element] = [
         el.DispersiveBlock(f"atom{a + 1}", f"field{f + 1}") for a, f in passes
@@ -828,9 +844,7 @@ def build_field_graph(
             tuple((f"field{v + 1}", "Z") for v, out in zip(paired, combo) if out == "e")
         )
     targets = dict.fromkeys(corrections, verify.graph_target(target_graph, KIND_FIELD))
-    return _scheme(
-        scheme_name, n, Register(subs), spec, items, detectors, corrections, targets
-    )
+    return _scheme(scheme_name, n, register, spec, items, detectors, corrections, targets)
 
 
 # --------------------------------------------------------------------------
@@ -864,6 +878,10 @@ class RetryWalkParams:
             )
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be positive, got {self.max_steps}")
+        if self.max_steps > MAX_WALK_STEPS:
+            raise ParameterError(
+                f"{self.max_steps} steps exceed MAX_WALK_STEPS = {MAX_WALK_STEPS}"
+            )
 
 
 @dataclass(frozen=True)

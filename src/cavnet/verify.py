@@ -34,6 +34,7 @@ from .qstate import (
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
+_PAULI = {"X": qstate._Block(_X), "Z": qstate._Block(_Z)}
 _KIND_BY_LABEL = {
     "L": KIND_ATOM_LR,
     "R": KIND_ATOM_LR,
@@ -93,20 +94,19 @@ class LocalCorrection:
     Each op is the label ``"I"``, ``"X"``, ``"Z"``, or ``("phase", phi)``
     for ``diag(1, exp(i*phi))``, applied in order.
 
-    Every op but ``"I"`` acts on one writable copy of the amplitudes; with
-    no such op the input state itself is returned.  ``X`` and ``Z``
-    are Pauli-frame updates, not matrix products: ``Z`` negates the
-    subsystem's ``|1>`` slab and ``X`` swaps its ``|0>`` and ``|1>`` slabs.
-    ``("phase", phi)`` multiplies the copy by its matrix through
-    :func:`cavnet.qstate._block_product`, the kernel of
-    :func:`cavnet.qstate.apply_unitary`.
+    Every op but ``"I"`` acts on one writable copy of the amplitudes
+    through :func:`cavnet.qstate._apply_block`, the kernel that applies
+    elements; with no such op the input state itself is returned.  ``X``
+    and ``Z`` are signed permutations, so they move slabs: ``Z`` negates
+    the subsystem's ``|1>`` slab and ``X`` swaps its ``|0>`` and ``|1>``
+    slabs.  ``("phase", phi)`` is a matrix product.
 
-    Signed zeros: the copy is ``amplitudes + 0.0`` and ``Z`` writes
-    ``0.0 - slab``, so the Pauli ops leave every zero as ``+0.0``, which is
-    what the ``apply_unitary`` matrix product gives on every scheme's
-    outcomes.  On inputs that hold ``-0.0`` that product's zero signs
-    depend on the BLAS kernel and the call shape, so there the two routes
-    may differ in the sign of a zero; the values are always equal.
+    Signed zeros: the copy is ``amplitudes + 0.0`` and every slab move
+    writes ``+0.0`` for a zero, which is what the ``apply_unitary`` matrix
+    product gives on every scheme's outcomes.  On inputs that hold ``-0.0``
+    that product's zero signs depend on the BLAS kernel and the call shape,
+    so there the two routes may differ in the sign of a zero; the values
+    are always equal.
     """
 
     ops: tuple[tuple[str, object], ...] = ()
@@ -118,9 +118,9 @@ class LocalCorrection:
             if op == "I":
                 continue
             if op in ("X", "Z"):
-                block = None
+                block = _PAULI[op]
             elif isinstance(op, tuple) and len(op) == 2 and op[0] == "phase":
-                block = np.diag([1.0, np.exp(1j * float(op[1]))])
+                block = qstate._Block(np.diag([1.0, np.exp(1j * float(op[1]))]))
             else:
                 raise ParameterError(f"unknown correction op {op!r}")
             pos = register.position(label)
@@ -131,18 +131,7 @@ class LocalCorrection:
                 )
             if flat is None:
                 flat = state.amplitudes + 0.0
-            tensor = flat.reshape(register.dims)
-            if block is not None:
-                tensor[...] = qstate._block_product(tensor, [pos], block)
-                continue
-            one = tensor[(slice(None),) * pos + (1, ...)]
-            if op == "Z":
-                np.subtract(0.0, one, out=one)
-            else:
-                zero = tensor[(slice(None),) * pos + (0, ...)]
-                held = zero.copy()
-                zero[...] = one
-                one[...] = held
+            qstate._apply_block(flat.reshape(register.dims), [pos], block)
         if flat is None:
             return state
         flat.setflags(write=False)

@@ -7,10 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavnet import iomodel, schemes
+from cavnet import iomodel, qstate, schemes
 from cavnet.cli import SCHEME_NAMES, _dump_amplitudes, _parse_tau_range, dump_json, main
 from cavnet.errors import ParameterError
 
@@ -201,6 +201,21 @@ def test_main_callable_in_process(capsys):
     assert payload["expected_steps"] == 3.0
 
 
+@pytest.mark.parametrize(
+    "owner,budget,value,argv",
+    [
+        (schemes, "MAX_WALK_STEPS", 5, ["retry-walk", "--p", "1", "--n", "2", "--max-steps", "6"]),
+        (qstate, "MAX_TOTAL_DIM", 2**5, ["run-scheme", "w", "--n", "4"]),  # dim 128
+    ],
+)
+def test_small_budgets_exit_two_without_traceback(owner, budget, value, argv, monkeypatch, capsys):
+    monkeypatch.setattr(owner, budget, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and budget in captured.err
+
+
 def test_dump_json_formatting():
     text = dump_json({"a": 1.0, "b": [0.5, None, True], "c": "x"})
     assert '"a": 1.0' in text
@@ -219,17 +234,27 @@ SPECIAL_FLOATS = (
 
 @st.composite
 def amplitude_vectors(draw):
-    """Complex vectors drawn from a small pool of values, so many repeat."""
+    """Complex vectors drawn from a small pool of values, so many repeat.
+
+    Each drawn pair repeats 1-3 or 50-300 times in a row, so long runs of
+    one record occur anywhere, at either end and of ±0.0 too.
+    """
     finite = st.floats(allow_nan=False, allow_infinity=False)
     value = st.sampled_from(SPECIAL_FLOATS) | finite
     pool = draw(st.lists(value, min_size=1, max_size=6))
     part = st.sampled_from(pool)
-    pairs = draw(st.lists(st.tuples(part, part), max_size=40))
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    repeat = st.integers(1, 3) | st.integers(50, 300)
+    runs = draw(st.lists(st.tuples(part, part, repeat), max_size=12))
+    return np.array([complex(re, im) for re, im, k in runs for _ in range(k)], dtype=complex)
 
 
 @settings(max_examples=200, deadline=None)
 @given(amplitude_vectors(), st.integers(0, 4))
+# long runs of signed zeros, at either end and side by side
+@example(np.zeros(300, dtype=complex), 0)
+@example(np.array([complex(-0.0, 0.0)] * 200 + [0.5j] + [0j] * 200), 1)
+@example(np.array([0.5 + 0j] + [complex(0.0, -0.0)] * 250), 2)
+@example(np.array([complex(-0.0, 0.0)] * 120 + [0j] * 120 + [complex(-0.0, -0.0)] * 120), 3)
 def test_dump_json_array_matches_pair_list(vec, indent):
     pairs = [[float(z.real), float(z.imag)] for z in vec]
     assert dump_json(vec, indent) == dump_json(pairs, indent)
@@ -273,7 +298,9 @@ def reference_dump_json(value, indent=0):
         and value.ndim == 1
         and np.issubdtype(value.dtype, np.complexfloating)
     ):
-        return _dump_amplitudes(value, indent)
+        pieces = []
+        _dump_amplitudes(value, indent, pieces)
+        return "".join(pieces)
     raise ParameterError(f"cannot serialize {type(value).__name__}")
 
 

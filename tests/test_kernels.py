@@ -1,0 +1,198 @@
+"""Slab moves and the in-place projection against the routes they replaced.
+
+``gemm_apply_op`` applies every block as a matrix product: the path slices
+an op names are stacked, multiplied and written back one by one.
+``divide_project_out`` takes the slab and divides it by ``sqrt(prob)``, and
+``matrix_correction`` applies each correction op through ``apply_unitary``.
+With all three patched in, :func:`schemes.run` is the GEMM pipeline; it
+agrees bit for bit with the slab pipeline on every builder.  On random
+blocks and states the two kernels agree in value; a matrix product may
+give a zero the other sign, and a dense block may round differently when
+its ports are gathered into a copy first.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavnet import qstate, schemes, verify
+from cavnet.qstate import (
+    KIND_ATOM_GE,
+    KIND_ATOM_LR,
+    KIND_FIELD,
+    KIND_PATH,
+    KIND_POL,
+    PureState,
+    Register,
+    Subsystem,
+    apply_unitary,
+)
+from cavnet.verify import Graph
+
+
+def gemm_apply_op(tensor, axis_of, op):
+    """``op`` applied in place as one matrix product over its stacked path slices."""
+    ports = op.ports or ()
+    axes = [axis_of(label) for label in op.targets]
+    views = [tensor]
+    if ports:
+        path = axis_of(schemes.PATH)
+        views = [tensor[(slice(None),) * path + (p,)] for p in ports]
+        axes = [a - (a > path) for a in axes]
+    if len(views) == 1:
+        views[0][...] = qstate._block_product(views[0], axes, op.block.matrix)
+        return
+    mixed = qstate._block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block.matrix)
+    for view, new in zip(views, mixed):
+        view[...] = new
+
+
+def divide_project_out(state, target, outcome):
+    register = state.register
+    pos = register.position(target)
+    idx = register.subsystems[pos].index_of(outcome)
+    slab = np.take(state.amplitudes.reshape(register.dims), idx, axis=pos)
+    prob = float(np.sum(np.abs(slab) ** 2))
+    if prob <= qstate.PROJECT_EPS:
+        return prob, None
+    amps = slab.reshape(-1) / np.sqrt(prob)
+    amps.setflags(write=False)
+    return prob, PureState(register.without(target), amps)
+
+
+def matrix_correction(correction, state):
+    paulis = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
+    for label, op in correction.ops:
+        if op != "I":
+            matrix = paulis[op] if op in paulis else np.diag([1.0, np.exp(1j * float(op[1]))])
+            state = apply_unitary(state, [label], np.asarray(matrix, dtype=complex))
+    return state
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+BUILDERS = {
+    "ghz-atoms4": lambda: schemes.build_ghz_atoms(4),
+    "ghz-atoms6": lambda: schemes.build_ghz_atoms(6),
+    "w4": lambda: schemes.build_w_pow2(4),
+    "w8": lambda: schemes.build_w_pow2(8),
+    "w3-prob": schemes.build_w3_probabilistic,
+    "w3-det": schemes.build_w3_deterministic,
+    "cluster3": lambda: schemes.build_cluster_atoms(3),
+    "cluster6": lambda: schemes.build_cluster_atoms(6),
+    "ghz-fields4": lambda: schemes.build_ghz_fields(4),
+    "ghz-fields8": lambda: schemes.build_ghz_fields(8),
+    "field-cz": schemes.build_field_cz_pair,
+    "ring5": lambda: schemes.build_field_graph("ring", 5),
+    "star4": lambda: schemes.build_field_graph("star", 4),
+    "linear5": lambda: schemes.build_field_graph("linear", 5),
+    "custom6": lambda: schemes.build_field_graph(
+        graph=Graph(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (2, 5), (1, 4)])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_run_matches_the_gemm_pipeline_bit_for_bit(name, monkeypatch):
+    scheme = BUILDERS[name]()
+    state = schemes.propagate(scheme)
+    reports = schemes.run(scheme)
+
+    monkeypatch.setattr(schemes, "_apply_op", gemm_apply_op)
+    monkeypatch.setattr(qstate, "project_out", divide_project_out)
+    monkeypatch.setattr(verify.LocalCorrection, "apply", matrix_correction)
+    assert_bit_equal(state.amplitudes, schemes.propagate(scheme).amplitudes)
+    expected = schemes.run(scheme)
+
+    assert len(reports) == len(expected)
+    for got, want in zip(reports, expected):
+        assert got.detector_id == want.detector_id
+        assert got.probability == want.probability
+        assert got.fidelity_vs_target == want.fidelity_vs_target
+        for a, b in ((got.post_state, want.post_state), (got.corrected_state, want.corrected_state)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert_bit_equal(a.amplitudes, b.amplitudes)
+
+
+def test_slab_cycles_accept_signed_permutations_only():
+    cycles = qstate._slab_cycles
+    assert cycles(np.eye(3)) == ()
+    assert cycles(np.diag([1.0, -1.0])) == (((1, 1, True),),)
+    # out_0 = in_1, out_1 = -in_2, out_2 = in_0: one 3-cycle
+    three = np.array([[0, 1, 0], [0, 0, -1], [1, 0, 0]], dtype=complex)
+    assert cycles(three) == (((0, 1, False), (1, 2, True), (2, 0, False)),)
+    assert cycles(np.array([[0, 1j], [1, 0]])) is None  # a phase that is not a sign
+    assert cycles(np.array([[1, 1], [1, -1]]) / np.sqrt(2)) is None
+    assert cycles(np.array([[-1 + 1e-16j]])) is None
+    assert cycles(np.array([[np.nan]])) is None
+    assert cycles(np.array([[1, 0], [1, 0]])) is None  # two rows read one column
+
+
+KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
+
+
+@st.composite
+def ops_on_registers(draw):
+    """A register with the path anywhere or absent, an op on it, and a state.
+
+    The op's block is a random signed permutation or a random unitary over
+    up to two ports of a path of dim 2-4 and up to two two-level targets.
+    """
+    n = draw(st.integers(1, 4))
+    subs = [Subsystem(f"s{i}", draw(st.sampled_from(KINDS))) for i in range(n)]
+    ports = None
+    if draw(st.booleans()):
+        dpath = draw(st.integers(2, 4))
+        subs.insert(draw(st.integers(0, n)), Subsystem(schemes.PATH, KIND_PATH, dpath))
+        count = draw(st.integers(0, 2))
+        if count:
+            ports = tuple(draw(st.permutations(range(dpath)))[:count])
+    labels = [s.label for s in subs if s.kind != KIND_PATH]
+    targets = tuple(draw(st.permutations(labels))[: draw(st.integers(0, min(2, len(labels))))])
+    joint = len(ports or (0,)) * 2 ** len(targets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(joint)))
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=joint, max_size=joint))
+        block = np.zeros((joint, joint), dtype=complex)
+        block[np.arange(joint), perm] = signs
+    else:
+        q, r = np.linalg.qr(rng.normal(size=(joint,) * 2) + 1j * rng.normal(size=(joint,) * 2))
+        block = q * (np.diag(r) / np.abs(np.diag(r)))
+    register = Register(subs)
+    psi = rng.normal(size=register.dims) + 1j * rng.normal(size=register.dims)
+    psi[rng.random(register.dims) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(-0.0, -0.0))))
+    return register, schemes._Op(targets, qstate._Block(block), ports), psi
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops_on_registers())
+def test_apply_op_matches_the_gemm_route(case):
+    register, op, psi = case
+    got, want = psi.copy(), psi.copy()
+    schemes._apply_op(got, register.position, op)
+    gemm_apply_op(want, register.position, op)
+    if op.block.cycles is not None:
+        assert np.array_equal(got, want)
+        assert not np.signbit(got[(got == 0) & (psi != 0)].view(np.float64)).any()
+    else:
+        assert np.abs(got - want).max() < 1e-14
+
+
+def test_three_cycle_over_two_ports_and_a_qubit():
+    register = Register([Subsystem("q", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
+    psi = np.arange(1, 7, dtype=complex).reshape(2, 3)  # (q, path)
+    # joint basis (port, q) over ports (2, 0): |2,L> takes |2,R>, |2,R> takes -|0,L>,
+    # and |0,L> takes |2,L>; port 0 with q = R is a fixed point
+    block = np.eye(4, dtype=complex)
+    block[:3, :3] = [[0, 1, 0], [0, 0, -1], [1, 0, 0]]
+    got = psi.copy()
+    schemes._apply_op(got, register.position, schemes._Op(("q",), qstate._Block(block), (2, 0)))
+    want = psi.copy()
+    want[0, 2], want[1, 2], want[0, 0] = psi[1, 2], -psi[0, 0], psi[0, 2]
+    assert np.array_equal(got, want)

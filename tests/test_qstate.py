@@ -114,16 +114,26 @@ def test_register_equality_and_hash_follow_the_subsystems():
 
 
 @pytest.mark.parametrize("n", [62, 63, 64, 200])
-def test_register_total_dim_is_exact_and_allocates_nothing(n):
+def test_register_total_dim_is_exact_and_allocates_nothing(n, monkeypatch):
+    subs = [Subsystem(f"q{i}", KIND_FIELD) for i in range(n)]
     tracemalloc.start()
     try:
-        register = Register(Subsystem(f"q{i}", KIND_FIELD) for i in range(n))
+        with pytest.raises(ParameterError, match=rf"2\*\*{n}\.00 exceeds MAX_TOTAL_DIM"):
+            Register(subs)
+        monkeypatch.setattr(qstate, "MAX_TOTAL_DIM", 2**n)
+        register = Register(subs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert register.total_dim == 2**n
     assert register.dims == (2,) * n
     assert peak < 200_000
+
+
+def test_register_budget_names_a_dimension_too_long_to_print():
+    # 2**20000 has more digits than str() converts by default
+    with pytest.raises(ParameterError, match=r"2\*\*20000\.00 exceeds MAX_TOTAL_DIM"):
+        Register(Subsystem(f"q{i}", KIND_FIELD) for i in range(20_000))
 
 
 def test_product_state_places_single_amplitude():

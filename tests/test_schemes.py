@@ -1,5 +1,7 @@
 """Scheme builders, the measurement loop, meshes, and the retry walk."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,17 @@ def test_unitary_mesh_handles_random_unitaries(v, data):
     items = schemes._unitary_mesh(v, ports)
     assert all(isinstance(item, (el.BS, el.PhaseShifter)) for item in items)
     assert np.abs(mesh_matrix(items, len(v))[np.ix_(ports, ports)] - v).max() < 1e-10
+
+
+def test_unitary_mesh_of_a_near_swap_propagates():
+    # |w01|**2 rounds to 1.0 here although |w00| = 1e-10 is far above 1e-12
+    t = np.pi / 2 - 1e-10
+    v = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    items = schemes._unitary_mesh(v, (0, 1))
+    assert np.abs(mesh_matrix(items, 2) - v).max() < 1e-8
+    scheme = dataclasses.replace(bare_photon_scheme(np.eye(8)[0], ports=()), elements=tuple(items))
+    after = schemes.propagate(scheme).amplitudes.reshape(2, 2, 2)  # (atom1, path, pol)
+    assert np.abs(after[0, :, 0] - v[:, 0]).max() < 1e-8
 
 
 # ---------------------------------------------------------------- cluster
@@ -563,6 +576,23 @@ def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
     RetryWalkParams(p_flip=0.5, n_cavities=3)
     with pytest.raises(ParameterError, match="MAX_WALK_CAVITIES"):
         RetryWalkParams(p_flip=0.5, n_cavities=4)
+    monkeypatch.setattr(schemes, "MAX_WALK_STEPS", 5)
+    RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=5)
+    with pytest.raises(ParameterError, match="MAX_WALK_STEPS"):
+        RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
+
+
+def test_builders_refuse_an_oversized_register_before_their_tables(monkeypatch):
+    monkeypatch.setattr(qstate, "MAX_TOTAL_DIM", 2**15)
+    build_field_graph("linear", 8)  # 15 subsystems
+    built = []
+    monkeypatch.setattr(schemes, "LocalCorrection", lambda *a: built.append(a))
+    monkeypatch.setattr(schemes, "_hadamard_mesh", lambda *a: built.append(a))
+    with pytest.raises(ParameterError, match="MAX_TOTAL_DIM"):
+        build_field_graph("ring", 8)  # 16 subsystems
+    with pytest.raises(ParameterError, match="MAX_TOTAL_DIM"):
+        build_w_pow2(16)  # a W target over 16 atoms
+    assert built == []
 
 
 def test_retry_walk_mc_tracks_analytic():
