@@ -97,9 +97,9 @@ def _dump_amplitudes(amps: np.ndarray, indent: int, out: list[str]) -> None:
     """Append the text :func:`dump_json` gives ``amps``'s ``[re, im]`` pairs to ``out``.
 
     Records are compared as 16-byte bit patterns, so -0.0 stays apart from
-    0.0.  A run of k equal consecutive records is appended as one string
-    repeated k times; only the first record of each run is sorted, to
-    render each distinct record once.
+    0.0.  Only the first record of each run of equal records is sorted, to
+    render each distinct record once, and every record is appended as a
+    reference to its string, so ``out`` holds 8 bytes per record, not its text.
     """
     if amps.size == 0:
         out.append("[]")
@@ -123,7 +123,7 @@ def _dump_amplitudes(amps: np.ndarray, indent: int, out: list[str]) -> None:
     ]
     runs[0] -= 1
     out.append("[\n" + texts[inverse[0]][2:])
-    out.extend(texts[j] * k for j, k in zip(inverse.tolist(), runs.tolist()))
+    out.extend(np.array(texts, dtype=object)[np.repeat(inverse, runs)].tolist())
     out.append(f"\n{'  ' * indent}]")
 
 
@@ -247,6 +247,9 @@ def cmd_retry_walk(args) -> int:
     params = schemes.RetryWalkParams(
         p_flip=args.p, n_cavities=args.n, max_steps=args.max_steps
     )
+    mc = None  # run first, so its budgets refuse before the exact walk's loop
+    if args.mc_trajectories is not None:
+        mc = schemes.retry_walk_mc(params, args.mc_trajectories, args.seed)
     result = schemes.retry_walk(params)
     payload = {
         "p_flip": params.p_flip,
@@ -259,9 +262,7 @@ def cmd_retry_walk(args) -> int:
     if args.mc_trajectories is not None:
         payload["mc_trajectories"] = args.mc_trajectories
         payload["seed"] = args.seed
-        payload["mc_success_prob"] = schemes.retry_walk_mc(
-            params, args.mc_trajectories, args.seed
-        )
+        payload["mc_success_prob"] = mc
     _emit(args.out, dump_json(payload), "\n")
     return 0
 

@@ -184,17 +184,12 @@ def _input_samples(
     half_times = grid.t_start + 0.5 * grid.step * np.arange(2 * n + 1)
     if waveform is None:
         return gaussian_input(params.tau)(half_times)
-    if callable(waveform):
-        samples = np.asarray(waveform(half_times))
-    else:
-        samples = np.asarray(waveform)
-        if samples.shape != (2 * n + 1,):
-            raise ShapeError(
-                f"sampled waveform needs {2 * n + 1} half-step samples "
-                f"(grid has {n} steps), got shape {samples.shape}"
-            )
+    samples = np.asarray(waveform(half_times) if callable(waveform) else waveform)
     if samples.shape != (2 * n + 1,):
-        raise ShapeError(f"waveform callable returned shape {samples.shape}")
+        raise ShapeError(
+            f"waveform needs {2 * n + 1} half-step samples "
+            f"(grid has {n} steps), got shape {samples.shape}"
+        )
     if not np.isfinite(samples).all():
         raise ParameterError("waveform samples must be finite (got NaN or inf)")
     return samples
@@ -414,8 +409,9 @@ def flip_probability_sweep(
     the next g.  Time is measured in units of 1/kappa (kappa = 1).  An
     explicit ``step`` overrides the default step of every point; the
     default window is always used.  Sweeps over ``MAX_SWEEP_POINTS``
-    points are refused before any grid is built, and every point's grid is
-    checked against ``MAX_STEPS`` before the first point is integrated.
+    points are refused before any grid is built, and every point's
+    parameters and grid (``PulseParams``, ``TimeGrid`` and ``MAX_STEPS``)
+    are checked before the first point is integrated.
     """
     gs = [float(g) for g in g_over_kappa]
     taus = [float(t) for t in kappa_tau]
@@ -426,14 +422,9 @@ def flip_probability_sweep(
             f"sweep of {len(gs)} x {len(taus)} points exceeds "
             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
         )
-    for g in gs:
+    for g in gs:  # PulseParams accepts g = 0, a sweep does not
         if not (math.isfinite(g) and g > 0):
             raise ParameterError(f"g values must be positive, got {g}")
-    for t in taus:
-        if not (math.isfinite(t) and t > 0):
-            raise ParameterError(f"tau values must be positive, got {t}")
-    if step is not None and not (math.isfinite(step) and step > 0):
-        raise ParameterError(f"step must be positive, got {step}")
 
     points = []
     for g in gs:

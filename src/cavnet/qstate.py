@@ -22,9 +22,13 @@ or -1 per row) moves slabs instead of multiplying: the resonant pi,
 cavity-atom, dispersive, polarization-rotator, PBS, reroute and external
 pi blocks, and the ``X`` and ``Z`` corrections.  Splitters, phase
 shifters, the Ramsey zone, the half-pi block and phase corrections are
-matrix products.  Zero-sign rule: a slab move writes ``src + 0.0`` or
-``0.0 - src``, so every zero it writes is ``+0.0``, as the matrix product
-gives on every scheme; a ``+1`` fixed point is left as it is.  Norm is
+matrix products.  Blocks are checked here only: ``_Block`` refuses a
+matrix that is not unitary to its caller's tolerance (1e-12 for elements,
+1e-9 for corrections and :func:`apply_unitary`), ``_apply_block`` one whose
+size is not the joint dimension of its axes.  Zero-sign rule: a slab move
+writes ``src + 0.0`` or ``0.0 - src``, so every zero it writes is ``+0.0``,
+as the matrix product gives on every scheme; a ``+1`` fixed point is left
+as it is.  Norm is
 checked to 1e-9 whenever a ``PureState`` is made and never silently
 renormalized; global phase is likewise never stripped.
 """
@@ -333,13 +337,23 @@ def _slab_cycles(matrix: np.ndarray) -> tuple[tuple[tuple[int, int, bool], ...],
 
 
 class _Block:
-    """A unitary matrix, with its signed-permutation structure found once, here."""
+    """A unitary matrix, checked and its signed-permutation structure found once, here.
+
+    ``matrix`` is a read-only complex copy, refused unless unitary to ``atol`` (NaN is not).
+    """
 
     __slots__ = ("matrix", "cycles")
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-        self.cycles = _slab_cycles(matrix)
+    def __init__(self, matrix, atol: float) -> None:
+        block = np.array(matrix, dtype=complex)
+        defect = np.abs(block.conj().T @ block - np.eye(len(block))).max()
+        if not defect <= atol:
+            raise ContractViolationError(
+                f"matrix is not unitary (max defect {defect:.3e} > {atol:g})"
+            )
+        block.setflags(write=False)
+        self.matrix = block
+        self.cycles = _slab_cycles(block)
 
 
 def _slab(view: np.ndarray, axes: list[int], joint: int) -> np.ndarray:
@@ -357,8 +371,14 @@ def _apply_block(view: np.ndarray, axes: list[int], block: _Block) -> None:
     of ``axes``, each cycle saves one slab in a temporary, a +1 move writes
     ``src + 0.0`` and a -1 move ``0.0 - src``, and a +1 fixed point is not
     touched.  Every zero a move writes is therefore ``+0.0``.  Any other
-    block goes through :func:`_block_product`.
+    block goes through :func:`_block_product`.  A block whose size is not
+    the joint dimension of ``axes`` is refused.
     """
+    joint = math.prod(view.shape[a] for a in axes)
+    if len(block.matrix) != joint:
+        raise ShapeError(
+            f"block shape {block.matrix.shape} does not match joint target dim {joint}"
+        )
     if block.cycles is None:
         view[...] = _block_product(view, axes, block.matrix)
         return
@@ -392,13 +412,8 @@ def apply_unitary(
         raise ShapeError(
             f"matrix shape {matrix.shape} does not match joint target dim {joint}"
         )
-    defect = np.abs(matrix.conj().T @ matrix - np.eye(joint)).max()
-    if not defect <= UNITARY_ATOL:
-        raise ContractViolationError(
-            f"matrix is not unitary (max defect {defect:.3e} > 1e-9)"
-        )
-
-    out = _block_product(state.tensor_view(), positions, matrix).flatten()
+    block = _Block(matrix, UNITARY_ATOL)
+    out = _block_product(state.tensor_view(), positions, block.matrix).flatten()
     out.setflags(write=False)
     return PureState(register, out)
 

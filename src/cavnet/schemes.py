@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import elements as el
 from . import qstate, verify
 from .errors import (
-    ContractViolationError,
     DegenerateCouplingError,
+    GraphError,
     InvalidConfigurationError,
     LossyWiringError,
     ParameterError,
@@ -71,6 +71,9 @@ MAX_WALK_CAVITIES = 1_000
 # loop over steps in Python, and one step of retry_walk at MAX_WALK_CAVITIES
 # takes about 0.3 ms, so this caps that loop near 30 s.
 MAX_WALK_STEPS = 100_000
+# Most walkers x max_steps retry_walk_mc accepts, 1M walkers for the default 10,000
+# steps: at ~12 ns per walker step (2-vCPU Xeon) this caps one call near 2 minutes.
+MAX_MC_WALKER_STEPS = 10**10
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,10 @@ class Scheme:
 
     ``initial_spec`` declares the starting product state as JSON entries and
     ``initial`` holds its amplitude factors for :func:`qstate.from_factors`.
-    The builders declare only the spec and derive ``initial`` from it; a
-    hand-wired scheme may set both fields freely.
+    A builder declares each subsystem once, as a ``(state, subsystem, ...)``
+    entry in register order, and derives ``register``, ``initial_spec`` and
+    ``initial`` from those entries; a hand-wired scheme may set all three
+    fields freely.
     """
 
     name: str
@@ -110,41 +115,27 @@ class OutcomeReport:
 # --------------------------------------------------------------------------
 # element application
 #
-# Every element kind resolves to an ``_Op``: a unitary ``block`` over the
-# joint basis of ``ports`` (interferometer arms) and ``targets`` (subsystem
-# labels), most significant first.  ``ports`` is None for a block that
-# ignores the path, one port for a block that acts only in that arm, and two
-# ports for a block that mixes two arms.  :func:`qstate._apply_block` rewrites
+# Every element kind resolves to an ``_Op``: a ``block`` over the joint basis
+# of ``ports`` (interferometer arms) and ``targets`` (subsystem labels), most
+# significant first, that ``qstate._Block`` has checked unitary to ``_ATOL``
+# (1e-12).  ``ports`` is None for a block that ignores the path, one port for
+# a block that acts only in that arm, and two ports for a block that mixes
+# two arms.  :func:`qstate._apply_block` rewrites
 # only the path slices an op names, in place on the buffer :func:`propagate`
 # owns; the fixed blocks below are signed permutations, except the Ramsey
 # zone and the half-pi block, so they move slabs.
 
 
-def _unitary_block(matrix) -> np.ndarray:
-    """Read-only complex copy of ``matrix``, refused unless unitary to 1e-12."""
-    block = np.array(matrix, dtype=complex)
-    defect = np.abs(block.conj().T @ block - np.eye(len(block))).max()
-    if not defect <= el.ELEMENT_UNITARY_ATOL:
-        raise ContractViolationError(
-            f"element matrix is not unitary (max defect {defect:.3e})"
-        )
-    block.setflags(write=False)
-    return block
-
-
-def _block(matrix) -> qstate._Block:
-    return qstate._Block(_unitary_block(matrix))
-
-
-_SWAP = _block([[0.0, 1.0], [1.0, 0.0]])
-_PBS = _block(el.pbs_unitary())
-_PR = _block(el.pr_unitary())
-_CAVITY_ATOM = _block(el.cavity_atom_block_unitary())
-_FIELD_PI = _block(el.field_pi_block_unitary())
-_FIELD_HALF_PI = _block(el.field_half_pi_block_unitary())
-_DISPERSIVE = _block(el.dispersive_block_unitary())
-_RAMSEY = _block(el.ramsey_unitary())
-_EXTERNAL_PI = _block(el.external_pi_unitary())
+_ATOL = el.ELEMENT_UNITARY_ATOL
+_SWAP = qstate._Block([[0.0, 1.0], [1.0, 0.0]], _ATOL)
+_PBS = qstate._Block(el.pbs_unitary(), _ATOL)
+_PR = qstate._Block(el.pr_unitary(), _ATOL)
+_CAVITY_ATOM = qstate._Block(el.cavity_atom_block_unitary(), _ATOL)
+_FIELD_PI = qstate._Block(el.field_pi_block_unitary(), _ATOL)
+_FIELD_HALF_PI = qstate._Block(el.field_half_pi_block_unitary(), _ATOL)
+_DISPERSIVE = qstate._Block(el.dispersive_block_unitary(), _ATOL)
+_RAMSEY = qstate._Block(el.ramsey_unitary(), _ATOL)
+_EXTERNAL_PI = qstate._Block(el.external_pi_unitary(), _ATOL)
 
 
 @dataclass(frozen=True)
@@ -159,8 +150,8 @@ def _arm(port: int | None) -> tuple[int, ...] | None:
 
 
 _RESOLVE = {
-    el.BS: lambda e: _Op((), _block(el.bs_unitary(e.reflectivity)), e.ports),
-    el.PhaseShifter: lambda e: _Op((), _block([[np.exp(1j * e.phase)]]), (e.port,)),
+    el.BS: lambda e: _Op((), qstate._Block(el.bs_unitary(e.reflectivity), _ATOL), e.ports),
+    el.PhaseShifter: lambda e: _Op((), qstate._Block([[np.exp(1j * e.phase)]], _ATOL), (e.port,)),
     el.Reroute: lambda e: _Op((), _SWAP, (e.src, e.dst)),
     el.PBS: lambda e: _Op((POL,), _PBS, e.ports),
     el.PR: lambda e: _Op((POL,), _PR, (e.port,)),
@@ -211,10 +202,6 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
     path = axis_of(PATH) if ports else None
     if len(set(axes + [path])) != len(axes) + 1:
         raise ParameterError(f"target labels must be distinct, got {list(op.targets)}")
-    joint = max(len(ports), 1) * int(np.prod([tensor.shape[a] for a in axes]))
-    shape = op.block.matrix.shape
-    if shape != (joint, joint):
-        raise ShapeError(f"block shape {shape} does not match joint target dim {joint}")
     view = tensor
     if ports:
         dpath = tensor.shape[path]
@@ -300,25 +287,35 @@ def _strip_flyer(state: PureState, label: str) -> PureState:
     return post
 
 
+def _outcome_combos(detectors: Iterable[el.Detector]) -> Iterator[tuple[str, tuple]]:
+    """Each detector outcome combination, in report order, with its id.
+
+    Detectors on the same subsystem are alternative outcomes; detectors on
+    different subsystems are measured jointly, so the combinations are the
+    Cartesian product across subsystems, the first subsystem's detectors
+    varying slowest.  Yields ``(id, detectors)``; the id joins the
+    detector ids with commas.
+    """
+    groups: dict[str, list[el.Detector]] = {}
+    for det in detectors:
+        groups.setdefault(det.subsystem, []).append(det)
+    for combo in itertools.product(*groups.values()):
+        yield ",".join(det.id for det in combo), combo
+
+
 def run(scheme: Scheme) -> list[OutcomeReport]:
     """Propagate, detect, correct, and score every outcome combination.
 
-    Detectors on the same subsystem are alternative outcomes; detectors on
-    different subsystems are measured jointly, so the report list is the
-    Cartesian product across subsystems.  Probabilities must account for
-    the whole state (sum to 1 within 1e-9).
+    One report per combination of :func:`_outcome_combos`, in its order.
+    Probabilities must account for the whole state (sum to 1 within 1e-9).
     """
     state = propagate(scheme)
     if not scheme.detectors:
         return []
 
-    groups: dict[str, list[el.Detector]] = {}
-    for det in scheme.detectors:
-        groups.setdefault(det.subsystem, []).append(det)
-
     reports: list[OutcomeReport] = []
     total = 0.0
-    for combo in itertools.product(*groups.values()):
+    for combo_id, combo in _outcome_combos(scheme.detectors):
         prob = 1.0
         st: PureState | None = state
         for det in combo:
@@ -331,7 +328,6 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
             for label in scheme.flying:
                 if label in st.register.labels:
                     st = _strip_flyer(st, label)
-        combo_id = ",".join(det.id for det in combo)
         correction = scheme.corrections.get(combo_id, LocalCorrection())
         corrected = correction.apply(st) if st is not None else None
         target = scheme.targets.get(combo_id)
@@ -375,6 +371,19 @@ def _spec_factor(register: Register, entry: dict) -> tuple[tuple[str, ...], np.n
         vec = np.zeros(sub.dim, dtype=complex)
         vec[sub.index_of(state)] = 1.0
     return labels, vec
+
+
+def _declare(entries: Iterable[tuple]) -> tuple[Register, tuple[dict, ...]]:
+    """Register and ``initial_spec`` of ``(state, subsystem, ...)`` entries in register order.
+
+    Each entry prepares its subsystems in ``state`` (see :func:`_spec_factor`).
+    """
+    entries = tuple(entries)
+    register = Register(sub for _, *subs in entries for sub in subs)
+    spec = tuple(
+        {"subsystems": [sub.label for sub in subs], "state": state} for state, *subs in entries
+    )
+    return register, spec
 
 
 def _scheme(
@@ -525,13 +534,10 @@ def _photon_scheme(
     The register is the L/R atoms, a path of ``dpath`` ports and the
     photon's polarization, which is the flying subsystem.
     """
-    n = len(pattern)
-    subs = [Subsystem(f"atom{i + 1}", KIND_ATOM_LR) for i in range(n)]
-    subs += [Subsystem(PATH, KIND_PATH, dpath), Subsystem(POL, KIND_POL)]
-    spec = [{"subsystems": [f"atom{i + 1}"], "state": s} for i, s in enumerate(pattern)]
-    spec += [{"subsystems": [PATH], "state": "0"}, {"subsystems": [POL], "state": "L"}]
+    entries = [(s, Subsystem(f"atom{i + 1}", KIND_ATOM_LR)) for i, s in enumerate(pattern)]
+    entries += [("0", Subsystem(PATH, KIND_PATH, dpath)), ("L", Subsystem(POL, KIND_POL))]
     return _scheme(
-        name, n, Register(subs), spec, items, detectors, corrections, targets, (POL,)
+        name, len(pattern), *_declare(entries), items, detectors, corrections, targets, (POL,)
     )
 
 
@@ -628,8 +634,8 @@ def build_w3_probabilistic() -> Scheme:
     mesh = _hadamard_mesh(range(4))
     cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(3)]
     items = [*mesh, *cavities, el.Reroute(3, 4), *mesh]
-    corrections = _hadamard_z_layers(4, 3)
-    targets = {"D5": None, **dict.fromkeys(corrections, verify.w_target(3))}
+    corrections = {**_hadamard_z_layers(4, 3), "D5": LocalCorrection()}
+    targets = {**dict.fromkeys(corrections, verify.w_target(3)), "D5": None}
     return _photon_scheme(
         "w3-prob", ["L"] * 3, 5, items, _port_detectors(5), corrections, targets
     )
@@ -713,12 +719,10 @@ def build_ghz_fields(n: int) -> Scheme:
     pattern, items, corrections, targets = _ghz_wiring(
         n, "field", ("1", "0"), lambda field, port: el.FieldPiBlock("atom", field, port)
     )
-    subs = [Subsystem(f"field{i + 1}", KIND_FIELD) for i in range(n)]
-    subs += [Subsystem(PATH, KIND_PATH, 2), Subsystem("atom", KIND_ATOM_GE)]
-    spec = [{"subsystems": [f"field{i + 1}"], "state": s} for i, s in enumerate(pattern)]
-    spec += [{"subsystems": [PATH], "state": "0"}, {"subsystems": ["atom"], "state": "g"}]
+    entries = [(s, Subsystem(f"field{i + 1}", KIND_FIELD)) for i, s in enumerate(pattern)]
+    entries += [("0", Subsystem(PATH, KIND_PATH, 2)), ("g", Subsystem("atom", KIND_ATOM_GE))]
     return _scheme(
-        "ghz-fields", n, Register(subs), spec, items, _port_detectors(2),
+        "ghz-fields", n, *_declare(entries), items, _port_detectors(2),
         corrections, targets, ("atom",),
     )
 
@@ -734,17 +738,10 @@ def build_field_cz_pair() -> Scheme:
     the two-qubit graph state after the recorded correction (Z on cavity 1
     for outcome e).
     """
-    register = Register(
-        (
-            Subsystem("field1", KIND_FIELD),
-            Subsystem("field2", KIND_FIELD),
-            Subsystem("atom", KIND_ATOM_GE),
-        )
-    )
-    spec = (
-        {"subsystems": ["field1"], "state": "1"},
-        {"subsystems": ["field2"], "state": "+"},
-        {"subsystems": ["atom"], "state": "g"},
+    entries = (
+        ("1", Subsystem("field1", KIND_FIELD)),
+        ("+", Subsystem("field2", KIND_FIELD)),
+        ("g", Subsystem("atom", KIND_ATOM_GE)),
     )
     items = (
         el.FieldHalfPiBlock("atom", "field1"),
@@ -755,21 +752,16 @@ def build_field_cz_pair() -> Scheme:
     detectors = (el.Detector("Dg", "atom", "g"), el.Detector("De", "atom", "e"))
     corrections = {"Dg": LocalCorrection(), "De": LocalCorrection((("field1", "Z"),))}
     targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(2), KIND_FIELD))
-    return _scheme("field-cz", 2, register, spec, items, detectors, corrections, targets)
+    return _scheme("field-cz", 2, *_declare(entries), items, detectors, corrections, targets)
 
 
-def _graph_for_kind(kind: str, n: int) -> Graph:
-    if kind == "star":
-        if n < 2:
-            raise ParameterError("star graph needs n >= 2")
-        return Graph.star(n)
-    if kind == "linear":
-        if n < 2:
-            raise ParameterError("linear graph needs n >= 2")
-        return Graph.path(n)
-    if kind == "ring":
-        return Graph.ring(n)
-    raise ParameterError(f"unknown graph kind {kind!r}")
+# (atom vertex, cavity vertex) passes of each named graph kind on n vertices;
+# the passes are the graph's edges.
+_GRAPH_PASSES = {
+    "star": lambda n: [(j, 0) for j in range(1, n)],
+    "linear": lambda n: [(j, j - 1) for j in range(1, n)],
+    "ring": lambda n: [(j, j - 1) for j in range(1, n)] + [(0, n - 1)],
+}
 
 
 def build_field_graph(
@@ -793,41 +785,31 @@ def build_field_graph(
     if graph is not None:
         if kind is not None or n is not None:
             raise ParameterError("pass either kind/n or an explicit graph, not both")
-        target_graph = graph
         n = graph.vertices
         scheme_name = "graph-custom"
+        passes = [(max(u, v), min(u, v)) for u, v in sorted(graph.edges)]
         paired = list(range(n))  # every vertex carries an atom
-        passes = [
-            (max(u, v), min(u, v)) for u, v in sorted(target_graph.edges)
-        ]
     else:
         if kind is None or n is None:
             raise ParameterError("need kind and n when no explicit graph is given")
-        target_graph = _graph_for_kind(kind, n)
+        if kind not in _GRAPH_PASSES:
+            raise ParameterError(f"unknown graph kind {kind!r}")
+        if kind == "ring" and n < 3:
+            raise GraphError("a ring needs at least 3 vertices")
+        if n < 2:
+            raise ParameterError(f"{kind} graph needs n >= 2")
         scheme_name = f"graph-{kind}"
-        if kind == "star":
-            paired = list(range(1, n))
-            passes = [(j, 0) for j in range(1, n)]
-        elif kind == "linear":
-            paired = list(range(1, n))
-            passes = [(j, j - 1) for j in range(1, n)]
-        else:  # ring
-            paired = list(range(n))
-            passes = [(j, j - 1) for j in range(1, n)] + [(0, n - 1)]
+        passes = _GRAPH_PASSES[kind](n)
+        paired = sorted({a for a, _ in passes})  # the vertices whose atom makes a pass
+        graph = Graph(n, passes)
 
-    subs: list[Subsystem] = []
-    spec: list[dict] = []
     paired_set = set(paired)
-    for v in range(n):
-        field_label = f"field{v + 1}"
-        subs.append(Subsystem(field_label, KIND_FIELD))
-        if v in paired_set:
-            atom_label = f"atom{v + 1}"
-            subs.append(Subsystem(atom_label, KIND_ATOM_GE))
-            spec.append({"subsystems": [field_label, atom_label], "state": "pair"})
-        else:
-            spec.append({"subsystems": [field_label], "state": "+"})
-    register = Register(subs)  # refuses an oversized register before the 2**k tables
+    register, spec = _declare(  # refuses an oversized register before the 2**k tables
+        ("pair", Subsystem(f"field{v + 1}", KIND_FIELD), Subsystem(f"atom{v + 1}", KIND_ATOM_GE))
+        if v in paired_set
+        else ("+", Subsystem(f"field{v + 1}", KIND_FIELD))
+        for v in range(n)
+    )
 
     items: list[el.Element] = [
         el.DispersiveBlock(f"atom{a + 1}", f"field{f + 1}") for a, f in passes
@@ -837,13 +819,13 @@ def build_field_graph(
         el.Detector(f"D{v + 1}{out}", f"atom{v + 1}", out) for v in paired for out in "ge"
     ]
 
-    corrections: dict[str, LocalCorrection] = {}
-    for combo in itertools.product("ge", repeat=len(paired)):
-        combo_id = ",".join(f"D{v + 1}{out}" for v, out in zip(paired, combo))
-        corrections[combo_id] = LocalCorrection(
-            tuple((f"field{v + 1}", "Z") for v, out in zip(paired, combo) if out == "e")
+    corrections = {
+        combo_id: LocalCorrection(
+            tuple((f"field{v + 1}", "Z") for v, det in zip(paired, combo) if det.outcome == "e")
         )
-    targets = dict.fromkeys(corrections, verify.graph_target(target_graph, KIND_FIELD))
+        for combo_id, combo in _outcome_combos(detectors)
+    }
+    targets = dict.fromkeys(corrections, verify.graph_target(graph, KIND_FIELD))
     return _scheme(scheme_name, n, register, spec, items, detectors, corrections, targets)
 
 
@@ -936,14 +918,20 @@ def retry_walk_mc(
 ) -> float:
     """Monte-Carlo estimate of ``success_prob`` over independent walkers.
 
-    More than ``MAX_MC_TRAJECTORIES`` walkers raise a parameter error
-    before any buffer is allocated.
+    More than ``MAX_MC_TRAJECTORIES`` walkers, or more than
+    ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps``, raise a
+    parameter error before any buffer is allocated.
     """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
     if trajectories > MAX_MC_TRAJECTORIES:
         raise ParameterError(
             f"{trajectories} trajectories exceed MAX_MC_TRAJECTORIES = {MAX_MC_TRAJECTORIES}"
+        )
+    if trajectories * params.max_steps > MAX_MC_WALKER_STEPS:
+        raise ParameterError(
+            f"{trajectories} trajectories x {params.max_steps} steps exceed "
+            f"MAX_MC_WALKER_STEPS = {MAX_MC_WALKER_STEPS}"
         )
     rng = np.random.default_rng(seed)
     n, p = params.n_cavities, params.p_flip

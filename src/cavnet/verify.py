@@ -34,7 +34,7 @@ from .qstate import (
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
-_PAULI = {"X": qstate._Block(_X), "Z": qstate._Block(_Z)}
+_PAULI = {op: qstate._Block(m, qstate.UNITARY_ATOL) for op, m in (("X", _X), ("Z", _Z))}
 _KIND_BY_LABEL = {
     "L": KIND_ATOM_LR,
     "R": KIND_ATOM_LR,
@@ -120,15 +120,11 @@ class LocalCorrection:
             if op in ("X", "Z"):
                 block = _PAULI[op]
             elif isinstance(op, tuple) and len(op) == 2 and op[0] == "phase":
-                block = qstate._Block(np.diag([1.0, np.exp(1j * float(op[1]))]))
+                phase = np.diag([1.0, np.exp(1j * float(op[1]))])
+                block = qstate._Block(phase, qstate.UNITARY_ATOL)
             else:
                 raise ParameterError(f"unknown correction op {op!r}")
             pos = register.position(label)
-            if register.dims[pos] != 2:
-                raise ShapeError(
-                    f"{op} correction needs a two-level subsystem, {label!r} has "
-                    f"dim {register.dims[pos]}"
-                )
             if flat is None:
                 flat = state.amplitudes + 0.0
             qstate._apply_block(flat.reshape(register.dims), [pos], block)

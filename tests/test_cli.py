@@ -206,6 +206,12 @@ def test_main_callable_in_process(capsys):
     [
         (schemes, "MAX_WALK_STEPS", 5, ["retry-walk", "--p", "1", "--n", "2", "--max-steps", "6"]),
         (qstate, "MAX_TOTAL_DIM", 2**5, ["run-scheme", "w", "--n", "4"]),  # dim 128
+        (
+            schemes,
+            "MAX_MC_WALKER_STEPS",
+            11,
+            ["retry-walk", "--p", "0.5", "--n", "2", "--max-steps", "6", "--mc-trajectories", "2"],
+        ),
     ],
 )
 def test_small_budgets_exit_two_without_traceback(owner, budget, value, argv, monkeypatch, capsys):
@@ -214,6 +220,20 @@ def test_small_budgets_exit_two_without_traceback(owner, budget, value, argv, mo
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and budget in captured.err
+
+
+def test_walker_step_budget_refuses_before_either_walk_runs(monkeypatch, capsys):
+    # 10M walkers x 100,000 steps pass both per-factor budgets but would run for hours
+    def refuse(*args):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(schemes, "retry_walk", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    argv = ["--p", "0.01", "--n", "1000", "--max-steps", "100000", "--mc-trajectories", "10000000"]
+    assert main(["retry-walk", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "MAX_MC_WALKER_STEPS" in captured.err
 
 
 def test_dump_json_formatting():
@@ -259,6 +279,14 @@ def test_dump_json_array_matches_pair_list(vec, indent):
     pairs = [[float(z.real), float(z.imag)] for z in vec]
     assert dump_json(vec, indent) == dump_json(pairs, indent)
     assert dump_json({"state": vec}, indent) == dump_json({"state": pairs}, indent)
+
+
+def test_a_run_of_equal_records_is_appended_as_references_to_one_string():
+    pieces = []
+    _dump_amplitudes(np.array([0.5j] + [0.0] * 999 + [0.25, 0.25]), 1, pieces)
+    assert len(pieces) == 1 + 999 + 2 + 1  # opening, the zero run, two 0.25 records, closing
+    assert len({id(piece) for piece in pieces[1:1000]}) == 1
+    assert pieces[1000] is pieces[1001] and pieces[1000] is not pieces[1]
 
 
 def reference_dump_json(value, indent=0):

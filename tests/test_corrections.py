@@ -1,6 +1,6 @@
 """``LocalCorrection.apply`` against the ``apply_unitary`` loop it replaced.
 
-``reference_apply`` is that loop: one full-state matrix product per
+``support.reference_apply`` is that loop: one full-state matrix product per
 non-identity op.  ``apply`` negates and swaps slabs for ``Z`` and ``X``
 instead, and multiplies phase ops into its one copy of the state.  The two
 agree in value on every input, and bit for bit, zero signs included, on
@@ -30,24 +30,12 @@ from cavnet.qstate import (
     PureState,
     Register,
     Subsystem,
-    apply_unitary,
     product_state,
 )
 from cavnet.verify import LocalCorrection
+from support import reference_apply
 
 TWO_LEVEL_KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
-
-
-PAULI = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
-
-
-def reference_apply(correction, state):
-    """Every non-identity op as one ``apply_unitary`` call, in order."""
-    for label, op in correction.ops:
-        if op != "I":
-            matrix = PAULI[op] if op in PAULI else np.diag([1.0, np.exp(1j * float(op[1]))])
-            state = apply_unitary(state, [label], np.asarray(matrix, dtype=complex))
-    return state
 
 
 def assert_bit_equal(a, b):

@@ -31,7 +31,7 @@ from cavnet.qstate import (
     Register,
     Subsystem,
 )
-from cavnet.schemes import Scheme
+from support import bare_scheme
 
 KINDS = {
     "a1": KIND_ATOM_LR,
@@ -43,21 +43,6 @@ KINDS = {
     "fly": KIND_ATOM_GE,
 }
 GUARD_EPS = 1e-12
-
-
-def bare_scheme(register, amplitudes, items, detectors=()):
-    return Scheme(
-        name="bare",
-        n=0,
-        register=register,
-        initial=((register.labels, amplitudes),),
-        initial_spec=(),
-        elements=tuple(items),
-        detectors=tuple(detectors),
-        corrections={},
-        targets={},
-        flying=(),
-    )
 
 
 def random_state(register, seed, empty=()):

@@ -300,6 +300,24 @@ def test_non_finite_waveform_samples_are_parameter_errors():
         integrate_pulse(params, grid=grid, waveform=lambda t: np.full(t.shape, -np.inf + 0j))
 
 
+@pytest.mark.parametrize(
+    "taus,step,message",
+    [
+        ([1.0, 2.0, -1.0], None, "tau must be positive"),
+        ([1.0, 2.0, float("inf")], None, "tau must be positive"),
+        ([1.0, 2.0], float("nan"), "step must be positive"),
+        ([1.0, 2.0], 0.0, "step must be positive"),
+    ],
+)
+def test_sweep_with_an_invalid_last_point_integrates_nothing(taus, step, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point was integrated")
+
+    monkeypatch.setattr(io, "integrate_pulse", refuse)
+    with pytest.raises(ParameterError, match=message):
+        flip_probability_sweep([1.0, 2.0], taus, step=step)
+
+
 def test_sweep_point_budget_rejects_before_any_grid(monkeypatch):
     monkeypatch.setattr(io, "MAX_SWEEP_POINTS", 3)
     grids = []

@@ -3,7 +3,7 @@
 ``gemm_apply_op`` applies every block as a matrix product: the path slices
 an op names are stacked, multiplied and written back one by one.
 ``divide_project_out`` takes the slab and divides it by ``sqrt(prob)``, and
-``matrix_correction`` applies each correction op through ``apply_unitary``.
+``support.reference_apply`` applies each correction op through ``apply_unitary``.
 With all three patched in, :func:`schemes.run` is the GEMM pipeline; it
 agrees bit for bit with the slab pipeline on every builder.  On random
 blocks and states the two kernels agree in value; a matrix product may
@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavnet import elements as el
 from cavnet import qstate, schemes, verify
+from cavnet.errors import ContractViolationError, ShapeError
 from cavnet.qstate import (
     KIND_ATOM_GE,
     KIND_ATOM_LR,
@@ -28,7 +30,8 @@ from cavnet.qstate import (
     Subsystem,
     apply_unitary,
 )
-from cavnet.verify import Graph
+from cavnet.verify import Graph, LocalCorrection
+from support import reference_apply
 
 
 def gemm_apply_op(tensor, axis_of, op):
@@ -59,15 +62,6 @@ def divide_project_out(state, target, outcome):
     amps = slab.reshape(-1) / np.sqrt(prob)
     amps.setflags(write=False)
     return prob, PureState(register.without(target), amps)
-
-
-def matrix_correction(correction, state):
-    paulis = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
-    for label, op in correction.ops:
-        if op != "I":
-            matrix = paulis[op] if op in paulis else np.diag([1.0, np.exp(1j * float(op[1]))])
-            state = apply_unitary(state, [label], np.asarray(matrix, dtype=complex))
-    return state
 
 
 def assert_bit_equal(a, b):
@@ -104,7 +98,7 @@ def test_run_matches_the_gemm_pipeline_bit_for_bit(name, monkeypatch):
 
     monkeypatch.setattr(schemes, "_apply_op", gemm_apply_op)
     monkeypatch.setattr(qstate, "project_out", divide_project_out)
-    monkeypatch.setattr(verify.LocalCorrection, "apply", matrix_correction)
+    monkeypatch.setattr(verify.LocalCorrection, "apply", reference_apply)
     assert_bit_equal(state.amplitudes, schemes.propagate(scheme).amplitudes)
     expected = schemes.run(scheme)
 
@@ -167,7 +161,8 @@ def ops_on_registers(draw):
     register = Register(subs)
     psi = rng.normal(size=register.dims) + 1j * rng.normal(size=register.dims)
     psi[rng.random(register.dims) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(-0.0, -0.0))))
-    return register, schemes._Op(targets, qstate._Block(block), ports), psi
+    op = schemes._Op(targets, qstate._Block(block, el.ELEMENT_UNITARY_ATOL), ports)
+    return register, op, psi
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +187,40 @@ def test_three_cycle_over_two_ports_and_a_qubit():
     block = np.eye(4, dtype=complex)
     block[:3, :3] = [[0, 1, 0], [0, 0, -1], [1, 0, 0]]
     got = psi.copy()
-    schemes._apply_op(got, register.position, schemes._Op(("q",), qstate._Block(block), (2, 0)))
+    op = schemes._Op(("q",), qstate._Block(block, el.ELEMENT_UNITARY_ATOL), (2, 0))
+    schemes._apply_op(got, register.position, op)
     want = psi.copy()
     want[0, 2], want[1, 2], want[0, 0] = psi[1, 2], -psi[0, 0], psi[0, 2]
     assert np.array_equal(got, want)
+
+
+# a 2x2 matrix whose unitarity defect is 1e-10: between the two tolerances
+NEAR_UNITARY = np.diag([1.0, np.sqrt(1.0 + 1e-10)])
+
+
+def test_block_tolerance_is_the_callers(monkeypatch):
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        qstate._Block(NEAR_UNITARY, el.ELEMENT_UNITARY_ATOL)
+    monkeypatch.setattr(el, "bs_unitary", lambda reflectivity: NEAR_UNITARY)
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        schemes.propagate(schemes.build_cluster_atoms(1))
+
+    state = PureState(Register([Subsystem("q", KIND_ATOM_LR)]), [1.0, 0.0])
+    assert np.array_equal(apply_unitary(state, ["q"], NEAR_UNITARY).amplitudes, [1.0, 0.0])
+    with pytest.raises(ContractViolationError, match="not unitary"):
+        apply_unitary(state, ["q"], np.diag([1.0, 1.0 + 1e-8]))
+
+
+def test_a_block_of_the_wrong_size_is_refused_by_the_kernel():
+    register = Register([Subsystem("q", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
+    psi = np.ones(register.dims, dtype=complex)
+    swap = qstate._Block([[0.0, 1.0], [1.0, 0.0]], el.ELEMENT_UNITARY_ATOL)
+    with pytest.raises(ShapeError, match="joint target dim 4"):  # two ports and q
+        schemes._apply_op(psi, register.position, schemes._Op(("q",), swap, (0, 1)))
+    with pytest.raises(ShapeError, match="joint target dim 3"):
+        schemes._apply_op(psi, register.position, schemes._Op(("path",), swap))
+    assert (psi == 1).all()
+    state = PureState(register, psi.reshape(-1) / np.sqrt(6))
+    for op in ("X", "Z", ("phase", 0.3)):
+        with pytest.raises(ShapeError, match="joint target dim 3"):
+            LocalCorrection((("path", op),)).apply(state)

@@ -12,6 +12,7 @@ from cavnet import qstate, schemes, verify
 from cavnet.errors import (
     ContractViolationError,
     DegenerateCouplingError,
+    GraphError,
     InvalidConfigurationError,
     LossyWiringError,
     ParameterError,
@@ -28,7 +29,6 @@ from cavnet.qstate import (
 )
 from cavnet.schemes import (
     RetryWalkParams,
-    Scheme,
     build_cluster_atoms,
     build_field_cz_pair,
     build_field_graph,
@@ -43,6 +43,7 @@ from cavnet.schemes import (
     run,
 )
 from cavnet.verify import Graph, fidelity, ghz_target, stabilizer_expectations, w_target
+from support import bare_scheme
 
 SQ2 = np.sqrt(0.5)
 
@@ -198,10 +199,13 @@ def test_fourier_tritter_mesh_decomposition():
 
 def test_unitary_block_refuses_non_unitary_and_nan():
     with pytest.raises(ContractViolationError):
-        schemes._unitary_block([[1.0, 0.0], [0.0, 2.0]])
+        qstate._Block([[1.0, 0.0], [0.0, 2.0]], el.ELEMENT_UNITARY_ATOL)
     with pytest.raises(ContractViolationError, match="not unitary"):
-        schemes._unitary_block([[np.nan, 0.0], [0.0, 1.0]])
-    assert not schemes._unitary_block([[0.0, 1.0], [1.0, 0.0]]).flags.writeable
+        qstate._Block([[np.nan, 0.0], [0.0, 1.0]], el.ELEMENT_UNITARY_ATOL)
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    block = qstate._Block(swap, el.ELEMENT_UNITARY_ATOL)
+    assert not block.matrix.flags.writeable
+    assert block.matrix.dtype == complex and np.array_equal(block.matrix, swap)
 
 
 @st.composite
@@ -347,6 +351,67 @@ def test_field_graph_all_outcomes_reach_graph_state():
             assert fidelity(rep.corrected_state, tgt) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kind,family", [("star", Graph.star), ("linear", Graph.path), ("ring", Graph.ring)]
+)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_named_graph_targets_are_the_family_graph_states(kind, family, n):
+    want = verify.graph_target(family(n), KIND_FIELD).amplitudes
+    targets = build_field_graph(kind, n).targets.values()
+    assert targets and all(t.amplitudes.tobytes() == want.tobytes() for t in targets)
+
+
+@pytest.mark.parametrize(
+    "kind,n,error,message",
+    [
+        ("star", 1, ParameterError, "star graph needs n >= 2"),
+        ("linear", 1, ParameterError, "linear graph needs n >= 2"),
+        ("linear", 0, ParameterError, "linear graph needs n >= 2"),
+        ("ring", 2, GraphError, "a ring needs at least 3 vertices"),
+        ("ring", 1, GraphError, "a ring needs at least 3 vertices"),
+        ("square", 4, ParameterError, "unknown graph kind 'square'"),
+    ],
+)
+def test_named_graph_refusals_keep_their_types_and_messages(kind, n, error, message):
+    with pytest.raises(error) as info:
+        build_field_graph(kind, n)
+    assert type(info.value) is error and str(info.value) == message
+
+
+# one builder per run-scheme kind, and two explicit graphs (one with an isolated vertex)
+DECLARED = {
+    "ghz-atoms": lambda: build_ghz_atoms(4),
+    "w": lambda: build_w_pow2(4),
+    "w3-prob": build_w3_probabilistic,
+    "w3-det": build_w3_deterministic,
+    "cluster": lambda: build_cluster_atoms(3),
+    "ghz-fields": lambda: build_ghz_fields(4),
+    "field-cz": build_field_cz_pair,
+    "graph-star": lambda: build_field_graph("star", 4),
+    "graph-linear": lambda: build_field_graph("linear", 4),
+    "graph-ring": lambda: build_field_graph("ring", 4),
+    "graph-triangle": lambda: build_field_graph(graph=Graph(3, [(0, 1), (1, 2), (0, 2)])),
+    "graph-isolated": lambda: build_field_graph(graph=Graph(4, [(2, 0), (1, 2)])),
+}
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_run_reports_exactly_the_declared_outcome_ids(name):
+    scheme = DECLARED[name]()
+    ids = [rep.detector_id for rep in run(scheme)]
+    assert ids == list(scheme.corrections) == list(scheme.targets)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_initial_spec_lists_the_register_in_order(name):
+    scheme = DECLARED[name]()
+    labels = [label for entry in scheme.initial_spec for label in entry["subsystems"]]
+    assert tuple(labels) == scheme.register.labels
+    assert [labels for labels, _ in scheme.initial] == [
+        tuple(entry["subsystems"]) for entry in scheme.initial_spec
+    ]
+
+
 def test_field_graph_combo_count_scales_with_edges():
     # star: only the leaves' atoms are measured jointly with the hub pass
     sch = build_field_graph(kind="ring", n=3)
@@ -358,18 +423,7 @@ def test_field_graph_combo_count_scales_with_edges():
 
 def test_run_without_detectors_returns_empty():
     reg = Register([Subsystem("atom1", KIND_ATOM_GE)])
-    sch = Scheme(
-        name="bare",
-        n=1,
-        register=reg,
-        initial=(( ("atom1",), np.array([1.0, 0.0]) ),),
-        initial_spec=(("atom1", "g"),),
-        elements=(),
-        detectors=(),
-        corrections={},
-        targets={},
-        flying=(),
-    )
+    sch = bare_scheme(reg, [1.0, 0.0], n=1, initial_spec=(("atom1", "g"),))
     assert run(sch) == []
 
 
@@ -382,18 +436,8 @@ def bare_photon_scheme(amplitudes, ports):
             Subsystem("pol", KIND_POL),
         ]
     )
-    return Scheme(
-        name="bare",
-        n=1,
-        register=reg,
-        initial=((reg.labels, np.asarray(amplitudes, dtype=complex)),),
-        initial_spec=(),
-        elements=(),
-        detectors=tuple(el.Detector(f"D{p + 1}", "path", p) for p in ports),
-        corrections={},
-        targets={},
-        flying=("pol",),
-    )
+    detectors = [el.Detector(f"D{p + 1}", "path", p) for p in ports]
+    return bare_scheme(reg, amplitudes, (), detectors, n=1, flying=("pol",))
 
 
 def test_run_rejects_flyer_entangled_at_detection():
@@ -453,17 +497,13 @@ def test_field_pi_block_rejects_double_excitation():
             Subsystem("atom", KIND_ATOM_GE),
         ]
     )
-    sch = Scheme(
+    sch = bare_scheme(  # |1, e>
+        reg,
+        np.kron([0.0, 1.0], [0.0, 1.0]),
+        [el.FieldPiBlock("atom", "field1")],
         name="bad",
         n=1,
-        register=reg,
-        initial=((("field1",), np.array([0.0, 1.0])), (("atom",), np.array([0.0, 1.0]))),
         initial_spec=(("field1", "1"), ("atom", "e")),
-        elements=(el.FieldPiBlock("atom", "field1"),),
-        detectors=(),
-        corrections={},
-        targets={},
-        flying=(),
     )
     with pytest.raises(InvalidConfigurationError):
         schemes.propagate(sch)
@@ -472,17 +512,8 @@ def test_field_pi_block_rejects_double_excitation():
 def test_reroute_rejects_occupied_destination():
     reg = Register([Subsystem("path", KIND_PATH, dim=2)])
     init = np.array([SQ2, SQ2])
-    sch = Scheme(
-        name="bad",
-        n=0,
-        register=reg,
-        initial=((("path",), init),),
-        initial_spec=(("path", "superposed"),),
-        elements=(el.Reroute(0, 1),),
-        detectors=(),
-        corrections={},
-        targets={},
-        flying=(),
+    sch = bare_scheme(
+        reg, init, [el.Reroute(0, 1)], name="bad", initial_spec=(("path", "superposed"),)
     )
     with pytest.raises(InvalidConfigurationError):
         schemes.propagate(sch)
@@ -580,6 +611,31 @@ def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
     RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=5)
     with pytest.raises(ParameterError, match="MAX_WALK_STEPS"):
         RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
+
+
+def test_mc_walker_steps_budget_bounds_walkers_times_steps(monkeypatch):
+    params = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
+    monkeypatch.setattr(schemes, "MAX_MC_WALKER_STEPS", 12)
+    assert 0.0 <= retry_walk_mc(params, 2, seed=1) <= 1.0
+
+    def refuse(*args):
+        raise AssertionError("walkers were set up")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ParameterError, match="MAX_MC_WALKER_STEPS = 12"):
+        retry_walk_mc(params, 3, seed=1)
+    # the walker budget keeps its own message: it is checked first
+    monkeypatch.setattr(schemes, "MAX_MC_TRAJECTORIES", 2)
+    with pytest.raises(ParameterError, match="exceed MAX_MC_TRAJECTORIES"):
+        retry_walk_mc(params, 3, seed=1)
+
+
+def test_mc_walker_steps_budget_admits_the_default_million_walkers(monkeypatch):
+    assert schemes.MAX_MC_WALKER_STEPS == 10**6 * RetryWalkParams(0.5, 1).max_steps
+    monkeypatch.setattr(np.random, "default_rng", None)  # a walk that starts fails at once
+    params = RetryWalkParams(p_flip=0.01, n_cavities=1000, max_steps=100_000)
+    with pytest.raises(ParameterError, match="MAX_MC_WALKER_STEPS"):
+        retry_walk_mc(params, 10_000_000, seed=1)
 
 
 def test_builders_refuse_an_oversized_register_before_their_tables(monkeypatch):
