@@ -125,14 +125,19 @@ class Register:
     """Ordered collection of subsystems defining the product basis.
 
     ``dims`` and ``total_dim`` are computed once, here; ``total_dim`` is an
-    exact Python integer, however many subsystems there are, and a register
-    over more than ``MAX_TOTAL_DIM`` basis states raises a parameter error.
+    exact Python integer, however many subsystems there are.  The dims are
+    multiplied in order and a register over more than ``MAX_TOTAL_DIM``
+    basis states raises a parameter error as soon as the running product
+    passes it.  A register is immutable, so :meth:`without` keeps each
+    register it returns and hands the same one back on the next call; that
+    cache takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     subsystems: tuple[Subsystem, ...]
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
     total_dim: int = field(init=False, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _dropped: dict[str, "Register"] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[Subsystem]):
         subs = tuple(subsystems)
@@ -144,16 +149,11 @@ class Register:
                 raise ParameterError(f"duplicate subsystem label {sub.label!r}")
             positions[sub.label] = i
         dims = tuple(sub.dim for sub in subs)
-        total_dim = math.prod(dims)
-        if total_dim > MAX_TOTAL_DIM:
-            raise ParameterError(  # as a power of 2: str() refuses ints over 4300 digits
-                f"register dimension 2**{math.log2(total_dim):.2f} exceeds "
-                f"MAX_TOTAL_DIM = {MAX_TOTAL_DIM}"
-            )
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "total_dim", total_dim)
+        object.__setattr__(self, "total_dim", _checked_total_dim(dims))
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_dropped", {})
 
     def __len__(self) -> int:
         return len(self.subsystems)
@@ -196,15 +196,54 @@ class Register:
         )
 
     def without(self, label: str) -> "Register":
-        """Register with one subsystem removed, order preserved."""
+        """Register with one subsystem removed, order preserved.
+
+        Built at the first call for ``label`` and kept on this register, so
+        every later call returns that same object.
+        """
+        try:
+            return self._dropped[label]
+        except KeyError:
+            pass
         pos = self.position(label)
-        remaining = self.subsystems[:pos] + self.subsystems[pos + 1 :]
-        return Register(remaining)
+        reduced = Register(self.subsystems[:pos] + self.subsystems[pos + 1 :])
+        self._dropped[label] = reduced
+        return reduced
+
+
+def _checked_total_dim(dims: Sequence[int]) -> int:
+    """Product of ``dims``, refused once the running product passes ``MAX_TOTAL_DIM``.
+
+    The refusal names the dimension as a power of 2, the sum of the dims'
+    log2: ``str()`` refuses ints over 4300 digits, and the product of a huge
+    register is never formed.
+    """
+    total = 1
+    for dim in dims:
+        total *= dim
+        if total > MAX_TOTAL_DIM:
+            raise ParameterError(
+                f"register dimension 2**{sum(map(math.log2, dims)):.2f} exceeds "
+                f"MAX_TOTAL_DIM = {MAX_TOTAL_DIM}"
+            )
+    return total
 
 
 def _norm(amps: np.ndarray) -> float:
     """Euclidean norm of a complex vector, as one ``vdot``."""
     return float(np.sqrt(np.vdot(amps, amps).real))
+
+
+def _mass(amps: np.ndarray) -> float:
+    """Sum of ``|a|**2`` over ``amps`` (any shape or strides), through one float temporary.
+
+    The same ufuncs in the same order as ``np.sum(np.abs(amps) ** 2)``
+    (numpy squares by multiplying), so the same bits.  ``*=`` squares an
+    array in place and also takes the scalar a 0-d slab gives.
+    """
+    mag = np.abs(amps)
+    mag *= mag
+    return float(mag.sum())
 
 
 @dataclass(frozen=True)
@@ -425,8 +464,7 @@ def projection_probability(
     pos = state.register.position(target)
     idx = state.register.subsystems[pos].index_of(outcome)
     tensor = state.amplitudes.reshape(state.register.dims)
-    slab = np.take(tensor, idx, axis=pos)
-    return float(np.sum(np.abs(slab) ** 2))
+    return _mass(tensor[(slice(None),) * pos + (idx,)])
 
 
 def project_out(
@@ -435,30 +473,34 @@ def project_out(
     """Project one subsystem onto a basis outcome and drop it from the register.
 
     Returns ``(probability, renormalized post state)``; the post state is
-    ``None`` when the probability is below 1e-12.
+    ``None`` when the probability is at or below ``PROJECT_EPS`` (1e-12).
 
-    The slab is taken straight into the array the post state adopts and
-    scaled there: its real and imaginary parts are multiplied by
-    ``1 / sqrt(prob)``.  That is what numpy's complex-by-real division
-    computes too, except that division turns some zeros to ``+0.0``.
+    The post register is ``register.without(target)``, which a register
+    builds once and then keeps, so a chain of projections that drops the
+    same subsystems in the same order builds no register after its first
+    pass.  The slab is taken straight into the array the post state adopts,
+    its probability summed by :func:`_mass`, and it is scaled there: its
+    real and imaginary parts are multiplied by ``1 / sqrt(prob)``.  That is
+    what numpy's complex-by-real division computes too, except that
+    division turns some zeros to ``+0.0``.
     """
     register = state.register
     if len(register) == 1:
         raise ParameterError("cannot drop the last subsystem of a register")
     pos = register.position(target)
     idx = register.subsystems[pos].index_of(outcome)
-    dims = register.dims[:pos] + register.dims[pos + 1 :]
-    amps = np.empty(math.prod(dims), dtype=complex)
+    post = register.without(target)
+    amps = np.empty(post.total_dim, dtype=complex)
     tensor = state.amplitudes.reshape(register.dims)
     # mode="clip" lets take write into ``out`` unbuffered; idx is already checked
-    np.take(tensor, idx, axis=pos, out=amps.reshape(dims), mode="clip")
-    prob = float(np.sum(np.abs(amps) ** 2))
+    np.take(tensor, idx, axis=pos, out=amps.reshape(post.dims), mode="clip")
+    prob = _mass(amps)
     if prob <= PROJECT_EPS:
         return prob, None
     parts = amps.view(np.float64)
-    parts *= 1.0 / np.sqrt(prob)
+    parts *= 1.0 / math.sqrt(prob)
     amps.setflags(write=False)
-    return prob, PureState(register.without(target), amps)
+    return prob, PureState(post, amps)
 
 
 def overlap(a: PureState, b: PureState) -> complex:

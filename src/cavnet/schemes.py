@@ -37,6 +37,7 @@ import numpy as np
 from . import elements as el
 from . import qstate, verify
 from .errors import (
+    ContractViolationError,
     DegenerateCouplingError,
     GraphError,
     InvalidConfigurationError,
@@ -169,7 +170,7 @@ def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: d
     slicer: list = [slice(None)] * tensor.ndim
     for label, outcome in assignments.items():
         slicer[axis_of(label)] = register.subsystem(label).index_of(outcome)
-    return float(np.sum(np.abs(tensor[tuple(slicer)]) ** 2))
+    return qstate._mass(tensor[tuple(slicer)])
 
 
 def _reroute_guard(tensor: np.ndarray, register: Register, axis_of, item: el.Reroute) -> None:
@@ -307,7 +308,10 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
     """Propagate, detect, correct, and score every outcome combination.
 
     One report per combination of :func:`_outcome_combos`, in its order.
-    Probabilities must account for the whole state (sum to 1 within 1e-9).
+    Every combination's id must be a key of ``scheme.corrections`` and of
+    ``scheme.targets`` (a ``None`` target reports no fidelity); a missing
+    one is a contract violation.  Probabilities must account for the whole
+    state (sum to 1 within 1e-9).
     """
     state = propagate(scheme)
     if not scheme.detectors:
@@ -328,9 +332,15 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
             for label in scheme.flying:
                 if label in st.register.labels:
                     st = _strip_flyer(st, label)
-        correction = scheme.corrections.get(combo_id, LocalCorrection())
+        try:
+            correction = scheme.corrections[combo_id]
+            target = scheme.targets[combo_id]
+        except KeyError:
+            raise ContractViolationError(
+                f"scheme {scheme.name!r} declares no correction and target for outcome "
+                f"{combo_id!r}"
+            ) from None
         corrected = correction.apply(st) if st is not None else None
-        target = scheme.targets.get(combo_id)
         fid = (
             verify.fidelity(corrected, target)
             if corrected is not None and target is not None
@@ -411,6 +421,16 @@ def _scheme(
         targets=targets,
         flying=flying,
     )
+
+
+def _refuse_oversized(qubits: int, *dims: int) -> None:
+    """Refuse a register of ``qubits`` two-level subsystems and ``dims`` before it is built.
+
+    Every builder that takes ``n`` calls this before it builds a subsystem
+    or a :class:`Graph`, so an oversized ``n`` costs nothing; the refusal
+    and its message are :class:`Register`'s own.
+    """
+    qstate._checked_total_dim((2,) * qubits + dims)
 
 
 def _port_detectors(ports: int) -> tuple[el.Detector, ...]:
@@ -594,6 +614,7 @@ def build_ghz_atoms(n: int) -> Scheme:
     """
     if n < 2 or n % 2:
         raise ParameterError(f"this scheme needs an even atom count >= 2, got {n}")
+    _refuse_oversized(n, 2, 2)  # the atoms, path and polarization
     pattern, items, corrections, targets = _ghz_wiring(
         n, "atom", ("L", "R"), el.CavityAtomBlock
     )
@@ -612,7 +633,8 @@ def build_w_pow2(n: int) -> Scheme:
     """
     if n < 2 or n & (n - 1):
         raise ParameterError(f"this scheme needs a power-of-two atom count, got {n}")
-    target = verify.w_target(n)  # refuses an oversized register before the n log n mesh
+    _refuse_oversized(n, n, 2)  # the atoms, path and polarization
+    target = verify.w_target(n)
     mesh = _hadamard_mesh(range(n))
     cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(n)]
     items = [*mesh, *cavities, *mesh]
@@ -689,6 +711,7 @@ def build_cluster_atoms(n: int) -> Scheme:
     """
     if n < 1:
         raise ParameterError(f"cluster chain needs n >= 1, got {n}")
+    _refuse_oversized(n, 2, 2)  # the atoms, path and polarization
     items: list[el.Element] = [el.BS(0.5, (0, 1))]
     for i in range(n):
         items.append(el.CavityAtomBlock(f"atom{i + 1}", port=1))
@@ -716,6 +739,7 @@ def build_ghz_fields(n: int) -> Scheme:
     """
     if n < 2 or n % 2:
         raise ParameterError(f"this scheme needs an even cavity count >= 2, got {n}")
+    _refuse_oversized(n, 2, 2)  # the fields, path and atom
     pattern, items, corrections, targets = _ghz_wiring(
         n, "field", ("1", "0"), lambda field, port: el.FieldPiBlock("atom", field, port)
     )
@@ -788,7 +812,7 @@ def build_field_graph(
         n = graph.vertices
         scheme_name = "graph-custom"
         passes = [(max(u, v), min(u, v)) for u, v in sorted(graph.edges)]
-        paired = list(range(n))  # every vertex carries an atom
+        paired = range(n)  # every vertex carries an atom
     else:
         if kind is None or n is None:
             raise ParameterError("need kind and n when no explicit graph is given")
@@ -801,10 +825,12 @@ def build_field_graph(
         scheme_name = f"graph-{kind}"
         passes = _GRAPH_PASSES[kind](n)
         paired = sorted({a for a, _ in passes})  # the vertices whose atom makes a pass
+    _refuse_oversized(n + len(paired))  # the fields and atoms
+    if graph is None:
         graph = Graph(n, passes)
 
     paired_set = set(paired)
-    register, spec = _declare(  # refuses an oversized register before the 2**k tables
+    register, spec = _declare(
         ("pair", Subsystem(f"field{v + 1}", KIND_FIELD), Subsystem(f"atom{v + 1}", KIND_ATOM_GE))
         if v in paired_set
         else ("+", Subsystem(f"field{v + 1}", KIND_FIELD))
@@ -937,7 +963,8 @@ def retry_walk_mc(
     n, p = params.n_cavities, params.p_flip
     # The live walkers are the prefix pos[:live], kept in their original order,
     # so the k-th uniform draw of a step always goes to the same walker.
-    pos = np.ones(trajectories, dtype=np.int64)
+    # Positions stay within 0 .. MAX_WALK_CAVITIES + 1, so int16 holds them.
+    pos = np.ones(trajectories, dtype=np.int16)
     draws = np.empty(trajectories)
     step = np.empty(trajectories, dtype=np.int8)
     keep = np.empty(trajectories, dtype=bool)

@@ -2,14 +2,18 @@
 
 ``reference_apply`` is the correction oracle: every non-identity op of a
 :class:`LocalCorrection` as one full-state ``apply_unitary`` product, in
-order.  ``bare_scheme`` wires a :class:`Scheme` by hand from a register and
-its amplitudes, with no corrections or targets unless given.
+order.  ``reference_project_out`` is the projection oracle: the slab taken
+with ``np.take``, its probability as ``np.sum(np.abs(slab) ** 2)``, and a
+post register built fresh.  ``bare_scheme`` wires a :class:`Scheme` by
+hand from a register and its amplitudes, declaring the identity correction
+and no target for every outcome id unless given others.
 """
 
 import numpy as np
 
-from cavnet.qstate import apply_unitary
-from cavnet.schemes import Scheme
+from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
+from cavnet.schemes import Scheme, _outcome_combos
+from cavnet.verify import LocalCorrection
 
 PAULI = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
 
@@ -23,18 +27,49 @@ def reference_apply(correction, state):
     return state
 
 
+def reference_project_out(state, target, outcome):
+    """``(probability, post state)`` of projecting ``target`` onto ``outcome``.
+
+    The post amplitudes are the slab with its real and imaginary parts
+    multiplied by ``1 / sqrt(prob)``; the post state is None at or below
+    ``PROJECT_EPS``.
+    """
+    register = state.register
+    pos = register.position(target)
+    idx = register.subsystems[pos].index_of(outcome)
+    slab = np.take(state.amplitudes.reshape(register.dims), idx, axis=pos).reshape(-1)
+    prob = float(np.sum(np.abs(slab) ** 2))
+    if prob <= PROJECT_EPS:
+        return prob, None
+    parts = slab.view(np.float64)
+    parts *= 1.0 / np.sqrt(prob)
+    slab.setflags(write=False)
+    remaining = register.subsystems[:pos] + register.subsystems[pos + 1 :]
+    return prob, PureState(Register(remaining), slab)
+
+
 def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):
     """A hand-wired scheme whose initial state is ``amplitudes`` over the whole register.
 
-    It has no corrections, targets or flying subsystems; any other
-    :class:`Scheme` field may be given by keyword.
+    Every outcome id of its detectors gets the identity correction and a
+    ``None`` target, and it has no flying subsystems; any :class:`Scheme`
+    field may be given by keyword instead.
     """
-    values = dict(name="bare", n=0, initial_spec=(), corrections={}, targets={}, flying=())
+    detectors = tuple(detectors)
+    ids = [combo_id for combo_id, _ in _outcome_combos(detectors)]
+    values = dict(
+        name="bare",
+        n=0,
+        initial_spec=(),
+        corrections=dict.fromkeys(ids, LocalCorrection()),
+        targets=dict.fromkeys(ids),
+        flying=(),
+    )
     values.update(fields)
     return Scheme(
         register=register,
         initial=((register.labels, np.asarray(amplitudes, dtype=complex)),),
         elements=tuple(items),
-        detectors=tuple(detectors),
+        detectors=detectors,
         **values,
     )

@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavnet import iomodel, qstate, schemes
+from cavnet import iomodel, qstate, schemes, verify
 from cavnet.cli import SCHEME_NAMES, _dump_amplitudes, _parse_tau_range, dump_json, main
 from cavnet.errors import ParameterError
 
@@ -220,6 +221,54 @@ def test_small_budgets_exit_two_without_traceback(owner, budget, value, argv, mo
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and budget in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghz-atoms", "--n", "100000"],
+        ["w", "--n", "1024"],
+        ["cluster", "--n", "100000"],
+        ["ghz-fields", "--n", "100000"],
+        ["graph", "--kind", "ring", "--n", "100000"],
+        ["graph", "--kind", "star", "--n", "100000"],
+        ["graph", "--kind", "linear", "--n", "100000"],
+        ["graph", "--graph", "{graph}"],
+    ],
+)
+def test_oversized_n_is_refused_before_any_subsystem_or_graph(argv, tmp_path, monkeypatch, capsys):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text('{"vertices": 100000, "edges": [[0, 1]]}')
+    argv = [arg.format(graph=graph_file) for arg in argv]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subsystem or graph was built")
+
+    refuse.path = refuse
+    for owner in (schemes, verify):
+        monkeypatch.setattr(owner, "Subsystem", refuse)
+        monkeypatch.setattr(owner, "Graph", refuse)
+    assert main(["run-scheme", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: register dimension 2**")
+    assert "exceeds MAX_TOTAL_DIM" in captured.err
+
+
+def test_an_undeclared_outcome_id_exits_three(monkeypatch, capsys):
+    real = schemes.build_field_cz_pair
+
+    def renamed():
+        scheme = real()
+        return dataclasses.replace(scheme, targets={"Dg": None, "dE": None})
+
+    monkeypatch.setattr(schemes, "build_field_cz_pair", renamed)
+    assert main(["run-scheme", "field-cz"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: scheme 'field-cz' declares no correction and target for outcome 'De'\n"
+    )
 
 
 def test_walker_step_budget_refuses_before_either_walk_runs(monkeypatch, capsys):

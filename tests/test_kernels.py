@@ -2,13 +2,16 @@
 
 ``gemm_apply_op`` applies every block as a matrix product: the path slices
 an op names are stacked, multiplied and written back one by one.
-``divide_project_out`` takes the slab and divides it by ``sqrt(prob)``, and
-``support.reference_apply`` applies each correction op through ``apply_unitary``.
-With all three patched in, :func:`schemes.run` is the GEMM pipeline; it
-agrees bit for bit with the slab pipeline on every builder.  On random
-blocks and states the two kernels agree in value; a matrix product may
-give a zero the other sign, and a dense block may round differently when
-its ports are gathered into a copy first.
+``support.reference_project_out`` takes the slab with ``np.take``, sums its
+probability as ``np.sum(np.abs(slab) ** 2)`` and builds the post register
+fresh, and ``support.reference_apply`` applies each correction op through
+``apply_unitary``.  With all three patched in, :func:`schemes.run` is the
+GEMM pipeline; it agrees bit for bit with the slab pipeline on every
+builder, and the projection agrees bit for bit with its oracle on random
+registers and amplitudes.  On random blocks and states the two kernels
+agree in value; a matrix product may give a zero the other sign, and a
+dense block may round differently when its ports are gathered into a copy
+first.
 """
 
 import numpy as np
@@ -31,7 +34,7 @@ from cavnet.qstate import (
     apply_unitary,
 )
 from cavnet.verify import Graph, LocalCorrection
-from support import reference_apply
+from support import reference_apply, reference_project_out
 
 
 def gemm_apply_op(tensor, axis_of, op):
@@ -49,19 +52,6 @@ def gemm_apply_op(tensor, axis_of, op):
     mixed = qstate._block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block.matrix)
     for view, new in zip(views, mixed):
         view[...] = new
-
-
-def divide_project_out(state, target, outcome):
-    register = state.register
-    pos = register.position(target)
-    idx = register.subsystems[pos].index_of(outcome)
-    slab = np.take(state.amplitudes.reshape(register.dims), idx, axis=pos)
-    prob = float(np.sum(np.abs(slab) ** 2))
-    if prob <= qstate.PROJECT_EPS:
-        return prob, None
-    amps = slab.reshape(-1) / np.sqrt(prob)
-    amps.setflags(write=False)
-    return prob, PureState(register.without(target), amps)
 
 
 def assert_bit_equal(a, b):
@@ -97,7 +87,7 @@ def test_run_matches_the_gemm_pipeline_bit_for_bit(name, monkeypatch):
     reports = schemes.run(scheme)
 
     monkeypatch.setattr(schemes, "_apply_op", gemm_apply_op)
-    monkeypatch.setattr(qstate, "project_out", divide_project_out)
+    monkeypatch.setattr(qstate, "project_out", reference_project_out)
     monkeypatch.setattr(verify.LocalCorrection, "apply", reference_apply)
     assert_bit_equal(state.amplitudes, schemes.propagate(scheme).amplitudes)
     expected = schemes.run(scheme)
@@ -224,3 +214,57 @@ def test_a_block_of_the_wrong_size_is_refused_by_the_kernel():
     for op in ("X", "Z", ("phase", 0.3)):
         with pytest.raises(ShapeError, match="joint target dim 3"):
             LocalCorrection((("path", op),)).apply(state)
+
+
+# finite values a projection must carry bit for bit: signed zeros, subnormals, normals
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 0.5, -1.25)
+
+
+@st.composite
+def projections(draw):
+    """A register of 2-6 subsystems with a path, a state on it, a target and an outcome.
+
+    The amplitudes mix signed zeros, subnormals and normal values; the
+    target's outcome slab is scaled by a factor that may leave its mass at
+    or below ``PROJECT_EPS``.
+    """
+    n = draw(st.integers(2, 6))
+    subs = [Subsystem(f"s{i}", draw(st.sampled_from(KINDS))) for i in range(n - 1)]
+    path = Subsystem("path", KIND_PATH, draw(st.integers(2, 4)))
+    subs.insert(draw(st.integers(0, n - 1)), path)
+    register = Register(subs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=register.dims) + 1j * rng.normal(size=register.dims)
+    special = np.array(SPECIAL)
+    for part in (psi.real, psi.imag):
+        mask = rng.random(register.dims) < draw(st.sampled_from((0.0, 0.3, 0.9)))
+        part[mask] = special[rng.integers(len(special), size=int(mask.sum()))]
+    pos = draw(st.integers(0, n - 1))
+    idx = draw(st.integers(0, register.dims[pos] - 1))
+    slab = psi[(slice(None),) * pos + (idx,)]
+    slab *= draw(st.sampled_from((1.0, 1e-5, 1e-6, 1e-7, 0.0)))
+    norm = np.linalg.norm(psi)
+    if not norm:
+        psi.flat[0] = 1.0
+        norm = 1.0
+    state = PureState(register, (psi / norm).reshape(-1))
+    return state, register.labels[pos], register.subsystems[pos].basis_labels[idx]
+
+
+@settings(max_examples=400, deadline=None)
+@given(projections())
+def test_project_out_matches_the_oracle_bit_for_bit(case):
+    state, target, outcome = case
+    prob, post = qstate.project_out(state, target, outcome)
+    want_prob, want = reference_project_out(state, target, outcome)
+    assert prob.hex() == want_prob.hex()
+    assert qstate.projection_probability(state, target, outcome).hex() == want_prob.hex()
+    sector = schemes._sector_mass(
+        state.tensor_view(), state.register, state.register.position, {target: outcome}
+    )
+    assert sector.hex() == want_prob.hex()
+    if prob <= qstate.PROJECT_EPS:
+        assert post is None and want is None
+        return
+    assert post.register == want.register and post.register.dims == want.register.dims
+    assert_bit_equal(post.amplitudes, want.amplitudes)

@@ -113,6 +113,41 @@ def test_register_equality_and_hash_follow_the_subsystems():
     assert a != a.subsystems
 
 
+def test_register_without_returns_its_cached_register():
+    subs = [Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, 3), Subsystem("f", KIND_FIELD)]
+    reg = Register(subs)
+    fresh = Register(subs)
+    dropped = reg.without("p")
+    assert reg.without("p") is dropped
+    rebuilt = Register([subs[0], subs[2]])
+    assert dropped == rebuilt and hash(dropped) == hash(rebuilt)
+    assert dropped.dims == (2, 2) and dropped.total_dim == 4
+    # the cache takes no part in == or repr
+    assert reg == fresh and hash(reg) == hash(fresh) and repr(reg) == repr(fresh)
+    assert reg.without("a").without("f") is reg.without("a").without("f")
+    for _ in range(2):  # a miss caches nothing
+        with pytest.raises(InvalidLabelError):
+            reg.without("z")
+
+
+class MultiplyRefused(int):
+    """An int dim that fails if a running product multiplies it in."""
+
+    def __rmul__(self, other):
+        raise AssertionError("the budget check multiplied past the refusal")
+
+
+def test_register_refuses_once_the_running_product_passes_the_budget():
+    qubits = [Subsystem(f"q{i}", KIND_FIELD) for i in range(24)]  # 2**24 > MAX_TOTAL_DIM
+    late = Subsystem("p", KIND_PATH, MultiplyRefused(4))
+    with pytest.raises(ParameterError, match=r"2\*\*26\.00 exceeds MAX_TOTAL_DIM = 8388608"):
+        Register([*qubits, late])
+    # the power of 2 is the sum of the dims' log2
+    paths = [Subsystem(f"p{i}", KIND_PATH, 3) for i in range(15)]
+    with pytest.raises(ParameterError, match=rf"2\*\*{15 * np.log2(3):.2f} exceeds"):
+        Register(paths)
+
+
 @pytest.mark.parametrize("n", [62, 63, 64, 200])
 def test_register_total_dim_is_exact_and_allocates_nothing(n, monkeypatch):
     subs = [Subsystem(f"q{i}", KIND_FIELD) for i in range(n)]

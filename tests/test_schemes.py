@@ -412,6 +412,37 @@ def test_initial_spec_lists_the_register_in_order(name):
     ]
 
 
+def test_run_refuses_an_outcome_id_the_scheme_does_not_declare():
+    scheme = build_ghz_atoms(2)
+    renamed = dataclasses.replace(
+        scheme,
+        corrections={"d1": scheme.corrections["D1"], "d2": scheme.corrections["D2"]},
+        targets={"d1": scheme.targets["D1"], "d2": scheme.targets["D2"]},
+    )
+    with pytest.raises(ContractViolationError, match="'ghz-atoms' .* outcome 'D1'"):
+        run(renamed)
+
+
+def test_ring8_detection_builds_each_dropped_register_once(monkeypatch):
+    scheme = build_field_graph("ring", 8)
+    built, calls = [], []
+    init, project_out = Register.__init__, qstate.project_out
+
+    def counting_init(self, subsystems):
+        built.append(1)
+        init(self, subsystems)
+
+    def counting_project_out(*args):
+        calls.append(1)
+        return project_out(*args)
+
+    monkeypatch.setattr(Register, "__init__", counting_init)
+    monkeypatch.setattr(qstate, "project_out", counting_project_out)
+    reports = run(scheme)
+    assert len(reports) == 256 and len(calls) == 2_048
+    assert len(built) <= 9  # one register per detector group, not one per projection
+
+
 def test_field_graph_combo_count_scales_with_edges():
     # star: only the leaves' atoms are measured jointly with the hub pass
     sch = build_field_graph(kind="ring", n=3)
@@ -687,6 +718,19 @@ def reference_retry_walk_mc(params, trajectories, seed):
             absorbed += hits
             pos = pos[~done]
     return absorbed / trajectories
+
+
+def test_retry_walk_positions_fit_int16():
+    # a walker stays within 0 .. MAX_WALK_CAVITIES + 1
+    assert np.iinfo(np.int16).max > schemes.MAX_WALK_CAVITIES + 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_retry_walk_mc_matches_reference_at_the_cavity_cap(seed):
+    params = RetryWalkParams(p_flip=0.97, n_cavities=schemes.MAX_WALK_CAVITIES, max_steps=1_070)
+    got = retry_walk_mc(params, 2_000, seed)
+    assert 0.0 < got < 1.0  # walkers reach the last cavity and some are absorbed
+    assert got == reference_retry_walk_mc(params, 2_000, seed)
 
 
 @settings(max_examples=150, deadline=None)
