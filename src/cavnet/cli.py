@@ -147,9 +147,12 @@ def _emit(out_path: str | None, *parts: str) -> None:
     slices = (part[i : i + step] for part in parts for i in range(0, len(part), step))
     if out_path is None:
         sys.stdout.writelines(slices)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
             fh.writelines(slices)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -183,12 +186,18 @@ def _parse_tau_range(raw: str) -> list[float]:
 
 
 def _load_graph(path: str) -> Graph:
+    """The graph a JSON file ``{"vertices": int, "edges": [[u, v], ...]}`` describes.
+
+    The vertex count and every endpoint must be a JSON integer (``type``
+    ``int``, so not a bool): a float or anything else is refused, never
+    converted.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read graph file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ParameterError(f"graph file {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ParameterError(
@@ -196,14 +205,14 @@ def _load_graph(path: str) -> Graph:
         )
     vertices = obj["vertices"]
     edges = obj["edges"]
-    if not isinstance(vertices, int) or not isinstance(edges, list):
+    if type(vertices) is not int or not isinstance(edges, list):
         raise ParameterError("graph file fields have wrong types")
-    pairs = []
-    for entry in edges:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParameterError(f"edge entries must be [u, v] pairs, got {entry!r}")
-        pairs.append((int(entry[0]), int(entry[1])))
-    return Graph(vertices, pairs)
+    for i, entry in enumerate(edges):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)
+        ):
+            raise ParameterError(f"edge entries must be [u, v] integer pairs, entry {i} is not")
+    return Graph(vertices, map(tuple, edges))
 
 
 def _build_scheme(args) -> schemes.Scheme:

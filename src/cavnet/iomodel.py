@@ -45,7 +45,6 @@ from .errors import (
     ShapeError,
 )
 
-UNITARITY_BUDGET = 1e-6  # documented truncation + integration tolerance
 # Largest grid integrate_pulse accepts, more than 5x the largest grid in use
 # (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
 # An integration peaks at ~80 bytes per step (~140 with a complex drive), so
@@ -159,7 +158,8 @@ def default_grid(params: PulseParams) -> TimeGrid:
     coupling timescale matters once g exceeds kappa: at g = 5 kappa a step
     of min(tau, 1/kappa)/100 alone leaves ~1e-5 errors in P_flip).
     """
-    tail = max(10.0 / params.kappa, 10.0 / slowest_decay_rate(params))
+    rate = slowest_decay_rate(params)  # 0.0 once g^2 / kappa^2 is below ~1e-17
+    tail = max(10.0 / params.kappa, 10.0 / rate if rate > 0.0 else math.inf)
     scale = min(params.tau, 1.0 / params.kappa)
     gbar = math.sqrt(params.g_total_sq)
     if gbar > 0.0:

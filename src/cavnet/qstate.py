@@ -8,29 +8,23 @@ over the mixed-radix product basis with the *first* subsystem most
 significant, so ``index = (((d_0) * dim_1 + d_1) * dim_2 + ...)``.
 
 States are immutable: every public operation here returns a fresh
-``PureState`` and the underlying numpy buffers are write-protected.  Two
-mutable buffers exist, each private to one function.
-:func:`cavnet.schemes.propagate` copies the initial amplitudes once with
-the ``path`` axis moved to the front (so a path slice is one contiguous
-block), applies every element in place, and transposes the result back
-into a fresh register-order array that a ``PureState`` adopts without
-another copy.  :meth:`cavnet.verify.LocalCorrection.apply` applies all
-its ops, ``X``, ``Z`` and ``("phase", phi)`` alike, in place on one copy,
-frozen and adopted the same way.  Both apply their blocks through
-``_apply_block``.  A block that is a signed permutation (one entry of +1
-or -1 per row) moves slabs instead of multiplying: the resonant pi,
-cavity-atom, dispersive, polarization-rotator, PBS, reroute and external
-pi blocks, and the ``X`` and ``Z`` corrections.  Splitters, phase
-shifters, the Ramsey zone, the half-pi block and phase corrections are
-matrix products.  Blocks are checked here only: ``_Block`` refuses a
-matrix that is not unitary to its caller's tolerance (1e-12 for elements,
-1e-9 for corrections and :func:`apply_unitary`), ``_apply_block`` one whose
-size is not the joint dimension of its axes.  Zero-sign rule: a slab move
-writes ``src + 0.0`` or ``0.0 - src``, so every zero it writes is ``+0.0``,
-as the matrix product gives on every scheme; a ``+1`` fixed point is left
-as it is.  Norm is
-checked to 1e-9 whenever a ``PureState`` is made and never silently
-renormalized; global phase is likewise never stripped.
+``PureState`` and the underlying numpy buffers are write-protected.  A
+writable buffer is private to the function that fills it, which freezes it
+for a ``PureState`` to adopt without another copy.  Elements and
+corrections apply their blocks through ``_apply_block``.  A block that is
+a signed permutation (one entry of +1 or -1 per row) moves slabs instead
+of multiplying: the resonant pi, cavity-atom, dispersive,
+polarization-rotator, PBS, reroute and external pi blocks, and the ``X``
+and ``Z`` corrections.  Splitters, phase shifters, the Ramsey zone, the
+half-pi block and phase corrections are matrix products.  Blocks are
+checked here only: ``_Block`` refuses a matrix that is not unitary to its
+caller's tolerance (1e-12 for elements, 1e-9 for corrections and
+:func:`apply_unitary`), ``_apply_block`` one whose size is not the joint
+dimension of its axes.  Zero-sign rule: a slab move writes ``src + 0.0``
+or ``0.0 - src``, so every zero it writes is ``+0.0``, as the matrix
+product gives on every scheme; a ``+1`` fixed point is left as it is.
+Norm is checked to 1e-9 whenever a ``PureState`` is made and never
+silently renormalized; global phase is likewise never stripped.
 """
 
 from __future__ import annotations

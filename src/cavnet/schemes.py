@@ -43,7 +43,6 @@ from .errors import (
     InvalidConfigurationError,
     LossyWiringError,
     ParameterError,
-    ShapeError,
 )
 from .qstate import (
     KIND_ATOM_GE,
@@ -124,7 +123,9 @@ class OutcomeReport:
 # two arms.  :func:`qstate._apply_block` rewrites
 # only the path slices an op names, in place on the buffer :func:`propagate`
 # owns; the fixed blocks below are signed permutations, except the Ramsey
-# zone and the half-pi block, so they move slabs.
+# zone and the half-pi block, so they move slabs.  A kind in ``_GUARDS`` is
+# checked in :func:`propagate`'s one element loop just before it acts;
+# :func:`run` checks the outcome declarations before it propagates.
 
 
 _ATOL = el.ELEMENT_UNITARY_ATOL
@@ -173,27 +174,18 @@ def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: d
     return qstate._mass(tensor[tuple(slicer)])
 
 
-def _reroute_guard(tensor: np.ndarray, register: Register, axis_of, item: el.Reroute) -> None:
-    if _sector_mass(tensor, register, axis_of, {PATH: item.dst}) > 1e-12:
-        raise InvalidConfigurationError(
-            f"reroute target port {item.dst} is already occupied"
-        )
-
-
-def _double_excitation_guard(
-    tensor: np.ndarray, register: Register, axis_of, item: el.FieldPiBlock
-) -> None:
-    sector = {item.atom: "e", item.field: "1"}
-    if item.port is not None:
-        sector[PATH] = item.port
-    if _sector_mass(tensor, register, axis_of, sector) > el.DOUBLE_EXCITATION_EPS:
-        raise InvalidConfigurationError(
-            "resonant pi block reached with population in the doubly "
-            f"excited |e,1> sector of ({item.atom}, {item.field})"
-        )
-
-
-_GUARDS = {el.Reroute: _reroute_guard, el.FieldPiBlock: _double_excitation_guard}
+# kind -> (sector, limit, message): refused when the sector's mass exceeds the limit
+_GUARDS = {
+    el.Reroute: lambda e: (
+        {PATH: e.dst}, 1e-12, f"reroute target port {e.dst} is already occupied"
+    ),
+    el.FieldPiBlock: lambda e: (
+        {e.atom: "e", e.field: "1", **({} if e.port is None else {PATH: e.port})},
+        el.DOUBLE_EXCITATION_EPS,
+        "resonant pi block reached with population in the doubly "
+        f"excited |e,1> sector of ({e.atom}, {e.field})",
+    ),
+}
 
 
 def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
@@ -223,18 +215,6 @@ def _port_slice(ports: tuple[int, ...]) -> slice:
     return slice(p, stop if stop >= 0 else None, step)
 
 
-def _apply_element(tensor: np.ndarray, register: Register, axis_of, item: el.Element) -> None:
-    if isinstance(item, el.Detector):
-        return
-    resolve = _RESOLVE.get(type(item))
-    if resolve is None:
-        raise ParameterError(f"unknown element {item!r}")
-    guard = _GUARDS.get(type(item))
-    if guard is not None:
-        guard(tensor, register, axis_of, item)
-    _apply_op(tensor, axis_of, resolve(item))
-
-
 def initial_state(scheme: Scheme) -> PureState:
     return qstate.from_factors(scheme.register, scheme.initial)
 
@@ -247,7 +227,8 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     path slice an element touches is one contiguous block; a register
     without a path keeps its order.  At the end the buffer is transposed
     back into a fresh register-order array, which is frozen into a
-    :class:`PureState` (and its norm checked) once.
+    :class:`PureState` (and its norm checked) once.  Detectors are skipped,
+    and a ``_GUARDS`` kind is checked just before it acts.
     """
     register = scheme.register
     order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != PATH)
@@ -259,7 +240,17 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     tensor = initial_state(scheme).tensor_view().transpose(order).copy()
     items = scheme.elements if upto is None else scheme.elements[:upto]
     for item in items:
-        _apply_element(tensor, register, axis_of, item)
+        if isinstance(item, el.Detector):
+            continue
+        resolve = _RESOLVE.get(type(item))
+        if resolve is None:
+            raise ParameterError(f"unknown element {item!r}")
+        guard = _GUARDS.get(type(item))
+        if guard is not None:
+            sector, limit, message = guard(item)
+            if _sector_mass(tensor, register, axis_of, sector) > limit:
+                raise InvalidConfigurationError(message)
+        _apply_op(tensor, axis_of, resolve(item))
     amplitudes = tensor.transpose(axis).flatten()
     amplitudes.setflags(write=False)
     return PureState(register, amplitudes)
@@ -310,16 +301,24 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
     One report per combination of :func:`_outcome_combos`, in its order.
     Every combination's id must be a key of ``scheme.corrections`` and of
     ``scheme.targets`` (a ``None`` target reports no fidelity); a missing
-    one is a contract violation.  Probabilities must account for the whole
-    state (sum to 1 within 1e-9).
+    one is a contract violation, raised before anything is propagated, so
+    it comes first even when the wiring would fail too.  Probabilities
+    must account for the whole state (sum to 1 within 1e-9).
     """
+    combos = list(_outcome_combos(scheme.detectors)) if scheme.detectors else []
+    for combo_id, _ in combos:
+        if combo_id not in scheme.corrections or combo_id not in scheme.targets:
+            raise ContractViolationError(
+                f"scheme {scheme.name!r} declares no correction and target for outcome "
+                f"{combo_id!r}"
+            )
     state = propagate(scheme)
-    if not scheme.detectors:
+    if not combos:
         return []
 
     reports: list[OutcomeReport] = []
     total = 0.0
-    for combo_id, combo in _outcome_combos(scheme.detectors):
+    for combo_id, combo in combos:
         prob = 1.0
         st: PureState | None = state
         for det in combo:
@@ -332,14 +331,8 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
             for label in scheme.flying:
                 if label in st.register.labels:
                     st = _strip_flyer(st, label)
-        try:
-            correction = scheme.corrections[combo_id]
-            target = scheme.targets[combo_id]
-        except KeyError:
-            raise ContractViolationError(
-                f"scheme {scheme.name!r} declares no correction and target for outcome "
-                f"{combo_id!r}"
-            ) from None
+        correction = scheme.corrections[combo_id]
+        target = scheme.targets[combo_id]
         corrected = correction.apply(st) if st is not None else None
         fid = (
             verify.fidelity(corrected, target)
@@ -428,8 +421,15 @@ def _refuse_oversized(qubits: int, *dims: int) -> None:
 
     Every builder that takes ``n`` calls this before it builds a subsystem
     or a :class:`Graph`, so an oversized ``n`` costs nothing; the refusal
-    and its message are :class:`Register`'s own.
+    and its message are :class:`Register`'s own.  More qubits than
+    ``MAX_TOTAL_DIM`` has bits exceed it whatever ``dims`` are, so they are
+    refused unlisted, the message naming 2**qubits as the least dimension.
     """
+    if qubits > qstate.MAX_TOTAL_DIM.bit_length():
+        raise ParameterError(
+            f"register dimension 2**{qubits} or more exceeds "
+            f"MAX_TOTAL_DIM = {qstate.MAX_TOTAL_DIM}"
+        )
     qstate._checked_total_dim((2,) * qubits + dims)
 
 
@@ -450,8 +450,6 @@ def _hadamard_mesh(ports: Sequence[int]) -> list[el.BS]:
     of the detectors.
     """
     n = len(ports)
-    if n < 2 or n & (n - 1):
-        raise ParameterError(f"Hadamard mesh needs a power-of-two port count, got {n}")
     mesh = []
     bit = 1
     while bit < n:
@@ -506,15 +504,12 @@ def _two_mode_elements(w: np.ndarray, ports: tuple[int, int]) -> list[el.Element
 def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
     """Decompose an arbitrary port unitary into splitters and phase shifters.
 
-    Left-multiplying Givens rotations reduce ``v`` to a phase diagonal; the
-    element list plays the factors back so that applying it to the path
-    equals applying ``v``.
+    ``v`` is square with one port per row.  Left-multiplying Givens
+    rotations reduce ``v`` to a phase diagonal; the element list plays the
+    factors back so that applying it to the path equals applying ``v``.
     """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    if v.shape != (n, n) or len(ports) != n:
-        raise ShapeError("unitary and port list sizes disagree")
-    u = v.copy()
+    u = np.array(v, dtype=complex)
+    n = len(ports)
     rotations: list[tuple[int, int, np.ndarray]] = []
     for col in range(n - 1):
         for row in range(col + 1, n):
@@ -810,6 +805,7 @@ def build_field_graph(
         if kind is not None or n is not None:
             raise ParameterError("pass either kind/n or an explicit graph, not both")
         n = graph.vertices
+        _refuse_oversized(2 * n)  # a field and an atom per vertex
         scheme_name = "graph-custom"
         passes = [(max(u, v), min(u, v)) for u, v in sorted(graph.edges)]
         paired = range(n)  # every vertex carries an atom
@@ -822,11 +818,11 @@ def build_field_graph(
             raise GraphError("a ring needs at least 3 vertices")
         if n < 2:
             raise ParameterError(f"{kind} graph needs n >= 2")
+        # the vertices whose atom makes a pass: all of a ring's, all but the first otherwise
+        paired = range(0 if kind == "ring" else 1, n)
+        _refuse_oversized(2 * n - paired.start)  # the fields and atoms
         scheme_name = f"graph-{kind}"
         passes = _GRAPH_PASSES[kind](n)
-        paired = sorted({a for a, _ in passes})  # the vertices whose atom makes a pass
-    _refuse_oversized(n + len(paired))  # the fields and atoms
-    if graph is None:
         graph = Graph(n, passes)
 
     paired_set = set(paired)
@@ -950,6 +946,8 @@ def retry_walk_mc(
     """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if trajectories > MAX_MC_TRAJECTORIES:
         raise ParameterError(
             f"{trajectories} trajectories exceed MAX_MC_TRAJECTORIES = {MAX_MC_TRAJECTORIES}"

@@ -176,13 +176,9 @@ def ghz_target(
     register = _two_level_register(n, kind, register)
     lead = register.subsystems[0].index_of(zero_label)
     amps = np.zeros(register.total_dim, dtype=complex)
-    all_lead = 0
-    all_flip = 0
-    for dim in register.dims:
-        all_lead = all_lead * dim + lead
-        all_flip = all_flip * dim + (1 - lead)
-    amps[all_lead] = 1.0 / np.sqrt(2.0)
-    amps[all_flip] = sign / np.sqrt(2.0)
+    # two-level subsystems: all-0 is index 0, all-1 the last index
+    amps[lead * (register.total_dim - 1)] = 1.0 / np.sqrt(2.0)
+    amps[(1 - lead) * (register.total_dim - 1)] = sign / np.sqrt(2.0)
     return PureState(register, amps)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavnet import iomodel, qstate, schemes, verify
@@ -74,6 +74,53 @@ def test_run_scheme_usage_errors(tmp_path):
         ).returncode
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"vertices": 2, "edges": [[0, null]]}',
+        b'{"vertices": 2, "edges": [[0, "a"]]}',
+        b'{"vertices": 2, "edges": [[0, 1]], "name": "\xff"}',
+        b'{"vertices": 2, "edges": [[0, 1.5]]}',
+        b'{"vertices": 2, "edges": [[0, true]]}',
+        b'{"vertices": true, "edges": []}',
+        b'{"vertices": 2.0, "edges": []}',
+        b'{"vertices": 2, "edges": [[0, 1, 1]]}',
+        b"[" * 100_000,
+    ],
+    ids=[
+        "null-endpoint", "string-endpoint", "not-utf8", "float-endpoint",
+        "bool-endpoint", "bool-vertices", "float-vertices", "triple", "deep-nesting",
+    ],
+)
+def test_malformed_graph_files_exit_two_with_one_line(content, tmp_path, capsys):
+    spec = tmp_path / "g.json"
+    spec.write_bytes(content)
+    assert main(["run-scheme", "graph", "--graph", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+OUT_COMMANDS = [
+    ["run-scheme", "field-cz"],
+    ["flip-sweep", "--g", "1", "--tau", "1"],
+    ["retry-walk", "--p", "1", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
+@pytest.mark.parametrize(
+    "target,reason",
+    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+)
+def test_an_unwritable_out_path_exits_two_naming_it(argv, target, reason, tmp_path, capsys):
+    out = tmp_path / target
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
 
 
 def test_flip_sweep_csv_and_out_file(tmp_path):
@@ -283,6 +330,105 @@ def test_walker_step_budget_refuses_before_either_walk_runs(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and "MAX_MC_WALKER_STEPS" in captured.err
+
+
+# Budgets the fuzzed command lines run under: small enough that any accepted
+# input finishes in milliseconds, and never the real limits.
+FUZZ_BUDGETS = (
+    (qstate, "MAX_TOTAL_DIM", 2**8),
+    (schemes, "MAX_WALK_CAVITIES", 6),
+    (schemes, "MAX_WALK_STEPS", 50),
+    (schemes, "MAX_MC_TRAJECTORIES", 40),
+    (schemes, "MAX_MC_WALKER_STEPS", 400),
+    (iomodel, "MAX_STEPS", 20_000),
+    (iomodel, "MAX_SWEEP_POINTS", 3),
+)
+FUZZ_NUMBERS = (
+    st.sampled_from(
+        ["0", "1", "2", "3", "4", "8", "-1", "0.5", "1e-300", "1e300", "nan", "inf", "",
+         "x", "1,2", "0.5,,2", "0.1:40:3", "1:2", "1:0:2", "10" * 30]
+    )
+    | st.integers(-10, 10**30).map(str)
+    | st.floats().map(repr)
+)
+# flag -> values; {graph}, {out}, {missing} and {dir} stand for paths made per example
+FUZZ_VALUES = {
+    "--n": FUZZ_NUMBERS,
+    "--kind": st.sampled_from(["star", "linear", "ring", "tree"]),
+    "--graph": st.sampled_from(["{graph}", "{missing}", "{dir}"]),
+    "--out": st.sampled_from(["{out}", "{missing}", "{dir}"]),
+    "--g": FUZZ_NUMBERS,
+    "--tau": FUZZ_NUMBERS,
+    "--tau-range": FUZZ_NUMBERS,
+    "--step": FUZZ_NUMBERS,
+    "--p": FUZZ_NUMBERS,
+    "--max-steps": FUZZ_NUMBERS,
+    "--mc-trajectories": FUZZ_NUMBERS,
+    "--seed": FUZZ_NUMBERS,
+}
+FUZZ_FLAGS = {
+    "run-scheme": ["--n", "--kind", "--graph", "--out"],
+    "flip-sweep": ["--g", "--tau", "--tau-range", "--step", "--out"],
+    "retry-walk": ["--p", "--n", "--max-steps", "--mc-trajectories", "--seed", "--out"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "run-scheme":
+        argv.append(draw(st.sampled_from([*SCHEME_NAMES, "nosuch"])))
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), max_size=5)):
+        argv += [flag, draw(FUZZ_VALUES[flag])]
+    return argv
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**30) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+graph_documents = st.fixed_dictionaries(
+    {
+        "vertices": st.integers(-1, 6) | json_values,
+        "edges": st.lists(st.lists(st.integers(-1, 6) | json_values, max_size=3), max_size=6)
+        | json_values,
+    }
+)
+graph_files = (graph_documents | json_values).map(
+    lambda doc: json.dumps(doc).encode()
+) | st.binary(max_size=30)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=fuzz_argv(), graph_bytes=graph_files)
+def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
+    argv, graph_bytes, tmp_path, monkeypatch, capsys
+):
+    for owner, budget, value in FUZZ_BUDGETS:
+        monkeypatch.setattr(owner, budget, value)
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(graph_bytes)
+    paths = {
+        "{graph}": str(graph),
+        "{out}": str(tmp_path / "out.txt"),
+        "{missing}": str(tmp_path / "missing" / "out.txt"),
+        "{dir}": str(tmp_path),
+    }
+    argv = [paths.get(arg, arg) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
 
 
 def test_dump_json_formatting():

@@ -66,6 +66,12 @@ def test_time_grid_covers_requested_span():
     assert np.allclose(np.diff(times), 0.3)
 
 
+@pytest.mark.parametrize("t_end", [1.0, 0.5])
+def test_time_grid_refuses_an_empty_or_reversed_window(t_end):
+    with pytest.raises(ParameterError, match="t_end must exceed t_start"):
+        TimeGrid(t_start=1.0, t_end=t_end, step=0.1)
+
+
 def test_slowest_decay_rate_regimes():
     kappa = 1.0
     assert slowest_decay_rate(PulseParams(0, 0, kappa, 1)) == pytest.approx(0.5)
@@ -74,6 +80,15 @@ def test_slowest_decay_rate_regimes():
     # overdamped: kappa/4 - sqrt(kappa^2/16 - g_total^2)
     expect = 0.25 - np.sqrt(0.0625 - 0.02)
     assert slowest_decay_rate(matched(0.1)) == pytest.approx(expect, rel=1e-12)
+
+
+def test_a_decay_rate_that_rounds_to_zero_needs_an_endless_grid():
+    # kappa/4 - sqrt(kappa^2/16 - g^2) is exactly 0.0 for g = 1e-12 kappa
+    params = PulseParams(g_L=1e-12, g_R=1e-12, kappa=1.0, tau=1.0)
+    assert slowest_decay_rate(params) == 0.0
+    assert default_grid(params).t_end == np.inf
+    with pytest.raises(ParameterError, match="inf RK4 steps, more than MAX_STEPS"):
+        io.flip_probability_sweep([1e-12], [1.0])
 
 
 def test_default_grid_tracks_ringdown_and_coupling():

@@ -67,6 +67,13 @@ def test_subsystem_index_of():
         atom.index_of("g")
 
 
+def test_a_path_outcome_must_be_a_port_index():
+    with pytest.raises(InvalidLabelError, match="path outcome 'x' is not a port index"):
+        Subsystem("p", KIND_PATH, dim=3).index_of("x")
+    with pytest.raises(InvalidLabelError, match="path outcome None is not a port index"):
+        Subsystem("p", KIND_PATH, dim=3).index_of(None)
+
+
 def test_register_rejects_duplicates_and_empty():
     with pytest.raises(ParameterError):
         Register([Subsystem("a", KIND_ATOM_LR), Subsystem("a", KIND_POL)])
@@ -89,6 +96,17 @@ def test_register_mixed_radix_first_most_significant():
     assert reg.index_of_labels(["L", 1, "0"]) == 2
     for idx in range(reg.total_dim):
         assert reg.index_of_labels(reg.labels_of_index(idx)) == idx
+
+
+def test_register_index_maps_refuse_a_wrong_label_count_or_index():
+    reg = Register([Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, dim=3)])
+    with pytest.raises(ShapeError, match="expected 2 outcome labels, got 1"):
+        reg.index_of_labels(["L"])
+    with pytest.raises(ShapeError, match="expected 2 outcome labels, got 3"):
+        product_state(reg, ["L", 0, "R"])
+    for index in (-1, 6):
+        with pytest.raises(ShapeError, match=f"basis index {index} out of range"):
+            reg.labels_of_index(index)
 
 
 def test_register_without_preserves_order():
@@ -339,6 +357,13 @@ def test_overlap_conjugates_first_argument():
     basis1 = product_state(reg, ["R"])
     assert overlap(basis1, plus_i) == pytest.approx(1j * SQ2)
     assert overlap(plus_i, basis1) == pytest.approx(-1j * SQ2)
+
+
+def test_overlap_refuses_states_on_different_registers():
+    a = product_state(Register([Subsystem("a", KIND_ATOM_LR)]), ["L"])
+    b = product_state(Register([Subsystem("b", KIND_ATOM_LR)]), ["L"])
+    with pytest.raises(ShapeError, match="same register"):
+        overlap(a, b)
 
 
 def random_register(rng):

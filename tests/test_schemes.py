@@ -378,6 +378,38 @@ def test_named_graph_refusals_keep_their_types_and_messages(kind, n, error, mess
     assert type(info.value) is error and str(info.value) == message
 
 
+def test_field_graph_refuses_a_kind_and_a_graph_together():
+    with pytest.raises(ParameterError, match="pass either kind/n or an explicit graph, not both"):
+        build_field_graph("ring", 3, Graph.ring(3))
+    with pytest.raises(ParameterError, match="pass either kind/n or an explicit graph, not both"):
+        build_field_graph(n=3, graph=Graph.ring(3))
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1-5 vertices, each possible edge present or not."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [pair for pair in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_random_field_graphs_meet_the_stabilizer_oracle(graph):
+    """Every outcome has probability 2**-n and every corrected state has <K_i> = 1.
+
+    The oracle is the graph state's stabilizer group (Hein, Eisert & Briegel,
+    PRA 69, 062311, 2004): K_i = X_i prod_{j in N(i)} Z_j fixes it, and
+    measuring the n atoms leaves all 2**n outcomes equally likely.
+    """
+    reports = run(build_field_graph(graph=graph))
+    assert len(reports) == 2**graph.vertices
+    for rep in reports:
+        assert abs(rep.probability - 2.0**-graph.vertices) <= 1e-12
+        expectations = stabilizer_expectations(rep.corrected_state, graph)
+        assert np.abs(expectations - 1.0).max() <= 1e-9
+
+
 # one builder per run-scheme kind, and two explicit graphs (one with an isolated vertex)
 DECLARED = {
     "ghz-atoms": lambda: build_ghz_atoms(4),
@@ -421,6 +453,36 @@ def test_run_refuses_an_outcome_id_the_scheme_does_not_declare():
     )
     with pytest.raises(ContractViolationError, match="'ghz-atoms' .* outcome 'D1'"):
         run(renamed)
+
+
+def test_run_checks_every_outcome_id_before_propagating(monkeypatch):
+    scheme = build_ghz_atoms(2)
+    renamed = dataclasses.replace(scheme, targets={"D1": scheme.targets["D1"], "d2": None})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagated before the outcome ids were checked")
+
+    monkeypatch.setattr(schemes, "propagate", refuse)
+    with pytest.raises(ContractViolationError) as info:
+        run(renamed)
+    assert str(info.value) == (
+        "scheme 'ghz-atoms' declares no correction and target for outcome 'D2'"
+    )
+
+
+def test_an_undeclared_outcome_id_is_reported_before_a_wiring_fault():
+    reg = Register([Subsystem("path", KIND_PATH, dim=2)])
+    sch = bare_scheme(  # the reroute is refused, and D2 is not declared
+        reg,
+        [SQ2, SQ2],
+        [el.Reroute(0, 1)],
+        [el.Detector("D1", "path", 0), el.Detector("D2", "path", 1)],
+        corrections={"D1": verify.LocalCorrection()},
+    )
+    with pytest.raises(ContractViolationError) as info:
+        run(sch)
+    assert type(info.value) is ContractViolationError
+    assert "outcome 'D2'" in str(info.value)
 
 
 def test_ring8_detection_builds_each_dropped_register_once(monkeypatch):
@@ -550,6 +612,53 @@ def test_reroute_rejects_occupied_destination():
         schemes.propagate(sch)
 
 
+def test_guard_messages_name_the_refused_sector():
+    reroute = bare_scheme(
+        Register([Subsystem("path", KIND_PATH, dim=3)]), [SQ2, 0.0, SQ2], [el.Reroute(0, 2)]
+    )
+    with pytest.raises(InvalidConfigurationError) as info:
+        schemes.propagate(reroute)
+    assert str(info.value) == "reroute target port 2 is already occupied"
+    pi = bare_scheme(
+        Register([Subsystem("field1", KIND_FIELD), Subsystem("atom", KIND_ATOM_GE)]),
+        [0.0, 0.0, 0.0, 1.0],  # |1, e>
+        [el.FieldPiBlock("atom", "field1")],
+    )
+    with pytest.raises(InvalidConfigurationError) as info:
+        schemes.propagate(pi)
+    assert str(info.value) == (
+        "resonant pi block reached with population in the doubly "
+        "excited |e,1> sector of (atom, field1)"
+    )
+
+
+@pytest.mark.parametrize("port,refused", [(0, True), (1, False)])
+def test_pi_block_guard_reads_only_its_own_arm(port, refused):
+    # |1, path 0, e>: the doubly excited sector is populated in arm 0 only
+    reg = Register(
+        [
+            Subsystem("field1", KIND_FIELD),
+            Subsystem("path", KIND_PATH, dim=2),
+            Subsystem("atom", KIND_ATOM_GE),
+        ]
+    )
+    amps = np.zeros(8)
+    amps[reg.index_of_labels(["1", 0, "e"])] = 1.0
+    sch = bare_scheme(reg, amps, [el.FieldPiBlock("atom", "field1", port)])
+    if refused:
+        with pytest.raises(InvalidConfigurationError):
+            schemes.propagate(sch)
+    else:
+        assert schemes.propagate(sch).amplitudes.tobytes() == amps.astype(complex).tobytes()
+
+
+def test_run_without_detectors_still_propagates():
+    reg = Register([Subsystem("path", KIND_PATH, dim=2)])
+    sch = bare_scheme(reg, [SQ2, SQ2], [el.Reroute(0, 1)])
+    with pytest.raises(InvalidConfigurationError, match="already occupied"):
+        run(sch)
+
+
 def test_initial_state_matches_spec():
     sch = build_ghz_atoms(2)
     st = initial_state(sch)
@@ -644,6 +753,17 @@ def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
         RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
 
 
+@pytest.mark.parametrize(
+    "trajectories,seed,message",
+    [(0, 1, "need at least one trajectory"), (-3, 1, "need at least one trajectory"),
+     (5, -1, "seed must be non-negative, got -1")],
+)
+def test_retry_walk_mc_refuses_no_walkers_and_a_negative_seed(trajectories, seed, message):
+    with pytest.raises(ParameterError) as info:
+        retry_walk_mc(RetryWalkParams(0.5, 2), trajectories, seed)
+    assert str(info.value) == message
+
+
 def test_mc_walker_steps_budget_bounds_walkers_times_steps(monkeypatch):
     params = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
     monkeypatch.setattr(schemes, "MAX_MC_WALKER_STEPS", 12)
@@ -680,6 +800,32 @@ def test_builders_refuse_an_oversized_register_before_their_tables(monkeypatch):
     with pytest.raises(ParameterError, match="MAX_TOTAL_DIM"):
         build_w_pow2(16)  # a W target over 16 atoms
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "build,qubits",
+    [
+        (lambda: build_ghz_atoms(10**30), 10**30),
+        (lambda: build_w_pow2(2**80), 2**80),
+        (lambda: build_cluster_atoms(10**12), 10**12),
+        (lambda: build_ghz_fields(10**12), 10**12),
+        (lambda: build_field_graph("ring", 10**12), 2 * 10**12),
+        (lambda: build_field_graph("star", 10**12), 2 * 10**12 - 1),
+        (lambda: build_field_graph(graph=Graph(10**12)), 2 * 10**12),
+    ],
+    ids=["ghz-atoms", "w", "cluster", "ghz-fields", "ring", "star", "graph"],
+)
+def test_a_qubit_count_past_the_budget_is_refused_unlisted(build, qubits, monkeypatch):
+    def refuse(n):
+        raise AssertionError("a pass list was built")
+
+    for kind in schemes._GRAPH_PASSES:
+        monkeypatch.setitem(schemes._GRAPH_PASSES, kind, refuse)
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert str(info.value) == (
+        f"register dimension 2**{qubits} or more exceeds MAX_TOTAL_DIM = {qstate.MAX_TOTAL_DIM}"
+    )
 
 
 def test_retry_walk_mc_tracks_analytic():

@@ -8,6 +8,7 @@ from cavnet.errors import GraphError, NotSingleExcitationError, ParameterError, 
 from cavnet.qstate import (
     KIND_ATOM_LR,
     KIND_FIELD,
+    KIND_PATH,
     PureState,
     Register,
     Subsystem,
@@ -101,6 +102,35 @@ def test_targets_need_two_qubits():
         w_target(1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ghz_target(2, sign=0), "sign must be +1 or -1, got 0"),
+        (lambda: ghz_target(2, zero_label="x"), "unknown basis label 'x'"),
+        (lambda: w_target(3, register=qubit_register(2)), "register has 2 subsystems, expected 3"),
+        (
+            lambda: graph_target(Graph.path(2), register=Register(
+                [Subsystem("q0", KIND_FIELD), Subsystem("p", KIND_PATH, dim=3)]
+            )),
+            "target construction needs two-level subsystems",
+        ),
+    ],
+)
+def test_target_constructors_refuse_bad_arguments(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_ghz_target_puts_its_two_branches_at_the_ends_of_the_basis():
+    for lead in ("L", "R"):
+        amps = ghz_target(3, sign=-1, zero_label=lead).amplitudes
+        half = np.sqrt(0.5)
+        first, last = (half, -half) if lead == "L" else (-half, half)
+        assert amps[0] == pytest.approx(first) and amps[-1] == pytest.approx(last)
+        assert np.count_nonzero(amps) == 2
+
+
 def graph_state_oracle(graph, n):
     """Plus states CZ-phased per edge: the textbook construction."""
     raw = np.ones(2**n, dtype=complex) / np.sqrt(2**n)
@@ -176,6 +206,11 @@ def test_local_correction_describe():
     assert desc[1]["phase"] == pytest.approx(0.5)
 
 
+def test_local_correction_describe_skips_the_identity():
+    corr = LocalCorrection((("q0", "I"), ("q1", "Z"), ("q2", "I")))
+    assert corr.describe() == [{"subsystem": "q1", "op": "Z"}]
+
+
 def test_canonicalize_single_excitation_restores_w():
     n = 4
     reg = qubit_register(n)
@@ -193,6 +228,12 @@ def test_canonicalize_rejects_multi_excitation():
     reg = qubit_register(2)
     with pytest.raises(NotSingleExcitationError):
         canonicalize_single_excitation(product_state(reg, ["R", "R"]))
+
+
+def test_canonicalize_refuses_a_register_that_is_not_two_level():
+    reg = Register([Subsystem("q0", KIND_ATOM_LR), Subsystem("p", KIND_PATH, dim=3)])
+    with pytest.raises(ShapeError, match="needs two-level subsystems"):
+        canonicalize_single_excitation(product_state(reg, ["R", 0]))
 
 
 def test_fidelity_ignores_global_phase():
