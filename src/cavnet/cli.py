@@ -9,8 +9,10 @@ construction order, and CSV uses LF endings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -153,6 +155,14 @@ def _emit(out_path: str | None, *parts: str) -> None:
             fh.writelines(slices)
     except OSError as exc:
         raise ParameterError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
+def _refuse_unwritable(out_path: str) -> None:
+    """Refuse, before any work and as :func:`_emit` would, a directory or a missing one's file."""
+    if os.path.isdir(out_path):
+        raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
+    if not os.path.exists(os.path.dirname(out_path) or "."):
+        raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.ENOENT)}")
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -330,6 +340,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _refuse_unwritable(args.out)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ and ``Z`` corrections.  Splitters, phase shifters, the Ramsey zone, the
 half-pi block and phase corrections are matrix products.  Blocks are
 checked here only: ``_Block`` refuses a matrix that is not unitary to its
 caller's tolerance (1e-12 for elements, 1e-9 for corrections and
-:func:`apply_unitary`), ``_apply_block`` one whose size is not the joint
+:func:`apply_unitary`), ``_check_fit`` one whose size is not the joint
 dimension of its axes.  Zero-sign rule: a slab move writes ``src + 0.0``
 or ``0.0 - src``, so every zero it writes is ``+0.0``, as the matrix
 product gives on every scheme; a ``+1`` fixed point is left as it is.
@@ -240,6 +240,12 @@ def _mass(amps: np.ndarray) -> float:
     return float(mag.sum())
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    norm = _norm(amps)
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise ContractViolationError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over a register's product basis.
@@ -260,9 +266,7 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, register dim is "
                 f"{self.register.total_dim}"
             )
-        norm = _norm(amps)
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ContractViolationError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
+        _check_norm(amps)
         if amps.flags.writeable or amps.base is not None:
             amps = amps.copy()
             amps.setflags(write=False)
@@ -297,10 +301,24 @@ def from_factors(
     by label) and supplies an amplitude vector over their joint basis; the
     factors must tile the register in order.  This is how schemes express
     initial conditions that are not plain product basis states, e.g. a
-    ``(|0,g> + |1,e>)/sqrt(2)`` cavity-atom pair.
+    ``(|0,g> + |1,e>)/sqrt(2)`` cavity-atom pair.  The product and its
+    checks are :func:`_factor_product`'s.
+    """
+    vec = _factor_product(register, factors)
+    vec.setflags(write=False)
+    return PureState(register, vec)
+
+
+def _factor_product(register: Register, factors, lead: str | None = None) -> np.ndarray:
+    """:func:`from_factors`'s amplitudes as a fresh writable array, with subsystem ``lead`` first.
+
+    The factors multiply in register order, each from the right of the
+    product so far, so an amplitude has the same bits whether ``lead`` is
+    given or not.  Refused: factors that do not tile the register in order,
+    a factor of the wrong length, and a norm that is not 1 within 1e-9.
     """
     covered: list[str] = []
-    vec = np.array([1.0 + 0.0j])
+    vec = np.ones((1, 1), dtype=complex)  # (dim of lead, dims of the rest so far)
     for labels, block in factors:
         for lab in labels:
             pos = register.position(lab)
@@ -310,19 +328,25 @@ def from_factors(
                     f"{lab!r} is out of place"
                 )
             covered.append(lab)
-        dim = int(np.prod([register.subsystem(lab).dim for lab in labels]))
+        dims = [register.subsystem(lab).dim for lab in labels]
         block = np.asarray(block, dtype=complex).reshape(-1)
-        if block.shape != (dim,):
+        if block.shape != (math.prod(dims),):
             raise ShapeError(
-                f"factor over {tuple(labels)} has length {block.size}, expected {dim}"
+                f"factor over {tuple(labels)} has length {block.size}, expected {math.prod(dims)}"
             )
-        product = np.empty(vec.size * dim, dtype=complex)
-        np.multiply.outer(vec, block, out=product.reshape(vec.size, dim))
-        vec = product
+        if lead in labels:
+            at = labels.index(lead)
+            block = np.moveaxis(block.reshape(dims), at, 0).reshape(dims[at], -1)
+        else:
+            block = block.reshape(1, -1)
+        product = np.empty((max(len(vec), len(block)), vec.shape[1], block.shape[1]), dtype=complex)
+        np.multiply(vec[:, :, None], block[:, None, :], out=product)
+        vec = product.reshape(len(product), -1)
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
-    vec.setflags(write=False)
-    return PureState(register, vec)
+    vec = vec.reshape(-1)
+    _check_norm(vec)
+    return vec
 
 
 def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
@@ -337,6 +361,27 @@ def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.n
     moved = view.transpose(order)
     out = np.dot(block, moved.reshape(len(block), -1)).reshape(moved.shape)
     return out.transpose(np.argsort(order))
+
+
+# Columns per chunk of _rows_product: a 2x2 splitter multiplies 256 KiB at a time.
+_CHUNK_COLUMNS = 1 << 13
+
+
+def _rows_product(rows: np.ndarray, matrix: np.ndarray) -> None:
+    """``rows = matrix @ rows`` in place, by chunks of columns through one buffer.
+
+    The bits are one product's: the chunks start at multiples of a power of
+    two, so BLAS blocks their columns alike, and no chunk of a wider ``rows``
+    has one column, which numpy would multiply as a matrix-vector product.
+    """
+    cols = rows.shape[1]
+    bounds = [*range(0, max(cols - 1, 1), _CHUNK_COLUMNS), cols]
+    buffer = np.empty(len(rows) * min(cols, _CHUNK_COLUMNS + 1), dtype=complex)
+    for start, stop in zip(bounds, bounds[1:]):
+        part = rows[:, start:stop]
+        out = buffer[: part.size].reshape(part.shape)
+        np.dot(matrix, part, out=out)
+        part[...] = out
 
 
 def _slab_cycles(matrix: np.ndarray) -> tuple[tuple[tuple[int, int, bool], ...], ...] | None:
@@ -397,23 +442,31 @@ def _slab(view: np.ndarray, axes: list[int], joint: int) -> np.ndarray:
     return view[(*index, ...)]  # the Ellipsis keeps a one-element slab an array
 
 
+def _check_fit(block: _Block, dims: Sequence[int]) -> None:
+    """Refuse ``block`` unless its size is the joint dimension of target axes of ``dims``."""
+    if len(block.matrix) != math.prod(dims):
+        joint = math.prod(dims)
+        raise ShapeError(f"block shape {block.matrix.shape} does not match joint target dim {joint}")
+
+
 def _apply_block(view: np.ndarray, axes: list[int], block: _Block) -> None:
     """Apply ``block`` in place on the joint basis of ``axes`` of ``view``.
 
     A signed permutation moves slabs: a slab is ``view`` at one joint index
     of ``axes``, each cycle saves one slab in a temporary, a +1 move writes
     ``src + 0.0`` and a -1 move ``0.0 - src``, and a +1 fixed point is not
-    touched.  Every zero a move writes is therefore ``+0.0``.  Any other
-    block goes through :func:`_block_product`.  A block whose size is not
-    the joint dimension of ``axes`` is refused.
+    touched.  Every zero a move writes is therefore ``+0.0``.  A dense
+    block on the leading axis, whose slabs are contiguous (a splitter on a
+    path-first buffer), goes through :func:`_rows_product`, any other
+    through :func:`_block_product`.  A block whose size is not the joint
+    dimension of ``axes`` is refused.
     """
-    joint = math.prod(view.shape[a] for a in axes)
-    if len(block.matrix) != joint:
-        raise ShapeError(
-            f"block shape {block.matrix.shape} does not match joint target dim {joint}"
-        )
+    _check_fit(block, [view.shape[a] for a in axes])
     if block.cycles is None:
-        view[...] = _block_product(view, axes, block.matrix)
+        if axes == [0] and view[0].flags.c_contiguous:
+            _rows_product(view.reshape(len(view), -1), block.matrix)
+        else:
+            view[...] = _block_product(view, axes, block.matrix)
         return
     for cycle in block.cycles:
         slabs = {dst: _slab(view, axes, dst) for dst, _, _ in cycle}

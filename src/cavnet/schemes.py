@@ -74,6 +74,9 @@ MAX_WALK_STEPS = 100_000
 # Most walkers x max_steps retry_walk_mc accepts, 1M walkers for the default 10,000
 # steps: at ~12 ns per walker step (2-vCPU Xeon) this caps one call near 2 minutes.
 MAX_MC_WALKER_STEPS = 10**10
+# Most (n + 2)**2 x max_steps either walk accepts, the work of retry_walk's dense
+# steps: the default 10,000 steps at MAX_WALK_CAVITIES, 2-8 s on a 2-vCPU Xeon.
+MAX_WALK_CELL_STEPS = (MAX_WALK_CAVITIES + 2) ** 2 * 10_000
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,9 @@ class OutcomeReport:
 # two arms.  :func:`qstate._apply_block` rewrites
 # only the path slices an op names, in place on the buffer :func:`propagate`
 # owns; the fixed blocks below are signed permutations, except the Ramsey
-# zone and the half-pi block, so they move slabs.  A kind in ``_GUARDS`` is
-# checked in :func:`propagate`'s one element loop just before it acts;
-# :func:`run` checks the outcome declarations before it propagates.
+# zone and the half-pi block, so they move slabs.  :func:`_plan` resolves
+# and checks every element, and the sector of its ``_GUARDS`` entry, before
+# any acts; :func:`run` checks the outcome declarations before it propagates.
 
 
 _ATOL = el.ELEMENT_UNITARY_ATOL
@@ -166,12 +169,17 @@ _RESOLVE = {
 }
 
 
-def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: dict) -> float:
-    """Probability mass in the product sector fixed by ``assignments``."""
-    slicer: list = [slice(None)] * tensor.ndim
+def _sector_index(register: Register, axis_of, assignments: dict) -> tuple:
+    """Index of the sector fixed by ``assignments``; ``axis_of`` maps a label to its axis."""
+    slicer: list = [slice(None)] * len(register)
     for label, outcome in assignments.items():
         slicer[axis_of(label)] = register.subsystem(label).index_of(outcome)
-    return qstate._mass(tensor[tuple(slicer)])
+    return tuple(slicer)
+
+
+def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: dict) -> float:
+    """Probability mass in the product sector fixed by ``assignments``."""
+    return qstate._mass(tensor[_sector_index(register, axis_of, assignments)])
 
 
 # kind -> (sector, limit, message): refused when the sector's mass exceeds the limit
@@ -188,23 +196,71 @@ _GUARDS = {
 }
 
 
+def _resolve(register: Register, axis_of, item) -> tuple[_Op, tuple | None]:
+    """``item``'s op, and its guard as ``(sector index, limit, message)`` or None."""
+    resolve = _RESOLVE.get(type(item))
+    if resolve is None:
+        raise ParameterError(f"unknown element {item!r}")
+    op = resolve(item)
+    labels = ((PATH,) if op.ports else ()) + op.targets
+    positions = [register.position(label) for label in labels]
+    if len(set(positions)) != len(positions):
+        raise ParameterError(f"target labels must be distinct, got {list(op.targets)}")
+    dims = [register.dims[pos] for pos in positions]
+    if op.ports:
+        if len(set(op.ports)) != len(op.ports) or not all(0 <= p < dims[0] for p in op.ports):
+            raise ParameterError(
+                f"ports {op.ports} must differ and exist on a path of dim {dims[0]}"
+            )
+        dims[0] = len(op.ports)
+    qstate._check_fit(op.block, dims)
+    guard = _GUARDS.get(type(item))
+    if guard is None:
+        return op, None
+    sector, limit, message = guard(item)
+    return op, (_sector_index(register, axis_of, sector), limit, message)
+
+
+def _plan(scheme: Scheme, items: Sequence[el.Element], axis_of) -> list[tuple]:
+    """``(index, element, op, guard)`` for each of ``items`` that can change the state.
+
+    Each is resolved and checked first, a refusal keeping its type and text
+    after a prefix naming the scheme and the element.  ``occupied`` holds
+    the path ports that may hold amplitude: the nonzero entries of a factor
+    over the path alone (every port if the path shares a factor), then the
+    ports of each element kept.  An element whose ports all hold zeros, as
+    its guard's sector then does, is left out.
+    """
+    register = scheme.register
+    occupied: set[int] = set()
+    for labels, block in scheme.initial:
+        if PATH in labels:
+            shared = len(labels) > 1
+            occupied = set(range(register.subsystem(PATH).dim) if shared else np.flatnonzero(block))
+    plan = []
+    for index, item in enumerate(items):
+        if isinstance(item, el.Detector):
+            continue
+        try:
+            op, guard = _resolve(register, axis_of, item)
+        except ParameterError as exc:
+            where = f"scheme {scheme.name!r}, element {index} ({type(item).__name__})"
+            raise type(exc)(f"{where}: {exc}") from None
+        if op.ports and occupied.isdisjoint(op.ports):
+            continue
+        occupied.update(op.ports or ())
+        plan.append((index, item, op, guard))
+    return plan
+
+
 def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
     """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis."""
-    ports = op.ports or ()
     axes = [axis_of(label) for label in op.targets]
-    path = axis_of(PATH) if ports else None
-    if len(set(axes + [path])) != len(axes) + 1:
-        raise ParameterError(f"target labels must be distinct, got {list(op.targets)}")
-    view = tensor
-    if ports:
-        dpath = tensor.shape[path]
-        if len(set(ports)) != len(ports) or not all(0 <= p < dpath for p in ports):
-            raise ParameterError(
-                f"ports {ports} must differ and exist on a path of dim {dpath}"
-            )
-        view = tensor[(slice(None),) * path + (_port_slice(ports),)]
+    if op.ports:
+        path = axis_of(PATH)
+        tensor = tensor[(slice(None),) * path + (_port_slice(op.ports),)]
         axes = [path] + axes
-    qstate._apply_block(view, axes, op.block)
+    qstate._apply_block(tensor, axes, op.block)
 
 
 def _port_slice(ports: tuple[int, ...]) -> slice:
@@ -222,13 +278,13 @@ def initial_state(scheme: Scheme) -> PureState:
 def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     """State after the first ``upto`` elements (all of them by default).
 
-    The elements act in place on one private copy of the initial amplitudes
-    whose axes are the register's with ``path`` moved to the front, so each
-    path slice an element touches is one contiguous block; a register
-    without a path keeps its order.  At the end the buffer is transposed
-    back into a fresh register-order array, which is frozen into a
-    :class:`PureState` (and its norm checked) once.  Detectors are skipped,
-    and a ``_GUARDS`` kind is checked just before it acts.
+    :func:`_plan` checks every element before any acts, so a static fault
+    such as a bad port is reported before a guard that would trip earlier.
+    The elements it keeps act in place, each guard checked just before its
+    element, on one private buffer with ``path``'s axis first
+    (:func:`qstate._factor_product`), so each path slice is one contiguous
+    block.  The buffer is then transposed into a fresh register-order array
+    and frozen into a :class:`PureState` (its norm checked) once.
     """
     register = scheme.register
     order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != PATH)
@@ -237,20 +293,14 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     def axis_of(label: str) -> int:
         return axis[register.position(label)]
 
-    tensor = initial_state(scheme).tensor_view().transpose(order).copy()
     items = scheme.elements if upto is None else scheme.elements[:upto]
-    for item in items:
-        if isinstance(item, el.Detector):
-            continue
-        resolve = _RESOLVE.get(type(item))
-        if resolve is None:
-            raise ParameterError(f"unknown element {item!r}")
-        guard = _GUARDS.get(type(item))
-        if guard is not None:
-            sector, limit, message = guard(item)
-            if _sector_mass(tensor, register, axis_of, sector) > limit:
-                raise InvalidConfigurationError(message)
-        _apply_op(tensor, axis_of, resolve(item))
+    plan = _plan(scheme, items, axis_of)
+    tensor = qstate._factor_product(register, scheme.initial, PATH)
+    tensor = tensor.reshape([register.dims[pos] for pos in order])
+    for _, _, op, guard in plan:
+        if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
+            raise InvalidConfigurationError(guard[2])
+        _apply_op(tensor, axis_of, op)
     amplitudes = tensor.transpose(axis).flatten()
     amplitudes.setflags(write=False)
     return PureState(register, amplitudes)
@@ -906,6 +956,15 @@ def _walk_matrix(params: RetryWalkParams) -> np.ndarray:
     return m
 
 
+def _refuse_long_walk(params: RetryWalkParams) -> None:
+    cells = (params.n_cavities + 2) ** 2 * params.max_steps
+    if cells > MAX_WALK_CELL_STEPS:
+        raise ParameterError(
+            f"(n + 2)**2 x max_steps = {cells} for {params.n_cavities} cavities and "
+            f"{params.max_steps} steps exceeds MAX_WALK_CELL_STEPS = {MAX_WALK_CELL_STEPS}"
+        )
+
+
 def retry_walk(params: RetryWalkParams) -> RetryWalkResult:
     """Success probability within ``max_steps`` and the mean step count.
 
@@ -916,6 +975,7 @@ def retry_walk(params: RetryWalkParams) -> RetryWalkResult:
     fidelity of the delivered state is 1 identically: wrong turns cost
     time, never quality.
     """
+    _refuse_long_walk(params)
     m = _walk_matrix(params)
     n = params.n_cavities
     dist = np.zeros(n + 2)
@@ -940,9 +1000,10 @@ def retry_walk_mc(
 ) -> float:
     """Monte-Carlo estimate of ``success_prob`` over independent walkers.
 
-    More than ``MAX_MC_TRAJECTORIES`` walkers, or more than
-    ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps``, raise a
-    parameter error before any buffer is allocated.
+    More than ``MAX_MC_TRAJECTORIES`` walkers, more than
+    ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps``, or a walk
+    :func:`retry_walk` refuses raise a parameter error, in that order,
+    before any buffer is allocated.
     """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
@@ -957,6 +1018,7 @@ def retry_walk_mc(
             f"{trajectories} trajectories x {params.max_steps} steps exceed "
             f"MAX_MC_WALKER_STEPS = {MAX_MC_WALKER_STEPS}"
         )
+    _refuse_long_walk(params)
     rng = np.random.default_rng(seed)
     n, p = params.n_cavities, params.p_flip
     # The live walkers are the prefix pos[:live], kept in their original order,

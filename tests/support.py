@@ -4,14 +4,20 @@
 :class:`LocalCorrection` as one full-state ``apply_unitary`` product, in
 order.  ``reference_project_out`` is the projection oracle: the slab taken
 with ``np.take``, its probability as ``np.sum(np.abs(slab) ** 2)``, and a
-post register built fresh.  ``bare_scheme`` wires a :class:`Scheme` by
-hand from a register and its amplitudes, declaring the identity correction
-and no target for every outcome id unless given others.
+post register built fresh.  ``propagate_every_element`` is the
+propagation oracle that leaves no element out: the initial state built in
+register order and transposed path-first, and every element's guard and op
+applied in turn.  ``bare_scheme`` wires a :class:`Scheme` by hand from a
+register and its amplitudes, declaring the identity correction and no
+target for every outcome id unless given others.
 """
 
 import numpy as np
 
-from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
+from cavnet import elements as el
+from cavnet import schemes
+from cavnet.errors import InvalidConfigurationError
+from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary, from_factors
 from cavnet.schemes import Scheme, _outcome_combos
 from cavnet.verify import LocalCorrection
 
@@ -46,6 +52,33 @@ def reference_project_out(state, target, outcome):
     slab.setflags(write=False)
     remaining = register.subsystems[:pos] + register.subsystems[pos + 1 :]
     return prob, PureState(Register(remaining), slab)
+
+
+def propagate_every_element(scheme):
+    """Final register-order amplitudes of ``scheme`` with every element applied.
+
+    The buffer is :func:`from_factors`'s state with the path axis moved to
+    the front, as ``propagate``'s is; each guard is checked and each op
+    applied through ``schemes._apply_op``, and no element is left out.
+    """
+    register = scheme.register
+    order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != schemes.PATH)
+    axis = [order.index(pos) for pos in range(len(register))]
+
+    def axis_of(label):
+        return axis[register.position(label)]
+
+    tensor = from_factors(register, scheme.initial).tensor_view().transpose(order).copy()
+    for item in scheme.elements:
+        if isinstance(item, el.Detector):
+            continue
+        guard = schemes._GUARDS.get(type(item))
+        if guard is not None:
+            sector, limit, message = guard(item)
+            if schemes._sector_mass(tensor, register, axis_of, sector) > limit:
+                raise InvalidConfigurationError(message)
+        schemes._apply_op(tensor, axis_of, schemes._RESOLVE[type(item)](item))
+    return tensor.transpose(axis).reshape(-1)
 
 
 def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):

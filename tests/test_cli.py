@@ -123,6 +123,34 @@ def test_an_unwritable_out_path_exits_two_naming_it(argv, target, reason, tmp_pa
     assert captured.err == f"error: cannot write {out}: {reason}\n"
 
 
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for owner, name in [
+        (schemes, "build_field_cz_pair"),
+        (iomodel, "flip_probability_sweep"),
+        (schemes, "retry_walk"),
+        (schemes, "retry_walk_mc"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert main([*argv, "--out", str(tmp_path / target)]) == 2
+
+
+def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "kept.txt"
+    out.write_text("kept")
+
+    def refuse():
+        raise ParameterError("refused")
+
+    monkeypatch.setattr(schemes, "build_field_cz_pair", refuse)
+    assert main(["run-scheme", "field-cz", "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
+
+
 def test_flip_sweep_csv_and_out_file(tmp_path):
     proc = run_cli("flip-sweep", "--g", "1", "--tau", "1,2")
     assert proc.returncode == 0

@@ -9,13 +9,15 @@ of the register-order buffer is a uniformly strided view, which numpy's
 to rounding.  No builder puts the path last.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavnet import elements as el
-from cavnet import schemes
+from cavnet import qstate, schemes
 from cavnet.errors import (
     InvalidConfigurationError,
     InvalidLabelError,
@@ -30,8 +32,9 @@ from cavnet.qstate import (
     KIND_POL,
     Register,
     Subsystem,
+    from_factors,
 )
-from support import bare_scheme
+from support import bare_scheme, propagate_every_element
 
 KINDS = {
     "a1": KIND_ATOM_LR,
@@ -310,3 +313,137 @@ def test_propagate_rejects_bad_wiring(item, error):
     )
     with pytest.raises(error):
         schemes.propagate(bare_scheme(register, random_state(register, 1), [item]))
+
+
+def test_a_plan_refusal_names_the_scheme_and_the_element():
+    register = Register([Subsystem("atom1", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
+    items = [el.BS(0.5, (0, 1)), el.Detector("D", "path", 0), el.PhaseShifter(5, 0.1)]
+    scheme = bare_scheme(register, random_state(register, 1), items, name="wired")
+    with pytest.raises(ParameterError) as info:
+        schemes.propagate(scheme)
+    assert str(info.value) == (
+        "scheme 'wired', element 2 (PhaseShifter): "
+        "ports (5,) must differ and exist on a path of dim 3"
+    )
+    scheme = bare_scheme(register, random_state(register, 1), [el.RamseyZone("a9")], name="wired")
+    with pytest.raises(InvalidLabelError, match=r"^scheme 'wired', element 0 \(RamseyZone\): no "):
+        schemes.propagate(scheme)
+
+
+SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def test_a_bad_port_is_reported_before_an_earlier_guard_trips():
+    register = Register([Subsystem("path", KIND_PATH, 3)])
+    # port 2 is occupied, so the reroute's guard would trip first if it ran
+    scheme = bare_scheme(register, [SQ2, 0.0, SQ2], [el.Reroute(0, 2), el.BS(0.5, (0, 7))])
+    with pytest.raises(ParameterError, match=r"^scheme 'bare', element 1 \(BS\): ports"):
+        schemes.propagate(scheme)
+
+
+def photon_scheme(register, port, items):
+    """``register`` with a photon in ``port`` and each other subsystem in its first state."""
+    factors = tuple(
+        ((sub.label,), np.eye(sub.dim)[port if sub.kind == KIND_PATH else 0])
+        for sub in register.subsystems
+    )
+    scheme = bare_scheme(register, np.eye(register.total_dim)[0], items)
+    return dataclasses.replace(scheme, initial=factors)
+
+
+def test_an_element_left_out_is_still_checked():
+    register = Register(
+        [
+            Subsystem("atom1", KIND_ATOM_LR),
+            Subsystem("field1", KIND_FIELD),
+            Subsystem("path", KIND_PATH, 3),
+        ]
+    )
+    # both act on empty port 2 only; the pi block's guard asks for an "e" the LR atom lacks
+    items = [el.PhaseShifter(2, 0.3), el.FieldPiBlock("atom1", "field1", 2)]
+    scheme = photon_scheme(register, 0, items)
+    assert schemes._plan(scheme, items[:1], register.position) == []
+    with pytest.raises(InvalidLabelError, match=r"^scheme 'bare', element 1 \(FieldPiBlock\): label"):
+        schemes.propagate(scheme)
+
+
+@st.composite
+def meshes(draw):
+    """A photon in a random port of a 2-8 port path among up to two random qubits, and a
+    mesh of splitters, phase shifters and reroutes."""
+    dpath = draw(st.integers(2, 8))
+    subs = [Subsystem(f"q{i}", KIND_ATOM_LR) for i in range(draw(st.integers(0, 2)))]
+    subs.insert(draw(st.integers(0, len(subs))), Subsystem("path", KIND_PATH, dpath))
+    port = st.integers(0, dpath - 1)
+    two_ports = st.lists(port, min_size=2, max_size=2, unique=True).map(tuple)
+    element = st.one_of(
+        st.builds(el.BS, st.floats(0.01, 0.99), two_ports),
+        st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
+        two_ports.map(lambda p: el.Reroute(*p)),
+    )
+    items = draw(st.lists(element, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = []
+    for sub in subs:
+        if sub.kind == KIND_PATH:
+            factors.append(((sub.label,), np.eye(dpath)[draw(port)]))
+        else:
+            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+            factors.append(((sub.label,), amps / np.linalg.norm(amps)))
+    register = Register(subs)
+    scheme = bare_scheme(register, np.eye(register.total_dim)[0], items)
+    return dataclasses.replace(scheme, initial=tuple(factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(meshes())
+def test_left_out_elements_change_no_value(scheme):
+    # Exact in value, so bit for bit except the sign of a zero: a left-out
+    # element keeps a zero as it is, and the matrix product it would have
+    # run writes -0.0 for some zeros on a few columns (a 2x2 splitter on
+    # 2 or 3 columns of zeros).  Every builder's bytes are unchanged.
+    try:
+        want = propagate_every_element(scheme)
+    except InvalidConfigurationError as exc:
+        with pytest.raises(InvalidConfigurationError) as info:
+            schemes.propagate(scheme)
+        assert str(info.value) == str(exc)
+        return
+    got = schemes.propagate(scheme).amplitudes
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@st.composite
+def factor_tilings(draw):
+    """A register of 1-5 subsystems, with or without a path, tiled by random complex factors."""
+    n = draw(st.integers(1, 5))
+    kinds = st.sampled_from((KIND_ATOM_LR, KIND_FIELD))
+    subs = [Subsystem(f"s{i}", draw(kinds)) for i in range(n)]
+    if draw(st.booleans()):
+        subs.insert(draw(st.integers(0, n)), Subsystem("path", KIND_PATH, draw(st.integers(2, 5))))
+    register = Register(subs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors, at = [], 0
+    while at < len(subs):
+        width = draw(st.integers(1, len(subs) - at))
+        labels = tuple(sub.label for sub in subs[at : at + width])
+        dim = int(np.prod([sub.dim for sub in subs[at : at + width]]))
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps[rng.random(dim) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(0.0, -0.0))))
+        amps[rng.integers(dim)] = 1.0  # no factor is all zeros
+        factors.append((labels, amps))
+        at += width
+    norm = np.prod([np.linalg.norm(amps) for _, amps in factors])
+    factors[0] = (factors[0][0], factors[0][1] / norm)
+    return register, factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_tilings())
+def test_path_first_product_is_the_transposed_register_order_product(case):
+    register, factors = case
+    order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != "path")
+    want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
+    assert_bit_equal(qstate._factor_product(register, factors, "path"), want)
+    flat = from_factors(register, factors).amplitudes
+    assert_bit_equal(qstate._factor_product(register, factors), flat)

@@ -268,3 +268,59 @@ def test_project_out_matches_the_oracle_bit_for_bit(case):
         return
     assert post.register == want.register and post.register.dims == want.register.dims
     assert_bit_equal(post.amplitudes, want.amplitudes)
+
+
+@st.composite
+def leading_axis_blocks(draw):
+    """A path-first tensor, a view of 2-4 of its leading slabs, and a random dense block.
+
+    The leading dim is 2-17 and the trailing size is small or within two
+    of a multiple of the chunk; the amplitudes mix in signed zeros.
+    """
+    lead = draw(st.integers(2, 17))
+    k = draw(st.integers(2, min(4, lead)))
+    step = draw(st.integers(1, (lead - 1) // (k - 1)))
+    start = draw(st.integers(0, lead - 1 - (k - 1) * step))
+    rows = slice(start, start + (k - 1) * step + 1, step)
+    if draw(st.booleans()):  # the ports in the other order, as _port_slice gives (2, 0)
+        rows = slice(rows.stop - 1, start - 1 if start else None, -step)
+    chunk = qstate._CHUNK_COLUMNS
+    cols = draw(
+        st.integers(1, 40)
+        | st.builds(lambda m, r: m * chunk + r, st.integers(1, 3), st.integers(-2, 2))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    block = qstate._Block(q * (np.diag(r) / np.abs(np.diag(r))), el.ELEMENT_UNITARY_ATOL)
+    psi = rng.normal(size=(lead, cols)) + 1j * rng.normal(size=(lead, cols))
+    psi[rng.random(psi.shape) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(-0.0, -0.0))))
+    return psi, rows, block
+
+
+@settings(max_examples=100, deadline=None)
+@given(leading_axis_blocks())
+def test_chunked_splitter_product_matches_one_product_bit_for_bit(case):
+    psi, rows, block = case
+    got, want = psi.copy(), psi.copy()
+    assert got[rows][0].flags.c_contiguous  # so _apply_block multiplies in chunks
+    qstate._apply_block(got[rows], [0], block)
+    view = want[rows]
+    view[...] = qstate._block_product(view, [0], block.matrix)
+    assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_a_left_out_step_finds_only_zeros_on_its_ports(name):
+    scheme = BUILDERS[name]()
+    register = scheme.register
+    kept = {index for index, *_ in schemes._plan(scheme, scheme.elements, register.position)}
+    left_out = [
+        (index, item)
+        for index, item in enumerate(scheme.elements)
+        if not isinstance(item, el.Detector) and index not in kept
+    ]
+    assert bool(left_out) == (name in ("w4", "w8", "w3-prob"))
+    for index, item in left_out:
+        before = schemes.propagate(scheme, upto=index).tensor_view()
+        ports = list(schemes._RESOLVE[type(item)](item).ports)
+        assert not np.take(before, ports, axis=register.position(schemes.PATH)).any()

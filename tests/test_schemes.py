@@ -753,6 +753,37 @@ def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
         RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
 
 
+def test_walk_cell_budget_refuses_before_either_walk(monkeypatch):
+    # (n + 2)**2 x max_steps: 16 x 5 = 80 for two cavities and five steps
+    monkeypatch.setattr(schemes, "MAX_WALK_CELL_STEPS", 80)
+    at_limit = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=5)
+    assert 0.0 < retry_walk(at_limit).success_prob <= 1.0
+    assert 0.0 <= retry_walk_mc(at_limit, 3, seed=1) <= 1.0
+
+    def refuse(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(schemes, "_walk_matrix", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    longer = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
+    message = (
+        "(n + 2)**2 x max_steps = 96 for 2 cavities and 6 steps exceeds MAX_WALK_CELL_STEPS = 80"
+    )
+    for walk in (retry_walk, lambda p: retry_walk_mc(p, 3, seed=1)):
+        with pytest.raises(ParameterError) as info:
+            walk(longer)
+        assert str(info.value) == message
+    # the walker budgets keep their own messages: they are checked first
+    monkeypatch.setattr(schemes, "MAX_MC_WALKER_STEPS", 12)
+    with pytest.raises(ParameterError, match="MAX_MC_WALKER_STEPS = 12"):
+        retry_walk_mc(longer, 3, seed=1)
+
+
+def test_walk_cell_budget_admits_the_default_steps_at_the_cavity_cap():
+    at_cap = RetryWalkParams(p_flip=0.5, n_cavities=schemes.MAX_WALK_CAVITIES)
+    assert (at_cap.n_cavities + 2) ** 2 * at_cap.max_steps == schemes.MAX_WALK_CELL_STEPS
+
+
 @pytest.mark.parametrize(
     "trajectories,seed,message",
     [(0, 1, "need at least one trajectory"), (-3, 1, "need at least one trajectory"),
