@@ -13,6 +13,7 @@ import errno
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -158,11 +159,19 @@ def _emit(out_path: str | None, *parts: str) -> None:
 
 
 def _refuse_unwritable(out_path: str) -> None:
-    """Refuse, before any work and as :func:`_emit` would, a directory or a missing one's file."""
+    """Refuse, before any work and as :func:`_emit` would, a directory or a path under no directory.
+
+    A parent that is missing or is not a directory is refused with the
+    reason ``open`` would give.  A parent without write permission is left
+    to :func:`_emit`.
+    """
     if os.path.isdir(out_path):
         raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
-    if not os.path.exists(os.path.dirname(out_path) or "."):
-        raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.ENOENT)}")
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:

@@ -83,19 +83,17 @@ MAX_WALK_CELL_STEPS = (MAX_WALK_CAVITIES + 2) ** 2 * 10_000
 class Scheme:
     """A fully wired experiment ready for :func:`run`.
 
-    ``initial_spec`` declares the starting product state as JSON entries and
-    ``initial`` holds its amplitude factors for :func:`qstate.from_factors`.
-    A builder declares each subsystem once, as a ``(state, subsystem, ...)``
-    entry in register order, and derives ``register``, ``initial_spec`` and
-    ``initial`` from those entries; a hand-wired scheme may set all three
-    fields freely.
+    ``initial`` declares the starting product state once: ``(labels, state)``
+    factors tiling ``register`` in order, each ``state`` either a name (see
+    :func:`_factor`) or the joint amplitude vector of ``labels``.  Builders
+    name their states through :func:`_scheme`; a hand-wired scheme, or one
+    restarted from a state reached, gives vectors.
     """
 
     name: str
     n: int
     register: Register
-    initial: tuple[tuple[tuple[str, ...], np.ndarray], ...]
-    initial_spec: tuple[dict, ...]
+    initial: tuple[tuple[tuple[str, ...], str | np.ndarray], ...]
     elements: tuple[el.Element, ...]
     detectors: tuple[el.Detector, ...]
     corrections: dict[str, LocalCorrection]
@@ -177,11 +175,6 @@ def _sector_index(register: Register, axis_of, assignments: dict) -> tuple:
     return tuple(slicer)
 
 
-def _sector_mass(tensor: np.ndarray, register: Register, axis_of, assignments: dict) -> float:
-    """Probability mass in the product sector fixed by ``assignments``."""
-    return qstate._mass(tensor[_sector_index(register, axis_of, assignments)])
-
-
 # kind -> (sector, limit, message): refused when the sector's mass exceeds the limit
 _GUARDS = {
     el.Reroute: lambda e: (
@@ -221,22 +214,28 @@ def _resolve(register: Register, axis_of, item) -> tuple[_Op, tuple | None]:
     return op, (_sector_index(register, axis_of, sector), limit, message)
 
 
+def _where(scheme: Scheme, index: int, item) -> str:
+    """Prefix of an error raised for element ``index`` of ``scheme``."""
+    return f"scheme {scheme.name!r}, element {index} ({type(item).__name__}): "
+
+
 def _plan(scheme: Scheme, items: Sequence[el.Element], axis_of) -> list[tuple]:
     """``(index, element, op, guard)`` for each of ``items`` that can change the state.
 
     Each is resolved and checked first, a refusal keeping its type and text
-    after a prefix naming the scheme and the element.  ``occupied`` holds
-    the path ports that may hold amplitude: the nonzero entries of a factor
-    over the path alone (every port if the path shares a factor), then the
-    ports of each element kept.  An element whose ports all hold zeros, as
-    its guard's sector then does, is left out.
+    after the prefix of :func:`_where`.  ``occupied`` holds the path ports
+    that may hold amplitude: the nonzero entries of a factor over the path
+    alone (every port if the path shares a factor), then the ports of each
+    element kept.  An element whose ports all hold zeros, as its guard's
+    sector then does, is left out.
     """
     register = scheme.register
     occupied: set[int] = set()
-    for labels, block in scheme.initial:
-        if PATH in labels:
-            shared = len(labels) > 1
-            occupied = set(range(register.subsystem(PATH).dim) if shared else np.flatnonzero(block))
+    for labels, state in scheme.initial:
+        if PATH in labels and len(labels) > 1:
+            occupied = set(range(register.subsystem(PATH).dim))
+        elif PATH in labels:
+            occupied = set(np.flatnonzero(_factor(register, labels, state)))
     plan = []
     for index, item in enumerate(items):
         if isinstance(item, el.Detector):
@@ -244,8 +243,7 @@ def _plan(scheme: Scheme, items: Sequence[el.Element], axis_of) -> list[tuple]:
         try:
             op, guard = _resolve(register, axis_of, item)
         except ParameterError as exc:
-            where = f"scheme {scheme.name!r}, element {index} ({type(item).__name__})"
-            raise type(exc)(f"{where}: {exc}") from None
+            raise type(exc)(_where(scheme, index, item) + str(exc)) from None
         if op.ports and occupied.isdisjoint(op.ports):
             continue
         occupied.update(op.ports or ())
@@ -272,7 +270,9 @@ def _port_slice(ports: tuple[int, ...]) -> slice:
 
 
 def initial_state(scheme: Scheme) -> PureState:
-    return qstate.from_factors(scheme.register, scheme.initial)
+    register = scheme.register
+    factors = [(labels, _factor(register, labels, state)) for labels, state in scheme.initial]
+    return qstate.from_factors(register, factors)
 
 
 def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
@@ -281,10 +281,15 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
     :func:`_plan` checks every element before any acts, so a static fault
     such as a bad port is reported before a guard that would trip earlier.
     The elements it keeps act in place, each guard checked just before its
-    element, on one private buffer with ``path``'s axis first
-    (:func:`qstate._factor_product`), so each path slice is one contiguous
-    block.  The buffer is then transposed into a fresh register-order array
-    and frozen into a :class:`PureState` (its norm checked) once.
+    element and its refusal prefixed by :func:`_where`, on one private
+    buffer with ``path``'s axis first (:func:`qstate._factor_product`), so
+    each path slice is one contiguous block.  The buffer is then transposed
+    into a fresh register-order array and frozen into a :class:`PureState`
+    (its norm checked) once.
+
+    A left-out element keeps a zero's sign where running it could write
+    -0.0 (a splitter's product does for some zeros on 2 or 3 columns); the
+    values are equal, and no builder's bytes change.
     """
     register = scheme.register
     order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != PATH)
@@ -295,11 +300,12 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 
     items = scheme.elements if upto is None else scheme.elements[:upto]
     plan = _plan(scheme, items, axis_of)
-    tensor = qstate._factor_product(register, scheme.initial, PATH)
+    factors = [(labels, _factor(register, labels, state)) for labels, state in scheme.initial]
+    tensor = qstate._factor_product(register, factors, PATH)
     tensor = tensor.reshape([register.dims[pos] for pos in order])
-    for _, _, op, guard in plan:
+    for index, item, op, guard in plan:
         if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
-            raise InvalidConfigurationError(guard[2])
+            raise InvalidConfigurationError(_where(scheme, index, item) + guard[2])
         _apply_op(tensor, axis_of, op)
     amplitudes = tensor.transpose(axis).flatten()
     amplitudes.setflags(write=False)
@@ -405,59 +411,42 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
 # small construction helpers
 
 
-def _spec_factor(register: Register, entry: dict) -> tuple[tuple[str, ...], np.ndarray]:
-    """Amplitude factor of one ``initial_spec`` entry.
+def _factor(register: Register, labels: Sequence[str], state: str | np.ndarray) -> np.ndarray:
+    """Amplitude vector of the factor ``state`` over ``labels``; a vector is returned unchanged.
 
-    The entry's state is a basis label of its one subsystem, ``"+"`` for
+    A name is a basis label of the one subsystem in ``labels``, ``"+"`` for
     (|0> + |1>)/sqrt(2), or ``"pair"`` for (|0,g> + |1,e>)/sqrt(2) over a
     (field, atom) pair.
     """
-    labels = tuple(entry["subsystems"])
-    state = entry["state"]
-    if state == "pair":
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
-    elif state == "+":
-        vec = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    else:
-        sub = register.subsystem(labels[0])
-        vec = np.zeros(sub.dim, dtype=complex)
-        vec[sub.index_of(state)] = 1.0
-    return labels, vec
-
-
-def _declare(entries: Iterable[tuple]) -> tuple[Register, tuple[dict, ...]]:
-    """Register and ``initial_spec`` of ``(state, subsystem, ...)`` entries in register order.
-
-    Each entry prepares its subsystems in ``state`` (see :func:`_spec_factor`).
-    """
-    entries = tuple(entries)
-    register = Register(sub for _, *subs in entries for sub in subs)
-    spec = tuple(
-        {"subsystems": [sub.label for sub in subs], "state": state} for state, *subs in entries
-    )
-    return register, spec
+    if not isinstance(state, str):
+        return state
+    if state in ("+", "pair"):
+        return np.array([1, 1] if state == "+" else [1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+    sub = register.subsystem(labels[0])
+    return np.eye(sub.dim, dtype=complex)[sub.index_of(state)]
 
 
 def _scheme(
     name: str,
     n: int,
-    register: Register,
-    spec: Iterable[dict],
+    entries: Iterable[tuple],
     items: Iterable[el.Element],
     detectors: Iterable[el.Detector],
     corrections: dict[str, LocalCorrection],
     targets: dict[str, PureState | None],
     flying: tuple[str, ...] = (),
 ) -> Scheme:
-    """A :class:`Scheme` whose ``initial`` factors are derived from ``spec``."""
-    spec = tuple(spec)
+    """A :class:`Scheme` whose ``register`` and ``initial`` are ``(state, subsystem, ...)`` entries.
+
+    The entries list each subsystem once, in register order, one factor
+    each; ``initial`` keeps each ``state`` as its name (see :func:`_factor`).
+    """
+    entries = tuple(entries)
     return Scheme(
         name=name,
         n=n,
-        register=register,
-        initial=tuple(_spec_factor(register, entry) for entry in spec),
-        initial_spec=spec,
+        register=Register(sub for _, *subs in entries for sub in subs),
+        initial=tuple((tuple(sub.label for sub in subs), state) for state, *subs in entries),
         elements=tuple(items),
         detectors=tuple(detectors),
         corrections=corrections,
@@ -601,9 +590,7 @@ def _photon_scheme(
     """
     entries = [(s, Subsystem(f"atom{i + 1}", KIND_ATOM_LR)) for i, s in enumerate(pattern)]
     entries += [("0", Subsystem(PATH, KIND_PATH, dpath)), ("L", Subsystem(POL, KIND_POL))]
-    return _scheme(
-        name, len(pattern), *_declare(entries), items, detectors, corrections, targets, (POL,)
-    )
+    return _scheme(name, len(pattern), entries, items, detectors, corrections, targets, (POL,))
 
 
 def _ghz_wiring(
@@ -790,10 +777,8 @@ def build_ghz_fields(n: int) -> Scheme:
     )
     entries = [(s, Subsystem(f"field{i + 1}", KIND_FIELD)) for i, s in enumerate(pattern)]
     entries += [("0", Subsystem(PATH, KIND_PATH, 2)), ("g", Subsystem("atom", KIND_ATOM_GE))]
-    return _scheme(
-        "ghz-fields", n, *_declare(entries), items, _port_detectors(2),
-        corrections, targets, ("atom",),
-    )
+    detectors = _port_detectors(2)
+    return _scheme("ghz-fields", n, entries, items, detectors, corrections, targets, ("atom",))
 
 
 def build_field_cz_pair() -> Scheme:
@@ -821,7 +806,7 @@ def build_field_cz_pair() -> Scheme:
     detectors = (el.Detector("Dg", "atom", "g"), el.Detector("De", "atom", "e"))
     corrections = {"Dg": LocalCorrection(), "De": LocalCorrection((("field1", "Z"),))}
     targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(2), KIND_FIELD))
-    return _scheme("field-cz", 2, *_declare(entries), items, detectors, corrections, targets)
+    return _scheme("field-cz", 2, entries, items, detectors, corrections, targets)
 
 
 # (atom vertex, cavity vertex) passes of each named graph kind on n vertices;
@@ -875,13 +860,12 @@ def build_field_graph(
         passes = _GRAPH_PASSES[kind](n)
         graph = Graph(n, passes)
 
-    paired_set = set(paired)
-    register, spec = _declare(
+    entries = [
         ("pair", Subsystem(f"field{v + 1}", KIND_FIELD), Subsystem(f"atom{v + 1}", KIND_ATOM_GE))
-        if v in paired_set
+        if v in paired
         else ("+", Subsystem(f"field{v + 1}", KIND_FIELD))
         for v in range(n)
-    )
+    ]
 
     items: list[el.Element] = [
         el.DispersiveBlock(f"atom{a + 1}", f"field{f + 1}") for a, f in passes
@@ -898,7 +882,7 @@ def build_field_graph(
         for combo_id, combo in _outcome_combos(detectors)
     }
     targets = dict.fromkeys(corrections, verify.graph_target(graph, KIND_FIELD))
-    return _scheme(scheme_name, n, register, spec, items, detectors, corrections, targets)
+    return _scheme(scheme_name, n, entries, items, detectors, corrections, targets)
 
 
 # --------------------------------------------------------------------------
@@ -1061,11 +1045,12 @@ def _element_to_jsonable(item: el.Element) -> dict:
 
 
 def scheme_to_jsonable(scheme: Scheme) -> dict:
+    initial = [{"subsystems": list(labels), "state": state} for labels, state in scheme.initial]
     return {
         "name": scheme.name,
         "n": scheme.n,
         "elements": [_element_to_jsonable(item) for item in scheme.elements],
-        "initial": [dict(entry) for entry in scheme.initial_spec],
+        "initial": initial,
     }
 
 

@@ -6,18 +6,20 @@ order.  ``reference_project_out`` is the projection oracle: the slab taken
 with ``np.take``, its probability as ``np.sum(np.abs(slab) ** 2)``, and a
 post register built fresh.  ``propagate_every_element`` is the
 propagation oracle that leaves no element out: the initial state built in
-register order and transposed path-first, and every element's guard and op
-applied in turn.  ``bare_scheme`` wires a :class:`Scheme` by hand from a
-register and its amplitudes, declaring the identity correction and no
-target for every outcome id unless given others.
+register order and transposed path-first, and every element's guard (its
+``sector_mass`` against the limit) and op applied in turn, a refusal
+naming the scheme and the element.  ``bare_scheme`` wires a
+:class:`Scheme` by hand from a register and its amplitudes, declaring the
+identity correction and no target for every outcome id unless given
+others.
 """
 
 import numpy as np
 
 from cavnet import elements as el
-from cavnet import schemes
+from cavnet import qstate, schemes
 from cavnet.errors import InvalidConfigurationError
-from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary, from_factors
+from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
 from cavnet.schemes import Scheme, _outcome_combos
 from cavnet.verify import LocalCorrection
 
@@ -54,10 +56,15 @@ def reference_project_out(state, target, outcome):
     return prob, PureState(Register(remaining), slab)
 
 
+def sector_mass(tensor, register, axis_of, assignments):
+    """Probability mass in the product sector fixed by ``assignments``."""
+    return qstate._mass(tensor[schemes._sector_index(register, axis_of, assignments)])
+
+
 def propagate_every_element(scheme):
     """Final register-order amplitudes of ``scheme`` with every element applied.
 
-    The buffer is :func:`from_factors`'s state with the path axis moved to
+    The buffer is :func:`schemes.initial_state` with the path axis moved to
     the front, as ``propagate``'s is; each guard is checked and each op
     applied through ``schemes._apply_op``, and no element is left out.
     """
@@ -68,15 +75,16 @@ def propagate_every_element(scheme):
     def axis_of(label):
         return axis[register.position(label)]
 
-    tensor = from_factors(register, scheme.initial).tensor_view().transpose(order).copy()
-    for item in scheme.elements:
+    tensor = schemes.initial_state(scheme).tensor_view().transpose(order).copy()
+    for index, item in enumerate(scheme.elements):
         if isinstance(item, el.Detector):
             continue
         guard = schemes._GUARDS.get(type(item))
         if guard is not None:
             sector, limit, message = guard(item)
-            if schemes._sector_mass(tensor, register, axis_of, sector) > limit:
-                raise InvalidConfigurationError(message)
+            if sector_mass(tensor, register, axis_of, sector) > limit:
+                where = f"scheme {scheme.name!r}, element {index} ({type(item).__name__})"
+                raise InvalidConfigurationError(f"{where}: {message}")
         schemes._apply_op(tensor, axis_of, schemes._RESOLVE[type(item)](item))
     return tensor.transpose(axis).reshape(-1)
 
@@ -93,7 +101,6 @@ def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):
     values = dict(
         name="bare",
         n=0,
-        initial_spec=(),
         corrections=dict.fromkeys(ids, LocalCorrection()),
         targets=dict.fromkeys(ids),
         flying=(),

@@ -113,9 +113,14 @@ OUT_COMMANDS = [
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
 @pytest.mark.parametrize(
     "target,reason",
-    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+    [
+        ("missing/out.txt", "No such file or directory"),
+        (".", "Is a directory"),
+        ("plain.txt/out.txt", "Not a directory"),
+    ],
 )
 def test_an_unwritable_out_path_exits_two_naming_it(argv, target, reason, tmp_path, capsys):
+    (tmp_path / "plain.txt").write_text("")  # a regular file
     out = tmp_path / target
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -124,8 +129,10 @@ def test_an_unwritable_out_path_exits_two_naming_it(argv, target, reason, tmp_pa
 
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
-@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+@pytest.mark.parametrize("target", ["missing/out.txt", ".", "plain.txt/out.txt"])
 def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_path, monkeypatch):
+    (tmp_path / "plain.txt").write_text("")  # a regular file
+
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

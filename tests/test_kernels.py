@@ -34,7 +34,7 @@ from cavnet.qstate import (
     apply_unitary,
 )
 from cavnet.verify import Graph, LocalCorrection
-from support import reference_apply, reference_project_out
+from support import reference_apply, reference_project_out, sector_mass
 
 
 def gemm_apply_op(tensor, axis_of, op):
@@ -259,7 +259,7 @@ def test_project_out_matches_the_oracle_bit_for_bit(case):
     want_prob, want = reference_project_out(state, target, outcome)
     assert prob.hex() == want_prob.hex()
     assert qstate.projection_probability(state, target, outcome).hex() == want_prob.hex()
-    sector = schemes._sector_mass(
+    sector = sector_mass(
         state.tensor_view(), state.register, state.register.position, {target: outcome}
     )
     assert sector.hex() == want_prob.hex()

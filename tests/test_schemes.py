@@ -437,11 +437,54 @@ def test_run_reports_exactly_the_declared_outcome_ids(name):
 @pytest.mark.parametrize("name", DECLARED)
 def test_initial_spec_lists_the_register_in_order(name):
     scheme = DECLARED[name]()
-    labels = [label for entry in scheme.initial_spec for label in entry["subsystems"]]
+    labels = [label for factor, _ in scheme.initial for label in factor]
     assert tuple(labels) == scheme.register.labels
-    assert [labels for labels, _ in scheme.initial] == [
-        tuple(entry["subsystems"]) for entry in scheme.initial_spec
-    ]
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_replaying_one_element_at_a_time_from_full_state_vectors_is_bit_equal(name):
+    # each step restarts from the state reached, as one factor over the whole register
+    scheme = DECLARED[name]()
+    state = initial_state(scheme)
+    for item in scheme.elements:
+        start = ((scheme.register.labels, state.amplitudes),)
+        state = schemes.propagate(dataclasses.replace(scheme, initial=start, elements=(item,)))
+    assert state.amplitudes.tobytes() == schemes.propagate(scheme).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build,initial",
+    [
+        (
+            lambda: build_ghz_atoms(2),
+            [
+                {"subsystems": ["atom1"], "state": "L"},
+                {"subsystems": ["atom2"], "state": "L"},
+                {"subsystems": ["path"], "state": "0"},
+                {"subsystems": ["pol"], "state": "L"},
+            ],
+        ),
+        (
+            build_field_cz_pair,
+            [
+                {"subsystems": ["field1"], "state": "1"},
+                {"subsystems": ["field2"], "state": "+"},
+                {"subsystems": ["atom"], "state": "g"},
+            ],
+        ),
+        (
+            lambda: build_field_graph("star", 3),
+            [
+                {"subsystems": ["field1"], "state": "+"},
+                {"subsystems": ["field2", "atom2"], "state": "pair"},
+                {"subsystems": ["field3", "atom3"], "state": "pair"},
+            ],
+        ),
+    ],
+    ids=["ghz-atoms-2", "field-cz", "graph-star-3"],
+)
+def test_rendered_initial_state_names_each_factor(build, initial):
+    assert schemes.scheme_to_jsonable(build())["initial"] == initial
 
 
 def test_run_refuses_an_outcome_id_the_scheme_does_not_declare():
@@ -516,7 +559,7 @@ def test_field_graph_combo_count_scales_with_edges():
 
 def test_run_without_detectors_returns_empty():
     reg = Register([Subsystem("atom1", KIND_ATOM_GE)])
-    sch = bare_scheme(reg, [1.0, 0.0], n=1, initial_spec=(("atom1", "g"),))
+    sch = bare_scheme(reg, [1.0, 0.0], n=1)
     assert run(sch) == []
 
 
@@ -596,7 +639,6 @@ def test_field_pi_block_rejects_double_excitation():
         [el.FieldPiBlock("atom", "field1")],
         name="bad",
         n=1,
-        initial_spec=(("field1", "1"), ("atom", "e")),
     )
     with pytest.raises(InvalidConfigurationError):
         schemes.propagate(sch)
@@ -605,9 +647,7 @@ def test_field_pi_block_rejects_double_excitation():
 def test_reroute_rejects_occupied_destination():
     reg = Register([Subsystem("path", KIND_PATH, dim=2)])
     init = np.array([SQ2, SQ2])
-    sch = bare_scheme(
-        reg, init, [el.Reroute(0, 1)], name="bad", initial_spec=(("path", "superposed"),)
-    )
+    sch = bare_scheme(reg, init, [el.Reroute(0, 1)], name="bad")
     with pytest.raises(InvalidConfigurationError):
         schemes.propagate(sch)
 
@@ -618,7 +658,9 @@ def test_guard_messages_name_the_refused_sector():
     )
     with pytest.raises(InvalidConfigurationError) as info:
         schemes.propagate(reroute)
-    assert str(info.value) == "reroute target port 2 is already occupied"
+    assert str(info.value) == (
+        "scheme 'bare', element 0 (Reroute): reroute target port 2 is already occupied"
+    )
     pi = bare_scheme(
         Register([Subsystem("field1", KIND_FIELD), Subsystem("atom", KIND_ATOM_GE)]),
         [0.0, 0.0, 0.0, 1.0],  # |1, e>
@@ -627,8 +669,8 @@ def test_guard_messages_name_the_refused_sector():
     with pytest.raises(InvalidConfigurationError) as info:
         schemes.propagate(pi)
     assert str(info.value) == (
-        "resonant pi block reached with population in the doubly "
-        "excited |e,1> sector of (atom, field1)"
+        "scheme 'bare', element 0 (FieldPiBlock): resonant pi block reached with "
+        "population in the doubly excited |e,1> sector of (atom, field1)"
     )
 
 
