@@ -38,15 +38,18 @@ _SCHEMES = {
 SCHEME_NAMES = tuple(_SCHEMES)
 
 
-def dump_json(value, indent: int = 0) -> str:
-    """Render JSON with full-precision floats and stable ordering.
+def dump_json(value, indent: int = 0) -> list[str]:
+    """Render JSON with full-precision floats and stable ordering, as a list of text pieces.
 
     A 1-D complex array renders as its list of ``[re, im]`` pairs.  The
-    text is collected as pieces in one list and joined once.
+    document is ``"".join`` of the pieces; they are left unjoined, since a
+    large report's text would otherwise exist twice, as pieces and as one
+    string, and :func:`_emit` writes them a group at a time.  A value that
+    cannot be rendered raises before any piece is returned.
     """
     pieces: list[str] = []
     _render(value, indent, pieces)
-    return "".join(pieces)
+    return pieces
 
 
 def _render(value, indent: int, out: list[str]) -> None:
@@ -139,23 +142,36 @@ def _differs_from_previous(records: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _emit(out_path: str | None, *parts: str) -> None:
-    """Write ``parts`` one after another to stdout or to ``out_path``.
+# Pieces joined per write by _emit: 8,192 amplitude records of a dense report are about 0.4 MB.
+_EMIT_GROUP = 1 << 13
 
-    They are written in slices of 1 MiB: a text stream encodes what it is
-    given into a second buffer, which for a whole document would hold a
-    second copy of it, the peak of a large ``run-scheme``.
+
+def _emit(out_path: str | None, pieces: list[str]) -> None:
+    """Write the text ``pieces`` to stdout or to ``out_path``, in order.
+
+    Called once all rendering is done, so a command that fails leaves
+    stdout empty and an existing ``out_path`` as it was.  Each write is
+    ``"".join`` of ``_EMIT_GROUP`` consecutive pieces: the whole document
+    is never one string, and the text stream encodes one group at a time.
     """
-    step = 1 << 20
-    slices = (part[i : i + step] for part in parts for i in range(0, len(part), step))
+    groups = (
+        "".join(pieces[i : i + _EMIT_GROUP]) for i in range(0, len(pieces), _EMIT_GROUP)
+    )
     if out_path is None:
-        sys.stdout.writelines(slices)
+        sys.stdout.writelines(groups)
         return
     try:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.writelines(slices)
+            fh.writelines(groups)
     except OSError as exc:
         raise ParameterError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
+def _emit_json(out_path: str | None, value) -> None:
+    """Write ``value`` as :func:`dump_json` renders it, plus a newline, through :func:`_emit`."""
+    pieces = dump_json(value)
+    pieces.append("\n")
+    _emit(out_path, pieces)
 
 
 def _refuse_unwritable(out_path: str) -> None:
@@ -253,7 +269,7 @@ def cmd_run_scheme(args) -> int:
         "scheme": schemes.scheme_to_jsonable(scheme),
         "outcomes": schemes.reports_to_jsonable(schemes.run(scheme)),
     }
-    _emit(args.out, dump_json(report), "\n")
+    _emit_json(args.out, report)
     return 0
 
 
@@ -267,7 +283,7 @@ def cmd_flip_sweep(args) -> int:
         else _parse_tau_range(args.tau_range)
     )
     rows = iomodel.flip_probability_sweep(gs, taus, step=args.step)
-    _emit(args.out, iomodel.sweep_csv_text(rows))
+    _emit(args.out, [iomodel.sweep_csv_text(rows)])
     return 0
 
 
@@ -291,7 +307,7 @@ def cmd_retry_walk(args) -> int:
         payload["mc_trajectories"] = args.mc_trajectories
         payload["seed"] = args.seed
         payload["mc_success_prob"] = mc
-    _emit(args.out, dump_json(payload), "\n")
+    _emit_json(args.out, payload)
     return 0
 
 

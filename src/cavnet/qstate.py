@@ -122,9 +122,10 @@ class Register:
     exact Python integer, however many subsystems there are.  The dims are
     multiplied in order and a register over more than ``MAX_TOTAL_DIM``
     basis states raises a parameter error as soon as the running product
-    passes it.  A register is immutable, so :meth:`without` keeps each
-    register it returns and hands the same one back on the next call; that
-    cache takes no part in ``==``, ``hash`` or ``repr``.
+    passes it.  A register is immutable, so :meth:`without` and
+    :meth:`leading` keep each register they return and hand the same one
+    back on the next call; those caches take no part in ``==``, ``hash``
+    or ``repr``.
     """
 
     subsystems: tuple[Subsystem, ...]
@@ -132,6 +133,7 @@ class Register:
     total_dim: int = field(init=False, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
     _dropped: dict[str, "Register"] = field(init=False, repr=False, compare=False)
+    _led: dict[str, "Register"] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[Subsystem]):
         subs = tuple(subsystems)
@@ -148,6 +150,7 @@ class Register:
         object.__setattr__(self, "total_dim", _checked_total_dim(dims))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_dropped", {})
+        object.__setattr__(self, "_led", {})
 
     def __len__(self) -> int:
         return len(self.subsystems)
@@ -203,6 +206,25 @@ class Register:
         reduced = Register(self.subsystems[:pos] + self.subsystems[pos + 1 :])
         self._dropped[label] = reduced
         return reduced
+
+    def leading(self, label: str) -> "Register":
+        """Register with one subsystem moved first, the rest in order.
+
+        This register itself if ``label`` already leads.  Built at the first
+        call for ``label`` and kept, as :meth:`without` keeps its registers.
+        """
+        try:
+            return self._led[label]
+        except KeyError:
+            pass
+        pos = self.position(label)
+        if pos == 0:
+            moved = self
+        else:
+            subs = self.subsystems
+            moved = Register(subs[pos : pos + 1] + subs[:pos] + subs[pos + 1 :])
+        self._led[label] = moved
+        return moved
 
 
 def _checked_total_dim(dims: Sequence[int]) -> int:
@@ -314,11 +336,14 @@ def _factor_product(register: Register, factors, lead: str | None = None) -> np.
 
     The factors multiply in register order, each from the right of the
     product so far, so an amplitude has the same bits whether ``lead`` is
-    given or not.  Refused: factors that do not tile the register in order,
-    a factor of the wrong length, and a norm that is not 1 within 1e-9.
+    given or not.  The 1-D result owns its memory, so once frozen a
+    :class:`PureState` adopts it without a copy.  Refused: factors that do
+    not tile the register in order, a factor of the wrong length, and a
+    norm that is not 1 within 1e-9.
     """
     covered: list[str] = []
-    vec = np.ones((1, 1), dtype=complex)  # (dim of lead, dims of the rest so far)
+    flat = np.ones(1, dtype=complex)  # owns the product so far
+    vec = flat.reshape(1, 1)  # (dim of lead, dims of the rest so far)
     for labels, block in factors:
         for lab in labels:
             pos = register.position(lab)
@@ -339,14 +364,14 @@ def _factor_product(register: Register, factors, lead: str | None = None) -> np.
             block = np.moveaxis(block.reshape(dims), at, 0).reshape(dims[at], -1)
         else:
             block = block.reshape(1, -1)
-        product = np.empty((max(len(vec), len(block)), vec.shape[1], block.shape[1]), dtype=complex)
-        np.multiply(vec[:, :, None], block[:, None, :], out=product)
-        vec = product.reshape(len(product), -1)
+        shape = (max(len(vec), len(block)), vec.shape[1], block.shape[1])
+        flat = np.empty(math.prod(shape), dtype=complex)
+        np.multiply(vec[:, :, None], block[:, None, :], out=flat.reshape(shape))
+        vec = flat.reshape(shape[0], -1)
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
-    vec = vec.reshape(-1)
-    _check_norm(vec)
-    return vec
+    _check_norm(flat)
+    return flat
 
 
 def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:

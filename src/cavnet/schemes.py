@@ -122,7 +122,7 @@ class OutcomeReport:
 # (1e-12).  ``ports`` is None for a block that ignores the path, one port for
 # a block that acts only in that arm, and two ports for a block that mixes
 # two arms.  :func:`qstate._apply_block` rewrites
-# only the path slices an op names, in place on the buffer :func:`propagate`
+# only the path slices an op names, in place on the buffer :func:`_propagated`
 # owns; the fixed blocks below are signed permutations, except the Ramsey
 # zone and the half-pi block, so they move slabs.  :func:`_plan` resolves
 # and checks every element, and the sector of its ``_GUARDS`` entry, before
@@ -275,39 +275,54 @@ def initial_state(scheme: Scheme) -> PureState:
     return qstate.from_factors(register, factors)
 
 
-def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
-    """State after the first ``upto`` elements (all of them by default).
+def _path_first(register: Register) -> Register:
+    """``register`` with ``path`` moved first (see :meth:`Register.leading`); itself without one."""
+    return register.leading(PATH) if PATH in register.labels else register
+
+
+def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
+    """Frozen amplitudes after the first ``upto`` elements, over :func:`_path_first`'s register.
 
     :func:`_plan` checks every element before any acts, so a static fault
     such as a bad port is reported before a guard that would trip earlier.
     The elements it keeps act in place, each guard checked just before its
-    element and its refusal prefixed by :func:`_where`, on one private
-    buffer with ``path``'s axis first (:func:`qstate._factor_product`), so
-    each path slice is one contiguous block.  The buffer is then transposed
-    into a fresh register-order array and frozen into a :class:`PureState`
-    (its norm checked) once.
+    element and its refusal prefixed by :func:`_where`, on one buffer with
+    ``path``'s axis first (:func:`qstate._factor_product`), so each path
+    slice is one contiguous block.  The buffer owns its memory, so a
+    :class:`PureState` adopts it as it is.
 
     A left-out element keeps a zero's sign where running it could write
     -0.0 (a splitter's product does for some zeros on 2 or 3 columns); the
     values are equal, and no builder's bytes change.
     """
     register = scheme.register
-    order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != PATH)
-    axis = [order.index(pos) for pos in range(len(register))]
-
-    def axis_of(label: str) -> int:
-        return axis[register.position(label)]
-
+    lead = _path_first(register)
     items = scheme.elements if upto is None else scheme.elements[:upto]
-    plan = _plan(scheme, items, axis_of)
+    plan = _plan(scheme, items, lead.position)
     factors = [(labels, _factor(register, labels, state)) for labels, state in scheme.initial]
-    tensor = qstate._factor_product(register, factors, PATH)
-    tensor = tensor.reshape([register.dims[pos] for pos in order])
+    buffer = qstate._factor_product(register, factors, PATH)
+    tensor = buffer.reshape(lead.dims)
     for index, item, op, guard in plan:
         if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
             raise InvalidConfigurationError(_where(scheme, index, item) + guard[2])
-        _apply_op(tensor, axis_of, op)
-    amplitudes = tensor.transpose(axis).flatten()
+        _apply_op(tensor, lead.position, op)
+    buffer.setflags(write=False)
+    return buffer
+
+
+def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
+    """State after the first ``upto`` elements (all of them by default), in register order.
+
+    :func:`_propagated` runs the elements on its path-first buffer, which
+    is then transposed into a fresh register-order array and frozen into a
+    :class:`PureState` (its norm checked) once.  For that moment both
+    arrays are held; :func:`run` detects on the path-first buffer instead
+    when it can.
+    """
+    register = scheme.register
+    lead = _path_first(register)
+    tensor = _propagated(scheme, upto).reshape(lead.dims)
+    amplitudes = tensor.transpose([lead.position(label) for label in register.labels]).flatten()
     amplitudes.setflags(write=False)
     return PureState(register, amplitudes)
 
@@ -358,8 +373,19 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
     Every combination's id must be a key of ``scheme.corrections`` and of
     ``scheme.targets`` (a ``None`` target reports no fidelity); a missing
     one is a contract violation, raised before anything is propagated, so
-    it comes first even when the wiring would fail too.  Probabilities
-    must account for the whole state (sum to 1 within 1e-9).
+    it comes first even when the wiring would fail too.
+
+    When the first detector group is the path, as for every builder with
+    one, detection reads :func:`_propagated`'s path-first buffer as a
+    :class:`PureState` over :func:`_path_first`'s register: each path
+    outcome is one contiguous slab, already in the post register's order,
+    and no register-order copy is made.  Any other scheme detects on
+    :func:`propagate`'s state.  Every combination is projected and its
+    flyers stripped first; the propagated state is then released, and only
+    then are the corrections applied and the fidelities computed, in
+    report order.  So when one outcome fails at detection and another at
+    its correction, the detection error is raised, whatever their order.
+    Probabilities must account for the whole state (sum to 1 within 1e-9).
     """
     combos = list(_outcome_combos(scheme.detectors)) if scheme.detectors else []
     for combo_id, _ in combos:
@@ -368,11 +394,14 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
                 f"scheme {scheme.name!r} declares no correction and target for outcome "
                 f"{combo_id!r}"
             )
-    state = propagate(scheme)
+    if scheme.detectors and scheme.detectors[0].subsystem != PATH:
+        state = propagate(scheme)
+    else:
+        state = PureState(_path_first(scheme.register), _propagated(scheme))
     if not combos:
         return []
 
-    reports: list[OutcomeReport] = []
+    detected: list[tuple[str, float, PureState | None]] = []
     total = 0.0
     for combo_id, combo in combos:
         prob = 1.0
@@ -387,6 +416,12 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
             for label in scheme.flying:
                 if label in st.register.labels:
                     st = _strip_flyer(st, label)
+        detected.append((combo_id, prob, st))
+        total += prob
+    del state
+
+    reports: list[OutcomeReport] = []
+    for combo_id, prob, st in detected:
         correction = scheme.corrections[combo_id]
         target = scheme.targets[combo_id]
         corrected = correction.apply(st) if st is not None else None
@@ -395,10 +430,7 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
             if corrected is not None and target is not None
             else None
         )
-        reports.append(
-            OutcomeReport(combo_id, prob, st, corrected, correction, fid)
-        )
-        total += prob
+        reports.append(OutcomeReport(combo_id, prob, st, corrected, correction, fid))
 
     if abs(total - 1.0) > PROB_SUM_ATOL:
         raise LossyWiringError(

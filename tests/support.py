@@ -8,7 +8,10 @@ post register built fresh.  ``propagate_every_element`` is the
 propagation oracle that leaves no element out: the initial state built in
 register order and transposed path-first, and every element's guard (its
 ``sector_mass`` against the limit) and op applied in turn, a refusal
-naming the scheme and the element.  ``bare_scheme`` wires a
+naming the scheme and the element.  ``reference_run`` is the detection
+oracle: the flat loop over :func:`schemes.propagate`'s register-order
+state, each outcome projected, its flyers stripped, corrected and scored
+in turn.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
 identity correction and no target for every outcome id unless given
 others.
@@ -17,7 +20,7 @@ others.
 import numpy as np
 
 from cavnet import elements as el
-from cavnet import qstate, schemes
+from cavnet import qstate, schemes, verify
 from cavnet.errors import InvalidConfigurationError
 from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
 from cavnet.schemes import Scheme, _outcome_combos
@@ -87,6 +90,35 @@ def propagate_every_element(scheme):
                 raise InvalidConfigurationError(f"{where}: {message}")
         schemes._apply_op(tensor, axis_of, schemes._RESOLVE[type(item)](item))
     return tensor.transpose(axis).reshape(-1)
+
+
+def reference_run(scheme):
+    """:func:`schemes.run`'s reports from the register-order state, one outcome at a time.
+
+    Every outcome is projected from ``propagate(scheme)``, its flyers
+    stripped, and it is corrected and scored before the next is projected.
+    """
+    state = schemes.propagate(scheme)
+    reports, total = [], 0.0
+    for combo_id, combo in _outcome_combos(scheme.detectors):
+        prob, st = 1.0, state
+        for det in combo:
+            p, st = qstate.project_out(st, det.subsystem, det.outcome)
+            prob *= p
+            if st is None:
+                prob = 0.0
+                break
+        if st is not None:
+            for label in scheme.flying:
+                if label in st.register.labels:
+                    st = schemes._strip_flyer(st, label)
+        correction, target = scheme.corrections[combo_id], scheme.targets[combo_id]
+        corrected = None if st is None else correction.apply(st)
+        fid = None if corrected is None or target is None else verify.fidelity(corrected, target)
+        reports.append(schemes.OutcomeReport(combo_id, prob, st, corrected, correction, fid))
+        total += prob
+    assert abs(total - 1.0) <= schemes.PROB_SUM_ATOL
+    return reports
 
 
 def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):

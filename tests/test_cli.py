@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavnet import iomodel, qstate, schemes, verify
-from cavnet.cli import SCHEME_NAMES, _dump_amplitudes, _parse_tau_range, dump_json, main
+from cavnet.cli import (
+    _EMIT_GROUP,
+    SCHEME_NAMES,
+    _dump_amplitudes,
+    _emit,
+    _parse_tau_range,
+    dump_json,
+    main,
+)
 from cavnet.errors import ParameterError
 
 
@@ -156,6 +165,63 @@ def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, monke
     monkeypatch.setattr(schemes, "build_field_cz_pair", refuse)
     assert main(["run-scheme", "field-cz", "--out", str(out)]) == 2
     assert out.read_text() == "kept"
+
+
+def ghz14_document():
+    """The text pieces ``run-scheme ghz-atoms --n 14`` writes: 2 x 16,384 amplitude records."""
+    scheme = schemes.build_ghz_atoms(14)
+    report = {
+        "scheme": schemes.scheme_to_jsonable(scheme),
+        "outcomes": schemes.reports_to_jsonable(schemes.run(scheme)),
+    }
+    return dump_json(report)
+
+
+def test_a_report_that_cannot_be_rendered_writes_nothing(tmp_path, monkeypatch, capsys):
+    real = schemes.reports_to_jsonable
+
+    def nan_probability(reports):
+        rows = real(reports)
+        rows[-1]["probability"] = math.nan  # after every amplitude record before it
+        return rows
+
+    assert len(ghz14_document()) > 3 * _EMIT_GROUP  # rendered, it would span several writes
+    monkeypatch.setattr(schemes, "reports_to_jsonable", nan_probability)
+    out = tmp_path / "kept.json"
+    out.write_text("kept")
+    argv = ["run-scheme", "ghz-atoms", "--n", "14"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite value nan cannot be serialized\n" * 2
+
+
+def test_a_document_of_several_write_groups_is_written_as_its_joined_pieces(tmp_path, capsys):
+    pieces = ghz14_document()
+    assert len(pieces) > 3 * _EMIT_GROUP and len(pieces) % _EMIT_GROUP
+    want = "".join(pieces) + "\n"
+    argv = ["run-scheme", "ghz-atoms", "--n", "14"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "doc.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("ascii")
+    pieces = [str(i) * (i % 5) for i in range(2 * _EMIT_GROUP + 1)]
+    _emit(None, pieces)
+    assert capsys.readouterr().out == "".join(pieces)
+
+
+def test_run_scheme_w16_peak_memory_is_at_most_two_states(tmp_path):
+    state_bytes = schemes.build_w_pow2(16).register.total_dim * 16  # 32 MiB of complex128
+    tracemalloc.start()
+    try:
+        assert main(["run-scheme", "w", "--n", "16", "--out", str(tmp_path / "w16.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state_bytes
 
 
 def test_flip_sweep_csv_and_out_file(tmp_path):
@@ -467,7 +533,7 @@ def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
 
 
 def test_dump_json_formatting():
-    text = dump_json({"a": 1.0, "b": [0.5, None, True], "c": "x"})
+    text = "".join(dump_json({"a": 1.0, "b": [0.5, None, True], "c": "x"}))
     assert '"a": 1.0' in text
     assert "null" in text and "true" in text
     parsed = json.loads(text)
@@ -507,8 +573,9 @@ def amplitude_vectors(draw):
 @example(np.array([complex(-0.0, 0.0)] * 120 + [0j] * 120 + [complex(-0.0, -0.0)] * 120), 3)
 def test_dump_json_array_matches_pair_list(vec, indent):
     pairs = [[float(z.real), float(z.imag)] for z in vec]
-    assert dump_json(vec, indent) == dump_json(pairs, indent)
-    assert dump_json({"state": vec}, indent) == dump_json({"state": pairs}, indent)
+    assert "".join(dump_json(vec, indent)) == "".join(dump_json(pairs, indent))
+    doc, pair_doc = {"state": vec}, {"state": pairs}
+    assert "".join(dump_json(doc, indent)) == "".join(dump_json(pair_doc, indent))
 
 
 def test_a_run_of_equal_records_is_appended_as_references_to_one_string():
@@ -585,7 +652,7 @@ json_documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_documents, st.integers(0, 4))
 def test_dump_json_matches_nested_reference(doc, indent):
-    assert dump_json(doc, indent) == reference_dump_json(doc, indent)
+    assert "".join(dump_json(doc, indent)) == reference_dump_json(doc, indent)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -654,4 +721,4 @@ def test_run_scheme_cases_cover_every_scheme():
 def test_run_scheme_stdout_equals_run_report_rendering(argv, build, capsys):
     """The CLI renders amplitude arrays byte for byte like ``run_report``'s pair lists."""
     assert main(["run-scheme", *argv]) == 0
-    assert capsys.readouterr().out == dump_json(run_report(build())) + "\n"
+    assert capsys.readouterr().out == "".join(dump_json(run_report(build()))) + "\n"

@@ -444,6 +444,8 @@ def test_path_first_product_is_the_transposed_register_order_product(case):
     register, factors = case
     order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != "path")
     want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
-    assert_bit_equal(qstate._factor_product(register, factors, "path"), want)
+    led = qstate._factor_product(register, factors, "path")
+    assert_bit_equal(led, want)
     flat = from_factors(register, factors).amplitudes
     assert_bit_equal(qstate._factor_product(register, factors), flat)
+    assert led.base is None and flat.base is None  # owned, so a PureState adopts them

@@ -506,6 +506,7 @@ def test_run_checks_every_outcome_id_before_propagating(monkeypatch):
         raise AssertionError("propagated before the outcome ids were checked")
 
     monkeypatch.setattr(schemes, "propagate", refuse)
+    monkeypatch.setattr(schemes, "_propagated", refuse)
     with pytest.raises(ContractViolationError) as info:
         run(renamed)
     assert str(info.value) == (
