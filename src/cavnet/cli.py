@@ -175,19 +175,27 @@ def _emit_json(out_path: str | None, value) -> None:
 
 
 def _refuse_unwritable(out_path: str) -> None:
-    """Refuse, before any work and as :func:`_emit` would, a directory or a path under no directory.
+    """Refuse, before any work and as :func:`_emit` would, an ``--out`` that ``open`` would refuse.
 
-    A parent that is missing or is not a directory is refused with the
-    reason ``open`` would give.  A parent without write permission is left
-    to :func:`_emit`.
+    A directory is refused, and so is a path whose parent is missing or is
+    not a directory, with the reason ``open`` would give.  A new file needs
+    write and search permission on its parent and an existing one write
+    permission on itself (``os.access``); without it the reason is EACCES.
     """
     if os.path.isdir(out_path):
         raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
+    parent = os.path.dirname(out_path) or "."
     try:
-        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or ".").st_mode):
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         raise ParameterError(f"cannot write {out_path}: {exc.strerror}") from None
+    if os.path.exists(out_path):
+        writable = os.access(out_path, os.W_OK)
+    else:
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.EACCES)}")
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:

@@ -331,12 +331,18 @@ def from_factors(
     return PureState(register, vec)
 
 
-def _factor_product(register: Register, factors, lead: str | None = None) -> np.ndarray:
+def _factor_product(
+    register: Register, factors, lead: str | None = None, cut: Sequence[slice] | None = None
+) -> np.ndarray:
     """:func:`from_factors`'s amplitudes as a fresh writable array, with subsystem ``lead`` first.
 
     The factors multiply in register order, each from the right of the
     product so far, so an amplitude has the same bits whether ``lead`` is
-    given or not.  The 1-D result owns its memory, so once frozen a
+    given or not.  ``cut``, one slice per subsystem in register order,
+    bounds the entries that may be nonzero: each factor is cut to it first,
+    and the product of the cuts is written into a zeroed buffer, so every
+    amplitude in the cut has the bits of the whole product and every other
+    one is +0.0.  The 1-D result owns its memory, so once frozen a
     :class:`PureState` adopts it without a copy.  Refused: factors that do
     not tile the register in order, a factor of the wrong length, and a
     norm that is not 1 within 1e-9.
@@ -359,9 +365,12 @@ def _factor_product(register: Register, factors, lead: str | None = None) -> np.
             raise ShapeError(
                 f"factor over {tuple(labels)} has length {block.size}, expected {math.prod(dims)}"
             )
+        block = block.reshape(dims)
+        if cut is not None:
+            block = block[tuple(cut[register.position(lab)] for lab in labels)]
         if lead in labels:
             at = labels.index(lead)
-            block = np.moveaxis(block.reshape(dims), at, 0).reshape(dims[at], -1)
+            block = np.moveaxis(block, at, 0).reshape(block.shape[at], -1)
         else:
             block = block.reshape(1, -1)
         shape = (max(len(vec), len(block)), vec.shape[1], block.shape[1])
@@ -371,7 +380,14 @@ def _factor_product(register: Register, factors, lead: str | None = None) -> np.
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
     _check_norm(flat)
-    return flat
+    if cut is None:
+        return flat
+    led = register.leading(lead) if lead in register.labels else register
+    box = tuple(cut[register.position(lab)] for lab in led.labels)
+    out = np.zeros(register.total_dim, dtype=complex)
+    target = out.reshape(led.dims)[box]
+    target[...] = flat.reshape(target.shape)
+    return out
 
 
 def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:
@@ -392,17 +408,27 @@ def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.n
 _CHUNK_COLUMNS = 1 << 13
 
 
-def _rows_product(rows: np.ndarray, matrix: np.ndarray) -> None:
+def _rows_product(
+    rows: np.ndarray, matrix: np.ndarray, occupied: np.ndarray | None = None
+) -> None:
     """``rows = matrix @ rows`` in place, by chunks of columns through one buffer.
 
     The bits are one product's: the chunks start at multiples of a power of
     two, so BLAS blocks their columns alike, and no chunk of a wider ``rows``
     has one column, which numpy would multiply as a matrix-vector product.
+    ``occupied``, one flag per column, marks where ``rows`` may hold more
+    than +0.0; a chunk of ``_CHUNK_COLUMNS`` columns none of which is
+    marked is skipped, since the product leaves such a chunk +0.0.  A last
+    chunk of another width is always multiplied, as BLAS writes -0.0 for
+    some zeros in its tail columns.
     """
     cols = rows.shape[1]
     bounds = [*range(0, max(cols - 1, 1), _CHUNK_COLUMNS), cols]
     buffer = np.empty(len(rows) * min(cols, _CHUNK_COLUMNS + 1), dtype=complex)
     for start, stop in zip(bounds, bounds[1:]):
+        if occupied is not None and stop - start == _CHUNK_COLUMNS:
+            if not occupied[start:stop].any():
+                continue
         part = rows[:, start:stop]
         out = buffer[: part.size].reshape(part.shape)
         np.dot(matrix, part, out=out)
@@ -474,22 +500,26 @@ def _check_fit(block: _Block, dims: Sequence[int]) -> None:
         raise ShapeError(f"block shape {block.matrix.shape} does not match joint target dim {joint}")
 
 
-def _apply_block(view: np.ndarray, axes: list[int], block: _Block) -> None:
+def _apply_block(
+    view: np.ndarray, axes: list[int], block: _Block, occupied: np.ndarray | None = None
+) -> None:
     """Apply ``block`` in place on the joint basis of ``axes`` of ``view``.
 
     A signed permutation moves slabs: a slab is ``view`` at one joint index
     of ``axes``, each cycle saves one slab in a temporary, a +1 move writes
     ``src + 0.0`` and a -1 move ``0.0 - src``, and a +1 fixed point is not
-    touched.  Every zero a move writes is therefore ``+0.0``.  A dense
-    block on the leading axis, whose slabs are contiguous (a splitter on a
-    path-first buffer), goes through :func:`_rows_product`, any other
-    through :func:`_block_product`.  A block whose size is not the joint
-    dimension of ``axes`` is refused.
+    touched.  Every zero a move writes is therefore ``+0.0``, so the moves
+    are exact on a view of any shape.  A dense block on the leading axis,
+    whose slabs are contiguous (a splitter on a path-first buffer), goes
+    through :func:`_rows_product`, which skips the column chunks that
+    ``occupied`` leaves unmarked; any other goes through
+    :func:`_block_product`.  A block whose size is not the joint dimension
+    of ``axes`` is refused.
     """
     _check_fit(block, [view.shape[a] for a in axes])
     if block.cycles is None:
         if axes == [0] and view[0].flags.c_contiguous:
-            _rows_product(view.reshape(len(view), -1), block.matrix)
+            _rows_product(view.reshape(len(view), -1), block.matrix, occupied)
         else:
             view[...] = _block_product(view, axes, block.matrix)
         return

@@ -126,7 +126,8 @@ class OutcomeReport:
 # owns; the fixed blocks below are signed permutations, except the Ramsey
 # zone and the half-pi block, so they move slabs.  :func:`_plan` resolves
 # and checks every element, and the sector of its ``_GUARDS`` entry, before
-# any acts; :func:`run` checks the outcome declarations before it propagates.
+# any acts, and bounds the slabs and columns each may find nonzero;
+# :func:`run` checks the outcome declarations before it propagates.
 
 
 _ATOL = el.ELEMENT_UNITARY_ATOL
@@ -219,24 +220,48 @@ def _where(scheme: Scheme, index: int, item) -> str:
     return f"scheme {scheme.name!r}, element {index} ({type(item).__name__}): "
 
 
-def _plan(scheme: Scheme, items: Sequence[el.Element], axis_of) -> list[tuple]:
-    """``(index, element, op, guard)`` for each of ``items`` that can change the state.
+def _plan(
+    scheme: Scheme, items: Sequence[el.Element], axis_of
+) -> tuple[tuple | None, list[tuple]]:
+    """``(cut, steps)``: where the initial state may be nonzero, and how each element acts.
 
-    Each is resolved and checked first, a refusal keeping its type and text
-    after the prefix of :func:`_where`.  ``occupied`` holds the path ports
-    that may hold amplitude: the nonzero entries of a factor over the path
-    alone (every port if the path shares a factor), then the ports of each
-    element kept.  An element whose ports all hold zeros, as its guard's
-    sector then does, is left out.
+    ``steps`` holds ``(index, element, op, guard, ranges)`` for each of
+    ``items`` that can change the state.  Each is resolved and checked
+    first, a refusal keeping its type and text after the prefix of
+    :func:`_where`.  ``ports`` holds the path ports that may hold
+    amplitude: the nonzero entries of a factor over the path alone (every
+    port if the path shares a factor), then the ports of each element kept.
+    An element whose ports all hold zeros, as its guard's sector then does,
+    is left out.
+
+    ``ranges``, one slice per axis of ``axis_of``, bounds where the buffer
+    may hold more than +0.0 just before the element acts: at first the span
+    of the nonzero entries of a factor over that subsystem alone (the
+    path's is the span of ``ports``), the whole axis for a factor over
+    several; an element's targets span their whole axis after it acts.
+    ``cut`` is the first ranges in register order, for
+    :func:`qstate._factor_product`, or None if they span every axis.  The
+    bound holds only where the whole product writes +0.0 outside the
+    spans, so only when every factor is real and free of sign bits, as
+    every builder's is; otherwise ``cut`` and every ``ranges`` are None and
+    each element acts on the whole buffer.
     """
     register = scheme.register
-    occupied: set[int] = set()
-    for labels, state in scheme.initial:
+    factors = _factors(scheme)
+    exact = not any(_signed(vec) for _, vec in factors)
+    ranges = [slice(None)] * len(register)
+    ports: set[int] = set()
+    for labels, vec in factors:
         if PATH in labels and len(labels) > 1:
-            occupied = set(range(register.subsystem(PATH).dim))
+            ports = set(range(register.subsystem(PATH).dim))
         elif PATH in labels:
-            occupied = set(np.flatnonzero(_factor(register, labels, state)))
-    plan = []
+            ports = set(np.flatnonzero(vec).tolist())
+        if exact and len(labels) == 1:
+            ranges[axis_of(labels[0])] = _span(vec, register.subsystem(labels[0]).dim)
+    cut = tuple(ranges[axis_of(label)] for label in register.labels) if exact else None
+    if cut is not None and all(span == slice(None) for span in cut):
+        cut = None  # it bounds nothing
+    steps = []
     for index, item in enumerate(items):
         if isinstance(item, el.Detector):
             continue
@@ -244,21 +269,64 @@ def _plan(scheme: Scheme, items: Sequence[el.Element], axis_of) -> list[tuple]:
             op, guard = _resolve(register, axis_of, item)
         except ParameterError as exc:
             raise type(exc)(_where(scheme, index, item) + str(exc)) from None
-        if op.ports and occupied.isdisjoint(op.ports):
+        if op.ports and ports.isdisjoint(op.ports):
             continue
-        occupied.update(op.ports or ())
-        plan.append((index, item, op, guard))
-    return plan
+        if exact and ports:
+            ranges[axis_of(PATH)] = slice(min(ports), max(ports) + 1)
+        steps.append((index, item, op, guard, tuple(ranges) if exact else None))
+        ports.update(op.ports or ())
+        for label in op.targets:
+            ranges[axis_of(label)] = slice(None)
+            if label == PATH:
+                ports = set(range(register.subsystem(PATH).dim))
+    return cut, steps
 
 
-def _apply_op(tensor: np.ndarray, axis_of, op: _Op) -> None:
-    """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis."""
+def _signed(vec: np.ndarray) -> bool:
+    """Whether ``vec`` has an entry that is not real, or a part with its sign bit set."""
+    vec = np.asarray(vec, dtype=complex)
+    return bool((np.signbit(vec.real) | np.signbit(vec.imag) | (vec.imag != 0)).any())
+
+
+def _span(vec: np.ndarray, dim: int) -> slice:
+    """The span of the nonzero entries of ``vec``, a factor over one subsystem of ``dim`` states.
+
+    ``slice(None)`` for a span over the whole subsystem, and for a factor
+    with no nonzero entry or the wrong length, which
+    :func:`qstate._factor_product` refuses.
+    """
+    hit = np.flatnonzero(vec)
+    if np.size(vec) != dim or not hit.size or (hit[0], hit[-1]) == (0, dim - 1):
+        return slice(None)
+    return slice(int(hit[0]), int(hit[-1]) + 1)
+
+
+def _apply_op(tensor: np.ndarray, axis_of, op: _Op, ranges: tuple | None = None) -> None:
+    """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis.
+
+    ``ranges`` (see :func:`_plan`; None bounds nothing) is one slice per
+    axis outside which ``tensor`` holds only +0.0.  A signed permutation
+    then moves the slabs of the view whose other axes are cut to their
+    ranges, and a dense block on the leading axis multiplies only the
+    column chunks that meet the ranges (:func:`qstate._rows_product`).
+    What they skip holds +0.0, which acting on the whole tensor would
+    leave +0.0, so the bits are the same.  Any other dense block acts on
+    the whole tensor.
+    """
     axes = [axis_of(label) for label in op.targets]
+    index = [slice(None)] * tensor.ndim
     if op.ports:
         path = axis_of(PATH)
-        tensor = tensor[(slice(None),) * path + (_port_slice(op.ports),)]
+        index[path] = _port_slice(op.ports)
         axes = [path] + axes
-    qstate._apply_block(tensor, axes, op.block)
+    occupied = None
+    if ranges is not None and op.block.cycles is not None:
+        index = [index[a] if a in axes else ranges[a] for a in range(tensor.ndim)]
+    elif ranges is not None and axes == [0] and any(r != slice(None) for r in ranges[1:]):
+        columns = np.zeros(tensor.shape[1:], dtype=bool)
+        columns[ranges[1:]] = True
+        occupied = columns.reshape(-1)
+    qstate._apply_block(tensor[tuple(index)], axes, op.block, occupied)
 
 
 def _port_slice(ports: tuple[int, ...]) -> slice:
@@ -269,10 +337,13 @@ def _port_slice(ports: tuple[int, ...]) -> slice:
     return slice(p, stop if stop >= 0 else None, step)
 
 
+def _factors(scheme: Scheme) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """``scheme.initial`` with each state resolved to its amplitude vector (see :func:`_factor`)."""
+    return [(labels, _factor(scheme.register, labels, state)) for labels, state in scheme.initial]
+
+
 def initial_state(scheme: Scheme) -> PureState:
-    register = scheme.register
-    factors = [(labels, _factor(register, labels, state)) for labels, state in scheme.initial]
-    return qstate.from_factors(register, factors)
+    return qstate.from_factors(scheme.register, _factors(scheme))
 
 
 def _path_first(register: Register) -> Register:
@@ -285,10 +356,15 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
 
     :func:`_plan` checks every element before any acts, so a static fault
     such as a bad port is reported before a guard that would trip earlier.
-    The elements it keeps act in place, each guard checked just before its
-    element and its refusal prefixed by :func:`_where`, on one buffer with
-    ``path``'s axis first (:func:`qstate._factor_product`), so each path
-    slice is one contiguous block.  The buffer owns its memory, so a
+    The buffer has ``path``'s axis first, so each path slice is one
+    contiguous block.  It starts zeroed, with the product of the factors
+    cut to the plan's ``cut`` written in (:func:`qstate._factor_product`).
+    The elements the plan keeps then act in place, each bounded by its
+    ``ranges`` (:func:`_apply_op`) and each guard checked on the whole
+    buffer just before its element, its refusal prefixed by
+    :func:`_where`.  Where it skips, the whole product and every element
+    would have written +0.0, so the bytes are those of every element
+    acting on the whole buffer.  The buffer owns its memory, so a
     :class:`PureState` adopts it as it is.
 
     A left-out element keeps a zero's sign where running it could write
@@ -298,14 +374,13 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     register = scheme.register
     lead = _path_first(register)
     items = scheme.elements if upto is None else scheme.elements[:upto]
-    plan = _plan(scheme, items, lead.position)
-    factors = [(labels, _factor(register, labels, state)) for labels, state in scheme.initial]
-    buffer = qstate._factor_product(register, factors, PATH)
+    cut, plan = _plan(scheme, items, lead.position)
+    buffer = qstate._factor_product(register, _factors(scheme), PATH, cut)
     tensor = buffer.reshape(lead.dims)
-    for index, item, op, guard in plan:
+    for index, item, op, guard, ranges in plan:
         if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
             raise InvalidConfigurationError(_where(scheme, index, item) + guard[2])
-        _apply_op(tensor, lead.position, op)
+        _apply_op(tensor, lead.position, op, ranges)
     buffer.setflags(write=False)
     return buffer
 
@@ -455,7 +530,9 @@ def _factor(register: Register, labels: Sequence[str], state: str | np.ndarray) 
     if state in ("+", "pair"):
         return np.array([1, 1] if state == "+" else [1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     sub = register.subsystem(labels[0])
-    return np.eye(sub.dim, dtype=complex)[sub.index_of(state)]
+    vec = np.zeros(sub.dim, dtype=complex)
+    vec[sub.index_of(state)] = 1.0
+    return vec
 
 
 def _scheme(
@@ -1019,7 +1096,9 @@ def retry_walk_mc(
     More than ``MAX_MC_TRAJECTORIES`` walkers, more than
     ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps``, or a walk
     :func:`retry_walk` refuses raise a parameter error, in that order,
-    before any buffer is allocated.
+    before any buffer is allocated.  The walk stops early once no live
+    walker can reach the detector in the steps left (the farthest position
+    plus the steps left is at most ``n``): the estimate is then final.
     """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
@@ -1045,8 +1124,8 @@ def retry_walk_mc(
     step = np.empty(trajectories, dtype=np.int8)
     keep = np.empty(trajectories, dtype=bool)
     live = trajectories
-    for _ in range(params.max_steps):
-        if live == 0:
+    for left in range(params.max_steps, 0, -1):
+        if live == 0 or (left <= n and int(pos[:live].max()) + left <= n):
             break
         walkers, s, k = pos[:live], step[:live], keep[:live]
         np.less(rng.random(out=draws[:live]), p, out=s)

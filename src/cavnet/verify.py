@@ -94,29 +94,38 @@ class LocalCorrection:
     Each op is the label ``"I"``, ``"X"``, ``"Z"``, or ``("phase", phi)``
     for ``diag(1, exp(i*phi))``, applied in order.
 
-    Every op but ``"I"`` acts on one writable copy of the amplitudes
-    through :func:`cavnet.qstate._apply_block`, the kernel that applies
-    elements; with no such op the input state itself is returned.  ``X``
-    and ``Z`` are signed permutations, so they move slabs: ``Z`` negates
-    the subsystem's ``|1>`` slab and ``X`` swaps its ``|0>`` and ``|1>``
-    slabs.  ``("phase", phi)`` is a matrix product.
+    Every op but ``"I"`` acts on one writable copy of the amplitudes; with
+    no such op the input state itself is returned.  A layer of ``X`` and
+    ``Z`` only is made in that one copy: the copy reads the amplitudes with
+    every subsystem flipped an odd number of times reversed
+    (``np.flip(...) + 0.0``), and each ``Z`` then negates (``0.0 - slab``)
+    the slab it ends up on, ``|1>`` or, when an odd number of ``X`` on its
+    subsystem follow it, ``|0>``.  A layer holding a ``("phase", phi)`` op
+    goes op by op through :func:`cavnet.qstate._apply_block`, the kernel
+    that applies elements: ``X`` and ``Z`` are signed permutations, so they
+    move slabs (``Z`` negates the ``|1>`` slab, ``X`` swaps the ``|0>`` and
+    ``|1>`` slabs), and the phase is a matrix product.  Both routes give
+    the same bits: after the copy no zero is ``-0.0``, so a further
+    ``+ 0.0`` changes nothing, and a negation is exact.
 
-    Signed zeros: the copy is ``amplitudes + 0.0`` and every slab move
-    writes ``+0.0`` for a zero, which is what the ``apply_unitary`` matrix
-    product gives on every scheme's outcomes.  On inputs that hold ``-0.0``
-    that product's zero signs depend on the BLAS kernel and the call shape,
-    so there the two routes may differ in the sign of a zero; the values
-    are always equal.
+    Signed zeros: the copy adds ``0.0`` and every slab move writes ``+0.0``
+    for a zero, which is what the ``apply_unitary`` matrix product gives on
+    every scheme's outcomes.  On inputs that hold ``-0.0`` that product's
+    zero signs depend on the BLAS kernel and the call shape, so there the
+    two may differ in the sign of a zero; the values are always equal.
     """
 
     ops: tuple[tuple[str, object], ...] = ()
 
     def apply(self, state: PureState) -> PureState:
         register = state.register
-        flat = None  # the one writable copy, made at the first non-identity op
-        for label, op in self.ops:
-            if op == "I":
-                continue
+        ops = [(label, op) for label, op in self.ops if op != "I"]
+        if not ops:
+            return state
+        if all(op in ("X", "Z") for _, op in ops):
+            return _pauli_layer(state, ops)
+        flat = state.amplitudes + 0.0
+        for label, op in ops:
             if op in ("X", "Z"):
                 block = _PAULI[op]
             elif isinstance(op, tuple) and len(op) == 2 and op[0] == "phase":
@@ -124,12 +133,7 @@ class LocalCorrection:
                 block = qstate._Block(phase, qstate.UNITARY_ATOL)
             else:
                 raise ParameterError(f"unknown correction op {op!r}")
-            pos = register.position(label)
-            if flat is None:
-                flat = state.amplitudes + 0.0
-            qstate._apply_block(flat.reshape(register.dims), [pos], block)
-        if flat is None:
-            return state
+            qstate._apply_block(flat.reshape(register.dims), [register.position(label)], block)
         flat.setflags(write=False)
         return PureState(register, flat)
 
@@ -144,6 +148,32 @@ class LocalCorrection:
             else:
                 out.append({"subsystem": label, "op": op})
         return out
+
+
+def _pauli_layer(state: PureState, ops: list[tuple[str, str]]) -> PureState:
+    """``ops``, each ``X`` or ``Z``, applied in order in one copy (see :class:`LocalCorrection`)."""
+    register = state.register
+    positions = []
+    for label, op in ops:
+        pos = register.position(label)
+        qstate._check_fit(_PAULI[op], [register.dims[pos]])
+        positions.append(pos)
+    flipped: dict[int, int] = {}  # X parity per axis over the ops after the one at hand
+    negated = []
+    for pos, (_, op) in zip(reversed(positions), reversed(ops)):
+        if op == "X":
+            flipped[pos] = flipped.get(pos, 0) ^ 1
+        else:
+            negated.append((pos, 1 ^ flipped.get(pos, 0)))
+    flat = np.empty(register.total_dim, dtype=complex)
+    tensor = flat.reshape(register.dims)
+    axes = tuple(pos for pos, odd in flipped.items() if odd)
+    np.add(np.flip(state.tensor_view(), axes), 0.0, out=tensor)
+    for pos, index in negated:
+        slab = qstate._slab(tensor, [pos], index)
+        np.subtract(0.0, slab, out=slab)
+    flat.setflags(write=False)
+    return PureState(register, flat)
 
 
 def _two_level_register(n: int, kind: str, register: Register | None) -> Register:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -153,6 +154,50 @@ def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_pat
     ]:
         monkeypatch.setattr(owner, name, refuse)
     assert main([*argv, "--out", str(tmp_path / target)]) == 2
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
+@pytest.mark.parametrize("exists", [False, True])
+def test_an_out_path_without_permission_is_refused_before_any_work(
+    argv, exists, tmp_path, monkeypatch, capsys
+):
+    # root passes every permission check, so os.access reports the missing permission
+    out = tmp_path / "out.txt"
+    if exists:
+        out.write_text("kept")
+    denied = (str(out), os.W_OK) if exists else (str(tmp_path), os.W_OK | os.X_OK)
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: (str(path), mode) != denied and access(path, mode)
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for owner, name in [
+        (schemes, "build_field_cz_pair"),
+        (iomodel, "flip_probability_sweep"),
+        (schemes, "retry_walk"),
+        (schemes, "retry_walk_mc"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: Permission denied\n"
+    assert out.exists() == exists and (not exists or out.read_text() == "kept")
+
+
+def test_an_out_path_with_permission_is_written(tmp_path, monkeypatch):
+    # an existing file is written through its own permission, whatever its directory's
+    out = tmp_path / "out.txt"
+    out.write_text("old")
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: str(path) != str(tmp_path) and access(path, mode)
+    )
+    assert main(["retry-walk", "--p", "1", "--n", "2", "--out", str(out)]) == 0
+    assert out.read_text() != "old"
 
 
 def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch):

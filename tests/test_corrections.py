@@ -6,7 +6,9 @@ instead, and multiplies phase ops into its one copy of the state.  The two
 agree in value on every input, and bit for bit, zero signs included, on
 every builder's outcomes.  On inputs that hold
 ``-0.0`` the BLAS product's zero signs depend on its kernel and on the
-call shape, so there only values are compared.
+call shape, so there only values are compared.  A layer of ``X`` and ``Z``
+only is made in one flipped copy; ``slab_route``, the op-by-op route a
+layer with a phase op takes, holds it to the same bits.
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ from cavnet.qstate import (
     product_state,
 )
 from cavnet.verify import LocalCorrection
-from support import reference_apply
+from support import PAULI, reference_apply
 
 TWO_LEVEL_KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
 
@@ -180,3 +182,70 @@ def test_apply_rejects_what_the_matrix_route_rejected():
         LocalCorrection((("nosuch", "Z"),)).apply(state)
     with pytest.raises(ParameterError, match="unknown correction op"):
         LocalCorrection((("q", "Y"),)).apply(state)
+
+
+def slab_route(correction, state):
+    """Amplitudes of every non-identity op applied in turn through ``qstate._apply_block`` on
+    one copy, the route a layer holding a phase op takes."""
+    register = state.register
+    flat = state.amplitudes + 0.0
+    for label, op in correction.ops:
+        if op == "I":
+            continue
+        matrix = PAULI[op] if op in PAULI else np.diag([1.0, np.exp(1j * float(op[1]))])
+        block = qstate._Block(matrix, qstate.UNITARY_ATOL)
+        qstate._apply_block(flat.reshape(register.dims), [register.position(label)], block)
+    return flat
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_pauli_layer_in_one_copy_matches_the_slab_route_bit_for_bit(data):
+    register, state = data.draw(registers_and_states())
+    qubits = [s.label for s in register.subsystems if s.dim == 2]
+    assume(qubits)
+    pauli = st.sampled_from(["I", "X", "Z"])
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(qubits), pauli), max_size=8))
+    if data.draw(st.booleans()):  # a phase op sends the layer op by op
+        at = data.draw(st.integers(0, len(ops)))
+        phase = ("phase", data.draw(st.floats(-7.0, 7.0)))
+        ops.insert(at, (data.draw(st.sampled_from(qubits)), phase))
+    got = LocalCorrection(tuple(ops)).apply(state)
+    if all(op == "I" for _, op in ops):
+        assert got is state
+    else:
+        assert_bit_equal(got.amplitudes, slab_route(LocalCorrection(tuple(ops)), state))
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        ("X", "Z"),
+        ("Z", "X"),
+        ("X", "X", "Z"),
+        ("Z", "I", "Z", "X", "Z"),
+        ("X", "Z", "X", "Z", "I", "X"),
+    ],
+)
+@pytest.mark.parametrize("others", [0, 2])
+def test_x_and_z_on_one_qubit_in_any_order_match_the_slab_route(ops, others):
+    # with no other subsystem the |0> and |1> slabs are 0-d
+    others = [Subsystem(f"o{i}", KIND_FIELD) for i in range(others)]
+    register = Register([Subsystem("q", KIND_ATOM_LR), *others])
+    rng = np.random.default_rng(len(ops) + len(others))
+    vec = rng.normal(size=register.total_dim) + 1j * rng.normal(size=register.total_dim)
+    vec[0] = complex(-0.0, 0.0)
+    state = PureState(register, vec / np.linalg.norm(vec))
+    correction = LocalCorrection(tuple(("q", op) for op in ops))
+    got = correction.apply(state)
+    assert_bit_equal(got.amplitudes, slab_route(correction, state))
+    assert np.array_equal(got.amplitudes, reference_apply(correction, state).amplitudes)
+
+
+def test_x_on_a_subsystem_that_is_not_two_level_is_refused_by_its_joint_dim():
+    register = Register([Subsystem("q", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
+    state = product_state(register, ["L", 0])
+    for ops in ((("path", "X"),), (("q", "Z"), ("path", "X")), (("q", "X"), ("path", "Z"))):
+        message = r"^block shape \(2, 2\) does not match joint target dim 3$"
+        with pytest.raises(ShapeError, match=message):
+            LocalCorrection(ops).apply(state)

@@ -6,7 +6,9 @@ before it moved the path axis to the front.  The two agree bit for bit,
 except on a register whose last subsystem is the path: there a path slice
 of the register-order buffer is a uniformly strided view, which numpy's
 ``dot`` multiplies in its own loop instead of BLAS, so the two agree only
-to rounding.  No builder puts the path last.
+to rounding.  No builder puts the path last.  The occupancy tests hold
+``_propagated``, which skips the slabs and column chunks that hold only
++0.0, to that reference and to ``propagate_every_element`` byte for byte.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from cavnet import elements as el
 from cavnet import qstate, schemes
 from cavnet.errors import (
+    ContractViolationError,
     InvalidConfigurationError,
     InvalidLabelError,
     ParameterError,
@@ -178,30 +181,40 @@ def guard_trips(register, psi, item):
 # ------------------------------------------------------------ strategies
 
 
-@st.composite
-def element_runs(draw):
-    """A register in random subsystem order, a path of dim 2-4, and 0-8 elements."""
-    dpath = draw(st.integers(2, 4))
-    order = draw(st.permutations(tuple(KINDS)))
+def any_element(dpath, path=True):
+    """An element of any kind over the subsystems of ``KINDS``, its ports on a path of
+    ``dpath``; with ``path=False`` only elements that name no port."""
     port = st.integers(0, dpath - 1)
     two_ports = st.lists(port, min_size=2, max_size=2, unique=True).map(tuple)
-    maybe_port = st.none() | port
+    maybe_port = st.none() | port if path else st.none()
     field = st.sampled_from(("f1", "f2"))
-    element = st.one_of(
-        st.builds(el.BS, st.floats(0.01, 0.99), two_ports),
-        st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
-        two_ports.map(lambda p: el.Reroute(*p)),
-        two_ports.map(el.PBS),
-        st.builds(el.PR, port),
+    portless = [
         st.builds(el.CavityAtomBlock, st.sampled_from(("a1", "a2")), maybe_port),
         st.builds(el.FieldPiBlock, st.just("fly"), field, maybe_port),
         st.builds(el.FieldHalfPiBlock, st.just("fly"), field, maybe_port),
         st.builds(el.DispersiveBlock, st.just("fly"), field, maybe_port),
         st.just(el.RamseyZone("fly")),
         st.just(el.ExternalPiPulse("fly")),
+    ]
+    if not path:
+        return st.one_of(*portless)
+    return st.one_of(
+        st.builds(el.BS, st.floats(0.01, 0.99), two_ports),
+        st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
+        two_ports.map(lambda p: el.Reroute(*p)),
+        two_ports.map(el.PBS),
+        st.builds(el.PR, port),
+        *portless,
         st.just(el.Detector("D", "path", 0)),
     )
-    items = draw(st.lists(element, max_size=8))
+
+
+@st.composite
+def element_runs(draw):
+    """A register in random subsystem order, a path of dim 2-4, and 0-8 elements."""
+    dpath = draw(st.integers(2, 4))
+    order = draw(st.permutations(tuple(KINDS)))
+    items = draw(st.lists(any_element(dpath), max_size=8))
     seed = draw(st.integers(0, 2**32 - 1))
     return dpath, order, items, seed
 
@@ -362,18 +375,24 @@ def test_an_element_left_out_is_still_checked():
     # both act on empty port 2 only; the pi block's guard asks for an "e" the LR atom lacks
     items = [el.PhaseShifter(2, 0.3), el.FieldPiBlock("atom1", "field1", 2)]
     scheme = photon_scheme(register, 0, items)
-    assert schemes._plan(scheme, items[:1], register.position) == []
+    assert schemes._plan(scheme, items[:1], register.position)[1] == []
     with pytest.raises(InvalidLabelError, match=r"^scheme 'bare', element 1 \(FieldPiBlock\): label"):
         schemes.propagate(scheme)
 
 
 @st.composite
 def meshes(draw):
-    """A photon in a random port of a 2-8 port path among up to two random qubits, and a
-    mesh of splitters, phase shifters and reroutes."""
+    """A photon in a random port of a 2-8 port path among up to two qubits, and a mesh of
+    splitters, phase shifters and reroutes, with pi pulses and Ramsey zones on the qubits.
+
+    A qubit starts in a random complex state or, so that slabs and chunks are skipped, in
+    ``"L"``, ``"R"`` or ``"+"``; half the time 13 idle qubits in such states lead the
+    register, so the path rows span 2-4 chunks of columns.
+    """
     dpath = draw(st.integers(2, 8))
     subs = [Subsystem(f"q{i}", KIND_ATOM_LR) for i in range(draw(st.integers(0, 2)))]
     subs.insert(draw(st.integers(0, len(subs))), Subsystem("path", KIND_PATH, dpath))
+    idle = [Subsystem(f"idle{i}", KIND_ATOM_LR) for i in range(draw(st.sampled_from((0, 13))))]
     port = st.integers(0, dpath - 1)
     two_ports = st.lists(port, min_size=2, max_size=2, unique=True).map(tuple)
     element = st.one_of(
@@ -381,17 +400,22 @@ def meshes(draw):
         st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
         two_ports.map(lambda p: el.Reroute(*p)),
     )
+    qubits = [sub.label for sub in subs if sub.kind != KIND_PATH]
+    if qubits:
+        qubit = st.sampled_from(qubits)
+        element |= st.builds(el.ExternalPiPulse, qubit) | st.builds(el.RamseyZone, qubit)
     items = draw(st.lists(element, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factors = []
-    for sub in subs:
+    for sub in idle + subs:
         if sub.kind == KIND_PATH:
-            factors.append(((sub.label,), np.eye(dpath)[draw(port)]))
+            factors.append(((sub.label,), str(draw(port))))
+        elif sub in idle or draw(st.booleans()):
+            factors.append(((sub.label,), draw(st.sampled_from(("L", "R", "+")))))
         else:
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
             factors.append(((sub.label,), amps / np.linalg.norm(amps)))
-    register = Register(subs)
-    scheme = bare_scheme(register, np.eye(register.total_dim)[0], items)
+    scheme = bare_scheme(Register(idle + subs), [1.0], items)
     return dataclasses.replace(scheme, initial=tuple(factors))
 
 
@@ -401,7 +425,8 @@ def test_left_out_elements_change_no_value(scheme):
     # Exact in value, so bit for bit except the sign of a zero: a left-out
     # element keeps a zero as it is, and the matrix product it would have
     # run writes -0.0 for some zeros on a few columns (a 2x2 splitter on
-    # 2 or 3 columns of zeros).  Every builder's bytes are unchanged.
+    # 2 or 3 columns of zeros).  The slabs and column chunks the plan's
+    # ranges skip hold zeros too.  Every builder's bytes are unchanged.
     try:
         want = propagate_every_element(scheme)
     except InvalidConfigurationError as exc:
@@ -449,3 +474,154 @@ def test_path_first_product_is_the_transposed_register_order_product(case):
     flat = from_factors(register, factors).amplitudes
     assert_bit_equal(qstate._factor_product(register, factors), flat)
     assert led.base is None and flat.base is None  # owned, so a PureState adopts them
+
+
+
+# ------------------------------------------------------------ occupancy
+
+
+CHUNK = qstate._CHUNK_COLUMNS
+
+
+def path_first(register, amplitudes):
+    """Register-order ``amplitudes`` as the path-first buffer ``_propagated`` returns."""
+    lead = schemes._path_first(register)
+    order = [register.position(label) for label in lead.labels]
+    return amplitudes.reshape(register.dims).transpose(order).reshape(-1)
+
+
+def path_factor(draw, rng, dim, signed, basis=True):
+    """A basis port (if ``basis``), or a real vector over every port with a negative entry
+    if ``signed``."""
+    if basis and draw(st.booleans()):
+        return str(draw(st.integers(0, dim - 1)))
+    vec = rng.random(dim) + 0.1
+    vec[draw(st.integers(0, dim - 1))] *= -1 if signed else 1
+    return vec / np.linalg.norm(vec)
+
+
+@st.composite
+def occupancy_runs(draw):
+    """A scheme whose factors mix basis states, ``"+"``, ``"pair"`` and, in a signed
+    scheme, real vectors with a negative entry, in one of three layouts.
+
+    * ``qubits``: the six two-level subsystems of ``KINDS`` and no path, with elements
+      that name no port.
+    * ``chunks``: 7-9 idle qubits, most significant, so the path rows have 1-4 chunks of
+      columns and the idle qubits' states pick the chunks the occupied columns meet; then
+      the seven subsystems of ``KINDS``, the path never last.
+    * ``merged``: the path and an idle path of ``2 * CHUNK + 1`` states, so the second
+      and last chunk has ``CHUNK + 1`` columns; every port holds amplitude.
+
+    Where a signed scheme's product has zeros of either sign, every port holds amplitude,
+    so no element is left out; a left-out element keeps a zero's sign (see
+    ``test_left_out_elements_change_no_value``).
+    """
+    layout = draw(st.sampled_from(("qubits", "chunks", "merged")))
+    signed = draw(st.booleans())
+    dpath = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "merged":
+        register = Register(
+            [Subsystem("path", KIND_PATH, dpath), Subsystem("idle", KIND_PATH, 2 * CHUNK + 1)]
+        )
+        initial = [
+            (("path",), path_factor(draw, rng, dpath, signed, basis=False)),
+            (("idle",), path_factor(draw, rng, 2 * CHUNK + 1, signed)),
+        ]
+        items = [
+            item
+            for item in draw(st.lists(any_element(dpath), max_size=6))
+            if isinstance(item, (el.BS, el.PhaseShifter, el.Reroute))
+        ]
+        return dataclasses.replace(bare_scheme(register, [1.0], items), initial=tuple(initial))
+    labels = [label for label in draw(st.permutations(tuple(KINDS))) if label != "path"]
+    subs = []
+    if layout == "chunks":
+        subs = [Subsystem(f"q{i}", KIND_ATOM_LR) for i in range(draw(st.integers(7, 9)))]
+        labels.insert(draw(st.integers(0, len(labels) - 1)), "path")
+    subs += [Subsystem(label, KINDS[label], dpath if label == "path" else 2) for label in labels]
+    states = ("basis", "basis", "+", "pair") + (("negative",) if signed else ())
+    initial, at = [], 0
+    while at < len(subs):
+        sub = subs[at]
+        choice = draw(st.sampled_from(states))
+        if sub.kind == KIND_PATH:
+            initial.append(((sub.label,), path_factor(draw, rng, dpath, signed, not signed)))
+        elif choice == "pair" and at + 1 < len(subs) and subs[at + 1].dim == 2:
+            initial.append(((sub.label, subs[at + 1].label), "pair"))
+            at += 1
+        elif choice == "negative":
+            initial.append(((sub.label,), np.array([0.6, -0.8])[:: draw(st.sampled_from((1, -1)))]))
+        elif choice == "+":
+            initial.append(((sub.label,), "+"))
+        else:
+            initial.append(((sub.label,), draw(st.sampled_from(sub.basis_labels))))
+        at += 1
+    items = draw(st.lists(any_element(dpath, path=layout == "chunks"), max_size=8))
+    return dataclasses.replace(bare_scheme(Register(subs), [1.0], items), initial=tuple(initial))
+
+
+@settings(max_examples=150, deadline=None)
+@given(occupancy_runs())
+def test_occupancy_bounded_propagation_matches_the_whole_buffer_bit_for_bit(scheme):
+    try:
+        want = propagate_every_element(scheme)
+    except InvalidConfigurationError as exc:
+        with pytest.raises(InvalidConfigurationError) as info:
+            schemes._propagated(scheme)
+        assert str(info.value) == str(exc)
+        return
+    register = scheme.register
+    got = schemes._propagated(scheme)
+    assert_bit_equal(got, path_first(register, want))
+    assert_bit_equal(got, path_first(register, reference_propagate(scheme)))
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 3])
+def test_path_rows_multiply_only_the_chunks_their_occupied_columns_meet(chunk, monkeypatch):
+    # 13 idle qubits lead 2 more, so the path rows have 2**15 columns, 4 chunks;
+    # the first two idle qubits' basis states pick the one chunk that holds amplitude
+    idle = [Subsystem(f"q{i}", KIND_ATOM_LR) for i in range(13)]
+    register = Register(
+        idle
+        + [Subsystem("path", KIND_PATH, 2), Subsystem("a1", KIND_ATOM_LR)]
+        + [Subsystem("pol", KIND_POL)]
+    )
+    states = ["LR"[chunk >> 1], "LR"[chunk & 1]] + ["+"] * 11 + ["+", "L", "L"]
+    items = [
+        el.BS(0.3, (0, 1)),
+        el.PhaseShifter(1, 2.0),
+        el.CavityAtomBlock("a1", 1),
+        el.BS(0.5, (0, 1)),
+    ]
+    scheme = dataclasses.replace(
+        bare_scheme(register, [1.0], items),
+        initial=tuple(((sub.label,), state) for sub, state in zip(register.subsystems, states)),
+    )
+    multiplied = []
+    rows_product = qstate._rows_product
+
+    def spy(rows, matrix, occupied=None):
+        chunks = [slice(c * CHUNK, (c + 1) * CHUNK) for c in range(4)]
+        multiplied.append([occupied is None or occupied[cols].any() for cols in chunks])
+        rows_product(rows, matrix, occupied)
+
+    monkeypatch.setattr(qstate, "_rows_product", spy)
+    got = schemes._propagated(scheme)
+    assert multiplied == [[c == chunk for c in range(4)]] * 3
+    assert_bit_equal(got, path_first(register, propagate_every_element(scheme)))
+    assert_bit_equal(got, path_first(register, reference_propagate(scheme)))
+
+
+def test_a_factor_the_product_refuses_is_refused_as_before():
+    # the plan reads every factor for its spans; a factor it cannot read is left to the product
+    register = Register([Subsystem("a1", KIND_ATOM_LR), Subsystem("path", KIND_PATH, 3)])
+    scheme = photon_scheme(register, 0, [el.BS(0.5, (0, 1))])
+    for factor, error, message in [
+        (np.ones(3), ShapeError, r"^factor over \('a1',\) has length 3, expected 2$"),
+        (np.zeros(2), ContractViolationError, r"^state norm 0\.0 deviates from 1"),
+    ]:
+        bad = dataclasses.replace(scheme, initial=((("a1",), factor),) + scheme.initial[1:])
+        with pytest.raises(error, match=message):
+            schemes.propagate(bad)

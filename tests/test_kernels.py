@@ -37,8 +37,11 @@ from cavnet.verify import Graph, LocalCorrection
 from support import reference_apply, reference_project_out, sector_mass
 
 
-def gemm_apply_op(tensor, axis_of, op):
-    """``op`` applied in place as one matrix product over its stacked path slices."""
+def gemm_apply_op(tensor, axis_of, op, ranges=None):
+    """``op`` applied in place as one matrix product over its stacked path slices.
+
+    ``ranges`` is ignored: every op acts on the whole tensor.
+    """
     ports = op.ports or ()
     axes = [axis_of(label) for label in op.targets]
     views = [tensor]
@@ -313,7 +316,8 @@ def test_chunked_splitter_product_matches_one_product_bit_for_bit(case):
 def test_a_left_out_step_finds_only_zeros_on_its_ports(name):
     scheme = BUILDERS[name]()
     register = scheme.register
-    kept = {index for index, *_ in schemes._plan(scheme, scheme.elements, register.position)}
+    _, steps = schemes._plan(scheme, scheme.elements, register.position)
+    kept = {index for index, *_ in steps}
     left_out = [
         (index, item)
         for index, item in enumerate(scheme.elements)

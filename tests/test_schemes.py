@@ -822,6 +822,56 @@ def test_walk_cell_budget_refuses_before_either_walk(monkeypatch):
         retry_walk_mc(longer, 3, seed=1)
 
 
+def full_walk_mc(params, trajectories, seed):
+    """``retry_walk_mc``'s walk run for every step until no walker is live."""
+    rng = np.random.default_rng(seed)
+    pos = np.ones(trajectories, dtype=np.int64)
+    for _ in range(params.max_steps):
+        if not len(pos):
+            break
+        pos = np.abs(pos + np.where(rng.random(len(pos)) < params.p_flip, 1, -1))
+        pos = pos[pos <= params.n_cavities]
+    return (trajectories - len(pos)) / trajectories
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.01, 1.0),
+    st.integers(1, 30),
+    st.integers(1, 120),
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+def test_mc_walk_that_stops_early_matches_the_full_walk(p, n, max_steps, trajectories, seed):
+    params = RetryWalkParams(p_flip=p, n_cavities=n, max_steps=max_steps)
+    assert retry_walk_mc(params, trajectories, seed) == full_walk_mc(params, trajectories, seed)
+
+
+def test_mc_walk_stops_once_no_walker_can_reach_the_detector(monkeypatch):
+    # p = 0.01 keeps 1,000 walkers near the source, so of 400 steps over 50 cavities
+    # the last ~40 are never drawn
+    params = RetryWalkParams(p_flip=0.01, n_cavities=50, max_steps=400)
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        rng = default_rng(seed)
+        random = rng.random
+
+        class Counting:
+            def random(self, out):
+                draws.append(len(out))
+                return random(out=out)
+
+        return Counting()
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    estimate = retry_walk_mc(params, 1_000, seed=3)
+    monkeypatch.undo()
+    assert estimate == full_walk_mc(params, 1_000, 3) == 0.0
+    assert 340 <= len(draws) < 400
+
+
 def test_walk_cell_budget_admits_the_default_steps_at_the_cavity_cap():
     at_cap = RetryWalkParams(p_flip=0.5, n_cavities=schemes.MAX_WALK_CAVITIES)
     assert (at_cap.n_cavities + 2) ** 2 * at_cap.max_steps == schemes.MAX_WALK_CELL_STEPS
