@@ -53,6 +53,10 @@ MAX_STEPS = 4_000_000
 # Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
 MAX_SWEEP_POINTS = 10_000
+# Most RK4 steps summed over a sweep's points, 11x the golden sweep's
+# 3,449,430: about 4-5 s at ~110 ns per step (2-vCPU Xeon), and it admits
+# any one point that MAX_STEPS admits.
+MAX_SWEEP_STEPS = 10 * MAX_STEPS
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
 
 
@@ -287,7 +291,22 @@ def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def _check_step_budget(grid: TimeGrid) -> None:
+def _check_grid(params: PulseParams, grid: TimeGrid) -> None:
+    """Refuse ``grid`` if it is too coarse or too narrow for ``params``, or over ``MAX_STEPS``.
+
+    It must resolve the dynamics (step at most min(tau, 1/kappa)/50, else an
+    accuracy error) and contain the pulse (t_start <= -5 tau, t_end >= +5
+    tau, likewise); a grid of more than ``MAX_STEPS`` steps raises a
+    parameter error.  :func:`default_grid`'s grids pass the first two.
+    """
+    limit = min(params.tau, 1.0 / params.kappa) / 50.0
+    if grid.step > limit * (1.0 + 1e-12):
+        raise AccuracyError(f"step {grid.step} exceeds min(tau, 1/kappa)/50 = {limit}")
+    if grid.t_start > -5.0 * params.tau or grid.t_end < 5.0 * params.tau:
+        raise AccuracyError(
+            "grid must cover [-5 tau, +5 tau] to capture the pulse, got "
+            f"[{grid.t_start}, {grid.t_end}] with tau = {params.tau}"
+        )
     steps = (grid.t_end - grid.t_start) / grid.step
     if steps > MAX_STEPS:
         count = grid.n_steps if math.isfinite(steps) else steps
@@ -305,9 +324,9 @@ def integrate_pulse(
     """RK4 trajectory from empty initial conditions and integrated outputs.
 
     ``grid`` defaults to :func:`default_grid`.  A custom grid must resolve
-    the dynamics (step at most min(tau, 1/kappa)/50) and contain the pulse
-    (t_start <= -5 tau, t_end >= +5 tau); coarser or narrower grids reject
-    with an accuracy error rather than silently losing probability.
+    the dynamics and contain the pulse (:func:`_check_grid`); coarser or
+    narrower grids reject with an accuracy error rather than silently
+    losing probability.
 
     ``waveform`` replaces the Gaussian drive: either a callable evaluated
     on the half-step lattice or a sequence of 2*n_steps + 1 samples spaced
@@ -326,18 +345,7 @@ def integrate_pulse(
     """
     if grid is None:
         grid = default_grid(params)
-    else:
-        limit = min(params.tau, 1.0 / params.kappa) / 50.0
-        if grid.step > limit * (1.0 + 1e-12):
-            raise AccuracyError(
-                f"step {grid.step} exceeds min(tau, 1/kappa)/50 = {limit}"
-            )
-        if grid.t_start > -5.0 * params.tau or grid.t_end < 5.0 * params.tau:
-            raise AccuracyError(
-                "grid must cover [-5 tau, +5 tau] to capture the pulse, got "
-                f"[{grid.t_start}, {grid.t_end}] with tau = {params.tau}"
-            )
-    _check_step_budget(grid)
+    _check_grid(params, grid)
 
     n = grid.n_steps
     h = grid.step
@@ -410,8 +418,9 @@ def flip_probability_sweep(
     explicit ``step`` overrides the default step of every point; the
     default window is always used.  Sweeps over ``MAX_SWEEP_POINTS``
     points are refused before any grid is built, and every point's
-    parameters and grid (``PulseParams``, ``TimeGrid`` and ``MAX_STEPS``)
-    are checked before the first point is integrated.
+    parameters and grid (``PulseParams``, ``TimeGrid`` and
+    :func:`_check_grid`), and the sum of their steps against
+    ``MAX_SWEEP_STEPS``, are checked before the first point is integrated.
     """
     gs = [float(g) for g in g_over_kappa]
     taus = [float(t) for t in kappa_tau]
@@ -433,8 +442,14 @@ def flip_probability_sweep(
             grid = default_grid(params)
             if step is not None:
                 grid = TimeGrid(grid.t_start, grid.t_end, step)
-            _check_step_budget(grid)
+            _check_grid(params, grid)
             points.append((params, grid))
+    total = sum(grid.n_steps for _, grid in points)
+    if total > MAX_SWEEP_STEPS:
+        raise ParameterError(
+            f"sweep of {len(points)} points needs {total} RK4 steps, more than "
+            f"MAX_SWEEP_STEPS = {MAX_SWEEP_STEPS}"
+        )
     rows = []
     for params, grid in points:
         result = integrate_pulse(params, grid)

@@ -122,10 +122,9 @@ class Register:
     exact Python integer, however many subsystems there are.  The dims are
     multiplied in order and a register over more than ``MAX_TOTAL_DIM``
     basis states raises a parameter error as soon as the running product
-    passes it.  A register is immutable, so :meth:`without` and
-    :meth:`leading` keep each register they return and hand the same one
-    back on the next call; those caches take no part in ``==``, ``hash``
-    or ``repr``.
+    passes it.  A register is immutable, so :meth:`without` keeps each
+    register it returns and hands the same one back on the next call; that
+    cache takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     subsystems: tuple[Subsystem, ...]
@@ -133,7 +132,6 @@ class Register:
     total_dim: int = field(init=False, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
     _dropped: dict[str, "Register"] = field(init=False, repr=False, compare=False)
-    _led: dict[str, "Register"] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[Subsystem]):
         subs = tuple(subsystems)
@@ -150,7 +148,6 @@ class Register:
         object.__setattr__(self, "total_dim", _checked_total_dim(dims))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_dropped", {})
-        object.__setattr__(self, "_led", {})
 
     def __len__(self) -> int:
         return len(self.subsystems)
@@ -206,25 +203,6 @@ class Register:
         reduced = Register(self.subsystems[:pos] + self.subsystems[pos + 1 :])
         self._dropped[label] = reduced
         return reduced
-
-    def leading(self, label: str) -> "Register":
-        """Register with one subsystem moved first, the rest in order.
-
-        This register itself if ``label`` already leads.  Built at the first
-        call for ``label`` and kept, as :meth:`without` keeps its registers.
-        """
-        try:
-            return self._led[label]
-        except KeyError:
-            pass
-        pos = self.position(label)
-        if pos == 0:
-            moved = self
-        else:
-            subs = self.subsystems
-            moved = Register(subs[pos : pos + 1] + subs[:pos] + subs[pos + 1 :])
-        self._led[label] = moved
-        return moved
 
 
 def _checked_total_dim(dims: Sequence[int]) -> int:
@@ -332,24 +310,22 @@ def from_factors(
 
 
 def _factor_product(
-    register: Register, factors, lead: str | None = None, cut: Sequence[slice] | None = None
+    register: Register, factors, cut: Sequence[slice] | None = None
 ) -> np.ndarray:
-    """:func:`from_factors`'s amplitudes as a fresh writable array, with subsystem ``lead`` first.
+    """:func:`from_factors`'s amplitudes in register order, as a fresh writable array.
 
     The factors multiply in register order, each from the right of the
-    product so far, so an amplitude has the same bits whether ``lead`` is
-    given or not.  ``cut``, one slice per subsystem in register order,
+    product so far.  ``cut``, one slice per subsystem in register order,
     bounds the entries that may be nonzero: each factor is cut to it first,
-    and the product of the cuts is written into a zeroed buffer, so every
-    amplitude in the cut has the bits of the whole product and every other
-    one is +0.0.  The 1-D result owns its memory, so once frozen a
-    :class:`PureState` adopts it without a copy.  Refused: factors that do
-    not tile the register in order, a factor of the wrong length, and a
-    norm that is not 1 within 1e-9.
+    and the result is the product of the cuts over the box they span, so
+    every amplitude in it has the bits of the whole product.  The 1-D
+    result owns its memory, so once frozen a :class:`PureState` adopts it
+    without a copy.  Refused: factors that do not tile the register in
+    order, a factor of the wrong length, and a norm that is not 1 within
+    1e-9.
     """
     covered: list[str] = []
     flat = np.ones(1, dtype=complex)  # owns the product so far
-    vec = flat.reshape(1, 1)  # (dim of lead, dims of the rest so far)
     for labels, block in factors:
         for lab in labels:
             pos = register.position(lab)
@@ -365,29 +341,16 @@ def _factor_product(
             raise ShapeError(
                 f"factor over {tuple(labels)} has length {block.size}, expected {math.prod(dims)}"
             )
-        block = block.reshape(dims)
         if cut is not None:
-            block = block[tuple(cut[register.position(lab)] for lab in labels)]
-        if lead in labels:
-            at = labels.index(lead)
-            block = np.moveaxis(block, at, 0).reshape(block.shape[at], -1)
-        else:
-            block = block.reshape(1, -1)
-        shape = (max(len(vec), len(block)), vec.shape[1], block.shape[1])
-        flat = np.empty(math.prod(shape), dtype=complex)
-        np.multiply(vec[:, :, None], block[:, None, :], out=flat.reshape(shape))
-        vec = flat.reshape(shape[0], -1)
+            block = block.reshape(dims)[tuple(cut[register.position(lab)] for lab in labels)]
+        block = block.reshape(-1)
+        product = np.empty(flat.size * block.size, dtype=complex)
+        np.multiply(flat[:, None], block[None, :], out=product.reshape(flat.size, block.size))
+        flat = product
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
     _check_norm(flat)
-    if cut is None:
-        return flat
-    led = register.leading(lead) if lead in register.labels else register
-    box = tuple(cut[register.position(lab)] for lab in led.labels)
-    out = np.zeros(register.total_dim, dtype=complex)
-    target = out.reshape(led.dims)[box]
-    target[...] = flat.reshape(target.shape)
-    return out
+    return flat
 
 
 def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.ndarray:

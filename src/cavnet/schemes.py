@@ -347,8 +347,10 @@ def initial_state(scheme: Scheme) -> PureState:
 
 
 def _path_first(register: Register) -> Register:
-    """``register`` with ``path`` moved first (see :meth:`Register.leading`); itself without one."""
-    return register.leading(PATH) if PATH in register.labels else register
+    """``register`` with ``path`` first, the rest in order; itself if nothing precedes ``path``."""
+    pos = register.position(PATH) if PATH in register.labels else 0
+    subs = register.subsystems
+    return Register(subs[pos : pos + 1] + subs[:pos] + subs[pos + 1 :]) if pos else register
 
 
 def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
@@ -358,7 +360,8 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     such as a bad port is reported before a guard that would trip earlier.
     The buffer has ``path``'s axis first, so each path slice is one
     contiguous block.  It starts zeroed, with the product of the factors
-    cut to the plan's ``cut`` written in (:func:`qstate._factor_product`).
+    cut to the plan's ``cut`` (:func:`qstate._factor_product`) transposed
+    in; a product with no cut and no path to move is the buffer itself.
     The elements the plan keeps then act in place, each bounded by its
     ``ranges`` (:func:`_apply_op`) and each guard checked on the whole
     buffer just before its element, its refusal prefixed by
@@ -375,7 +378,15 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     lead = _path_first(register)
     items = scheme.elements if upto is None else scheme.elements[:upto]
     cut, plan = _plan(scheme, items, lead.position)
-    buffer = qstate._factor_product(register, _factors(scheme), PATH, cut)
+    product = qstate._factor_product(register, _factors(scheme), cut)
+    if cut is None and lead is register:
+        buffer = product
+    else:
+        buffer = np.zeros(register.total_dim, dtype=complex)
+        view = buffer.reshape(lead.dims).transpose([lead.position(lab) for lab in register.labels])
+        box = view if cut is None else view[cut]
+        box[...] = product.reshape(box.shape)
+    del product
     tensor = buffer.reshape(lead.dims)
     for index, item, op, guard, ranges in plan:
         if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
@@ -390,9 +401,7 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 
     :func:`_propagated` runs the elements on its path-first buffer, which
     is then transposed into a fresh register-order array and frozen into a
-    :class:`PureState` (its norm checked) once.  For that moment both
-    arrays are held; :func:`run` detects on the path-first buffer instead
-    when it can.
+    :class:`PureState` (its norm checked) once.
     """
     register = scheme.register
     lead = _path_first(register)
@@ -450,17 +459,16 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
     one is a contract violation, raised before anything is propagated, so
     it comes first even when the wiring would fail too.
 
-    When the first detector group is the path, as for every builder with
-    one, detection reads :func:`_propagated`'s path-first buffer as a
+    Detection reads :func:`_propagated`'s path-first buffer as a
     :class:`PureState` over :func:`_path_first`'s register: each path
-    outcome is one contiguous slab, already in the post register's order,
-    and no register-order copy is made.  Any other scheme detects on
-    :func:`propagate`'s state.  Every combination is projected and its
-    flyers stripped first; the propagated state is then released, and only
-    then are the corrections applied and the fidelities computed, in
-    report order.  So when one outcome fails at detection and another at
-    its correction, the detection error is raised, whatever their order.
-    Probabilities must account for the whole state (sum to 1 within 1e-9).
+    outcome is one contiguous slab, and no register-order copy is made (a
+    post state that keeps the path keeps it first).  Every combination is
+    projected and its flyers stripped first; the propagated state is then
+    released, and only then are the corrections applied and the
+    fidelities computed, in report order.  So when one outcome fails at
+    detection and another at its correction, the detection error is
+    raised, whatever their order.  Probabilities must account for the
+    whole state (sum to 1 within 1e-9).
     """
     combos = list(_outcome_combos(scheme.detectors)) if scheme.detectors else []
     for combo_id, _ in combos:
@@ -469,10 +477,7 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
                 f"scheme {scheme.name!r} declares no correction and target for outcome "
                 f"{combo_id!r}"
             )
-    if scheme.detectors and scheme.detectors[0].subsystem != PATH:
-        state = propagate(scheme)
-    else:
-        state = PureState(_path_first(scheme.register), _propagated(scheme))
+    state = PureState(_path_first(scheme.register), _propagated(scheme))
     if not combos:
         return []
 

@@ -320,6 +320,24 @@ def test_flip_sweep_over_step_budget_exits_two(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # six good points first, then one the step does not resolve
+        (["--tau", "40,40,40,40,40,40,0.1", "--step", "0.003"], "min(tau, 1/kappa)/50"),
+        # 10,000 x 367,696 steps, each point within MAX_STEPS
+        (["--tau-range", "40:40:10000"], "MAX_SWEEP_STEPS"),
+    ],
+)
+def test_flip_sweep_refusals_come_before_any_integration(argv, message, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(iomodel, "_trajectory", lambda *a: calls.append(a))
+    assert main(["flip-sweep", "--g", "5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+    assert calls == []
+
+
 def test_flip_sweep_point_count_over_budget_exits_two_at_once(capsys):
     assert main(["flip-sweep", "--g", "1", "--tau-range", "0.1:40:1000000000"]) == 2
     captured = capsys.readouterr()
@@ -400,6 +418,7 @@ def test_main_callable_in_process(capsys):
     [
         (schemes, "MAX_WALK_STEPS", 5, ["retry-walk", "--p", "1", "--n", "2", "--max-steps", "6"]),
         (qstate, "MAX_TOTAL_DIM", 2**5, ["run-scheme", "w", "--n", "4"]),  # dim 128
+        (iomodel, "MAX_SWEEP_STEPS", 5, ["flip-sweep", "--g", "1", "--tau", "1"]),
         (
             schemes,
             "MAX_MC_WALKER_STEPS",
@@ -488,6 +507,7 @@ FUZZ_BUDGETS = (
     (schemes, "MAX_MC_WALKER_STEPS", 400),
     (iomodel, "MAX_STEPS", 20_000),
     (iomodel, "MAX_SWEEP_POINTS", 3),
+    (iomodel, "MAX_SWEEP_STEPS", 40_000),
 )
 FUZZ_NUMBERS = (
     st.sampled_from(

@@ -1,14 +1,24 @@
-"""Detection in ``schemes.run``: the path-first route against the flat reference loop."""
+"""Detection in ``schemes.run``: the path-first buffer against the flat reference loop."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavnet import elements as el
 from cavnet import schemes
 from cavnet.errors import InvalidLabelError, LossyWiringError
-from cavnet.qstate import KIND_ATOM_LR, KIND_PATH, KIND_POL, PureState, Register, Subsystem
+from cavnet.qstate import (
+    KIND_ATOM_LR,
+    KIND_FIELD,
+    KIND_PATH,
+    KIND_POL,
+    PureState,
+    Register,
+    Subsystem,
+)
 from cavnet.verify import Graph, LocalCorrection
 from support import bare_scheme, reference_run
 
@@ -76,13 +86,13 @@ def bits(x):
 @pytest.mark.parametrize("name", BUILDERS)
 def test_run_matches_the_flat_reference_detection(name, monkeypatch):
     scheme = BUILDERS[name]()
-    flat_calls = []
-    real = schemes.propagate
-    monkeypatch.setattr(schemes, "propagate", lambda *args: flat_calls.append(1) or real(*args))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run made the register-order state")
+
+    monkeypatch.setattr(schemes, "propagate", refuse)  # run detects on the path-first buffer only
     got = schemes.run(scheme)
     monkeypatch.undo()
-    # only a scheme whose first detector group is not the path takes the register-order state
-    assert len(flat_calls) == (scheme.detectors[0].subsystem != schemes.PATH)
 
     want = reference_run(scheme)
     assert [r.detector_id for r in got] == [r.detector_id for r in want]
@@ -95,6 +105,51 @@ def test_run_matches_the_flat_reference_detection(name, monkeypatch):
             if x is not None:
                 assert x.register == y.register
                 assert x.amplitudes.tobytes() == y.amplitudes.tobytes()
+
+
+@st.composite
+def wired_detections(draw):
+    """A hand-wired scheme over 1-3 qubits and a path of 2-4 ports at any register position.
+
+    The amplitudes are random, with one outcome of some subsystems left empty, so some
+    posts are None; 0-3 splitters join random ports.  The path and all qubits but one
+    or more are detected, every outcome of each, the groups in any order.
+    """
+    kinds = st.sampled_from((KIND_ATOM_LR, KIND_FIELD, KIND_POL))
+    subs = [Subsystem(f"q{i}", draw(kinds)) for i in range(draw(st.integers(1, 3)))]
+    dpath = draw(st.integers(2, 4))
+    subs.insert(draw(st.integers(0, len(subs))), Subsystem("path", KIND_PATH, dpath))
+    register = Register(subs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=register.dims) + 1j * rng.normal(size=register.dims)
+    for pos, sub in enumerate(subs):
+        if draw(st.booleans()):
+            psi[(slice(None),) * pos + (draw(st.integers(0, sub.dim - 1)),)] = 0.0
+    ports = st.lists(st.integers(0, dpath - 1), min_size=2, max_size=2, unique=True).map(tuple)
+    items = draw(st.lists(st.builds(el.BS, st.floats(0.05, 0.95), ports), max_size=3))
+    labels = [sub.label for sub in subs if sub.label != "path"]
+    qubits = draw(st.lists(st.sampled_from(labels), max_size=len(labels) - 1, unique=True))
+    detectors = [
+        el.Detector(f"{label}={out}", label, out)
+        for label in draw(st.permutations(["path", *qubits]))
+        for out in register.subsystem(label).basis_labels
+    ]
+    return bare_scheme(register, psi.reshape(-1) / np.linalg.norm(psi), items, detectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wired_detections())
+def test_run_matches_the_flat_reference_on_hand_wired_schemes(scheme):
+    # a group detected ahead of a path that is not first in the register sums in another order
+    got, want = schemes.run(scheme), reference_run(scheme)
+    assert [r.detector_id for r in got] == [r.detector_id for r in want]
+    for a, b in zip(got, want):
+        assert a.probability == pytest.approx(b.probability, rel=0, abs=1e-12)
+        for x, y in ((a.post_state, b.post_state), (a.corrected_state, b.corrected_state)):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.register == y.register
+                np.testing.assert_allclose(x.amplitudes, y.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_the_hand_wired_schemes_reach_their_targets():

@@ -12,6 +12,7 @@ to rounding.  No builder puts the path last.  The occupancy tests hold
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,21 +441,30 @@ def test_left_out_elements_change_no_value(scheme):
 
 @st.composite
 def factor_tilings(draw):
-    """A register of 1-5 subsystems, with or without a path, tiled by random complex factors."""
+    """A register of 1-5 subsystems, with or without a path, tiled by random factors.
+
+    A signed tiling's factors are complex with zeros of either sign; a sign-free
+    one's are real, at least +0.0, so the plan cuts every factor over one
+    subsystem to the span of its nonzero entries.
+    """
     n = draw(st.integers(1, 5))
     kinds = st.sampled_from((KIND_ATOM_LR, KIND_FIELD))
     subs = [Subsystem(f"s{i}", draw(kinds)) for i in range(n)]
     if draw(st.booleans()):
         subs.insert(draw(st.integers(0, n)), Subsystem("path", KIND_PATH, draw(st.integers(2, 5))))
     register = Register(subs)
+    signed = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factors, at = [], 0
     while at < len(subs):
         width = draw(st.integers(1, len(subs) - at))
         labels = tuple(sub.label for sub in subs[at : at + width])
         dim = int(np.prod([sub.dim for sub in subs[at : at + width]]))
-        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        amps[rng.random(dim) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(0.0, -0.0))))
+        if signed:
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            amps[rng.random(dim) < 0.3] = draw(st.sampled_from((0.0, -0.0, complex(0.0, -0.0))))
+        else:
+            amps = rng.random(dim) * (rng.random(dim) < 0.6)
         amps[rng.integers(dim)] = 1.0  # no factor is all zeros
         factors.append((labels, amps))
         at += width
@@ -467,14 +477,30 @@ def factor_tilings(draw):
 @given(factor_tilings())
 def test_path_first_product_is_the_transposed_register_order_product(case):
     register, factors = case
-    order = sorted(range(len(register)), key=lambda pos: register.labels[pos] != "path")
-    want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
-    led = qstate._factor_product(register, factors, "path")
-    assert_bit_equal(led, want)
-    flat = from_factors(register, factors).amplitudes
-    assert_bit_equal(qstate._factor_product(register, factors), flat)
-    assert led.base is None and flat.base is None  # owned, so a PureState adopts them
+    scheme = dataclasses.replace(bare_scheme(register, [1.0]), initial=tuple(factors))
+    lead = schemes._path_first(register)
+    if "path" in register.labels:
+        assert lead.labels[0] == "path" and sorted(lead.labels) == sorted(register.labels)
+        # dropping the path leaves the register order
+        assert lead.without("path") == register.without("path")
+    else:
+        assert lead is register
+    products = []
+    factor_product = qstate._factor_product
 
+    def spy(*args):
+        products.append(factor_product(*args))
+        return products[-1]
+
+    with mock.patch.object(qstate, "_factor_product", spy):
+        got = schemes._propagated(scheme, upto=0)
+    order = [register.position(label) for label in lead.labels]
+    want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
+    assert_bit_equal(got, want)
+    assert got.base is None and not got.flags.writeable  # so a PureState adopts it
+    cut, _ = schemes._plan(scheme, (), lead.position)
+    # the product is the buffer itself only without a cut or a move
+    assert (got is products[0]) == (cut is None and lead is register)
 
 
 # ------------------------------------------------------------ occupancy

@@ -1,8 +1,11 @@
-"""Every package module uses every name it imports.
+"""Every package module uses every name it imports, and the package every private name.
 
-The check reads the source with ``ast``: a name bound by an import must
-appear as a name somewhere else in the module.  ``__init__.py`` is exempt,
+The checks read the source with ``ast``.  A name bound by an import must
+appear as a name somewhere else in the module; ``__init__.py`` is exempt,
 since its imports are the package's re-exports, and so is ``__future__``.
+A module-level ``_name`` (a function, class or assignment) must be read as
+a name or an attribute somewhere in the package, so a helper left behind
+by removed code fails.
 """
 
 import ast
@@ -46,3 +49,62 @@ def test_modules_were_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Line of each module-level ``_name`` that ``tree`` defines (dunder names are not private)."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``"module: name (line N)"`` for each private definition no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_private_name_checker_flags_only_unread_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n_left: int = 0\ndef _helper(): return _LIMIT\n"
+            "class _Gone: pass\n__all__ = []\n"
+        ),
+        "b.py": "from . import a\na._helper()\n_left = 1\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py: _left (line 2)",
+        "a.py: _Gone (line 4)",
+        "b.py: _left (line 3)",
+    ]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

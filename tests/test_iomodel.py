@@ -281,6 +281,34 @@ def test_sweep_checks_every_grid_before_integrating(monkeypatch):
     assert calls == []
 
 
+def count_trajectories(monkeypatch):
+    """The list that records each call of ``iomodel._trajectory``, which still runs."""
+    calls = []
+    trajectory = io._trajectory
+    monkeypatch.setattr(io, "_trajectory", lambda *a: calls.append(a) or trajectory(*a))
+    return calls
+
+
+def test_sweep_refuses_a_too_coarse_step_before_integrating(monkeypatch):
+    # 0.003 resolves kappa tau = 40 at g = 5 but not kappa tau = 0.1, the last point
+    calls = count_trajectories(monkeypatch)
+    with pytest.raises(AccuracyError, match=r"exceeds min\(tau, 1/kappa\)/50 = 0\.002"):
+        flip_probability_sweep([5.0], [40.0] * 6 + [0.1], step=0.003)
+    assert calls == []
+
+
+def test_sweep_step_total_is_checked_before_integrating(monkeypatch):
+    steps = default_grid(matched(1.0, tau=1.0)).n_steps
+    calls = count_trajectories(monkeypatch)
+    monkeypatch.setattr(io, "MAX_SWEEP_STEPS", 3 * steps - 1)
+    message = f"3 points needs {3 * steps} RK4 steps, more than MAX_SWEEP_STEPS"
+    with pytest.raises(ParameterError, match=message):
+        flip_probability_sweep([1.0], [1.0] * 3)
+    assert calls == []
+    monkeypatch.setattr(io, "MAX_SWEEP_STEPS", 3 * steps)
+    assert len(flip_probability_sweep([1.0], [1.0] * 3)) == len(calls) == 3
+
+
 def test_sampled_waveform_matches_callable():
     params = matched(1.0, tau=1.0)
     grid = default_grid(params)

@@ -148,20 +148,6 @@ def test_register_without_returns_its_cached_register():
             reg.without("z")
 
 
-def test_register_leading_moves_one_subsystem_first_and_keeps_it():
-    subs = [Subsystem("a", KIND_ATOM_LR), Subsystem("p", KIND_PATH, 3), Subsystem("f", KIND_FIELD)]
-    reg = Register(subs)
-    led = reg.leading("p")
-    assert led.labels == ("p", "a", "f") and led.dims == (3, 2, 2)
-    assert reg.leading("p") is led
-    assert led.without("p") == reg.without("p")  # projecting the lead leaves the register order
-    assert reg.leading("a") is reg  # already first
-    assert reg == Register(subs)
-    for _ in range(2):  # a miss caches nothing
-        with pytest.raises(InvalidLabelError):
-            reg.leading("z")
-
-
 class MultiplyRefused(int):
     """An int dim that fails if a running product multiplies it in."""
 
