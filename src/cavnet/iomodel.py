@@ -421,6 +421,8 @@ def flip_probability_sweep(
     parameters and grid (``PulseParams``, ``TimeGrid`` and
     :func:`_check_grid`), and the sum of their steps against
     ``MAX_SWEEP_STEPS``, are checked before the first point is integrated.
+    A point's refusal keeps its type, its text prefixed by the point's
+    index in row order and its ``g`` and ``tau``.
     """
     gs = [float(g) for g in g_over_kappa]
     taus = [float(t) for t in kappa_tau]
@@ -438,11 +440,15 @@ def flip_probability_sweep(
     points = []
     for g in gs:
         for tau in taus:
-            params = PulseParams(g_L=g, g_R=g, kappa=1.0, tau=tau)
-            grid = default_grid(params)
-            if step is not None:
-                grid = TimeGrid(grid.t_start, grid.t_end, step)
-            _check_grid(params, grid)
+            try:
+                params = PulseParams(g_L=g, g_R=g, kappa=1.0, tau=tau)
+                grid = default_grid(params)
+                if step is not None:
+                    grid = TimeGrid(grid.t_start, grid.t_end, step)
+                _check_grid(params, grid)
+            except ParameterError as exc:
+                where = f"sweep point {len(points)} (g = {g}, tau = {tau}): "
+                raise type(exc)(where + str(exc)) from None
             points.append((params, grid))
     total = sum(grid.n_steps for _, grid in points)
     if total > MAX_SWEEP_STEPS:

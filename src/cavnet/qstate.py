@@ -547,7 +547,10 @@ def project_out(
     its probability summed by :func:`_mass`, and it is scaled there: its
     real and imaginary parts are multiplied by ``1 / sqrt(prob)``.  That is
     what numpy's complex-by-real division computes too, except that
-    division turns some zeros to ``+0.0``.
+    division turns some zeros to ``+0.0``.  The post state's norm is
+    checked from ``prob`` and the scale, ``prob * scale**2`` within 1e-9
+    of 1 (which a NaN or inf slab fails), so :class:`PureState` adopts the
+    slab without reading it again.
     """
     register = state.register
     if len(register) == 1:
@@ -562,10 +565,17 @@ def project_out(
     prob = _mass(amps)
     if prob <= PROJECT_EPS:
         return prob, None
+    scale = 1.0 / math.sqrt(prob)
+    norm2 = prob * scale * scale
+    if not abs(norm2 - 1.0) <= NORM_ATOL:
+        raise ContractViolationError(f"post state norm**2 {norm2!r} deviates from 1 beyond 1e-9")
     parts = amps.view(np.float64)
-    parts *= 1.0 / math.sqrt(prob)
+    parts *= scale
     amps.setflags(write=False)
-    return prob, PureState(post, amps)
+    adopted = object.__new__(PureState)  # its shape and norm are checked above
+    object.__setattr__(adopted, "register", post)
+    object.__setattr__(adopted, "amplitudes", amps)
+    return prob, adopted
 
 
 def overlap(a: PureState, b: PureState) -> complex:

@@ -225,42 +225,60 @@ def _plan(
 ) -> tuple[tuple | None, list[tuple]]:
     """``(cut, steps)``: where the initial state may be nonzero, and how each element acts.
 
-    ``steps`` holds ``(index, element, op, guard, ranges)`` for each of
+    ``steps`` holds ``(index, element, op, guard, occupied)`` for each of
     ``items`` that can change the state.  Each is resolved and checked
     first, a refusal keeping its type and text after the prefix of
-    :func:`_where`.  ``ports`` holds the path ports that may hold
-    amplitude: the nonzero entries of a factor over the path alone (every
-    port if the path shares a factor), then the ports of each element kept.
-    An element whose ports all hold zeros, as its guard's sector then does,
-    is left out.
+    :func:`_where`.  An element whose ports all hold zeros, as its guard's
+    sector then does, is left out.
 
-    ``ranges``, one slice per axis of ``axis_of``, bounds where the buffer
-    may hold more than +0.0 just before the element acts: at first the span
-    of the nonzero entries of a factor over that subsystem alone (the
-    path's is the span of ``ports``), the whole axis for a factor over
-    several; an element's targets span their whole axis after it acts.
-    ``cut`` is the first ranges in register order, for
-    :func:`qstate._factor_product`, or None if they span every axis.  The
-    bound holds only where the whole product writes +0.0 outside the
-    spans, so only when every factor is real and free of sign bits, as
-    every builder's is; otherwise ``cut`` and every ``ranges`` are None and
-    each element acts on the whole buffer.
+    ``occupied`` maps each path port that may hold amplitude just before
+    the element acts (the one port 0 of a register without a path) to its
+    boxes, each a ``(start, stop)`` per axis of ``axis_of``, the path's
+    whole; outside them the port holds only +0.0.  At first the ports on
+    which a factor over the path alone is nonzero (every port if the path
+    shares a factor) have one box: the span of the nonzero entries of each
+    factor over one subsystem, the whole axis for a factor over several.
+    An element widens the boxes of its port, or of every occupied port if
+    it names none, to the whole axis of each target.  A two-port element
+    gives both ports the union of their boxes, one that targets the path
+    every port the union of all; a port with more boxes than the path has
+    ports gets their hull.  A guard's sector is cut to the hull of the
+    boxes of its element's ports: its mass, only compared with the limit,
+    sums the same nonzero amplitudes, in another order.
+
+    ``cut`` is the first box, with the span of the path factor, in
+    register order for :func:`qstate._factor_product`, or None if it
+    spans every axis.  The bound holds only where the whole product writes
+    +0.0 outside the spans, so only when every factor is real and free of
+    sign bits, as every builder's is; otherwise ``cut`` and every
+    ``occupied`` are None and each element acts on the whole buffer.
     """
     register = scheme.register
     factors = _factors(scheme)
     exact = not any(_signed(vec) for _, vec in factors)
-    ranges = [slice(None)] * len(register)
-    ports: set[int] = set()
+    dims = [sub.dim for sub in sorted(register.subsystems, key=lambda sub: axis_of(sub.label))]
+    whole = [(0, dim) for dim in dims]
+    box = whole.copy()
+    width = register.subsystem(PATH).dim if PATH in register.labels else 1
+    ports: Iterable[int] = [0]
     for labels, vec in factors:
-        if PATH in labels and len(labels) > 1:
-            ports = set(range(register.subsystem(PATH).dim))
-        elif PATH in labels:
-            ports = set(np.flatnonzero(vec).tolist())
-        if exact and len(labels) == 1:
-            ranges[axis_of(labels[0])] = _span(vec, register.subsystem(labels[0]).dim)
-    cut = tuple(ranges[axis_of(label)] for label in register.labels) if exact else None
-    if cut is not None and all(span == slice(None) for span in cut):
-        cut = None  # it bounds nothing
+        if len(labels) == 1:
+            box[axis_of(labels[0])] = _span(vec, dims[axis_of(labels[0])])
+        if PATH in labels:
+            ports = np.flatnonzero(vec).tolist() if len(labels) == 1 else range(width)
+    cut = None
+    if exact and box != whole:
+        cut = tuple(slice(*box[axis_of(label)]) for label in register.labels)
+    if PATH in register.labels:
+        box[axis_of(PATH)] = whole[axis_of(PATH)]
+
+    def settled(boxes: Iterable[tuple], axes: set[int]) -> tuple[tuple, ...]:
+        if axes:
+            boxes = (tuple(whole[a] if a in axes else s for a, s in enumerate(b)) for b in boxes)
+        boxes = tuple(dict.fromkeys(boxes))
+        return boxes if len(boxes) <= width else (_hull(boxes),)
+
+    occupied = dict.fromkeys(ports, (tuple(box),))
     steps = []
     for index, item in enumerate(items):
         if isinstance(item, el.Detector):
@@ -269,17 +287,33 @@ def _plan(
             op, guard = _resolve(register, axis_of, item)
         except ParameterError as exc:
             raise type(exc)(_where(scheme, index, item) + str(exc)) from None
-        if op.ports and ports.isdisjoint(op.ports):
+        if op.ports and occupied.keys().isdisjoint(op.ports):
             continue
-        if exact and ports:
-            ranges[axis_of(PATH)] = slice(min(ports), max(ports) + 1)
-        steps.append((index, item, op, guard, tuple(ranges) if exact else None))
-        ports.update(op.ports or ())
-        for label in op.targets:
-            ranges[axis_of(label)] = slice(None)
-            if label == PATH:
-                ports = set(range(register.subsystem(PATH).dim))
+        if exact and guard is not None:
+            hull = _hull(_reach(op, occupied))
+            sector = tuple(slice(*h) if s == slice(None) else s for s, h in zip(guard[0], hull))
+            guard = (sector, *guard[1:])
+        steps.append((index, item, op, guard, occupied if exact else None))
+        axes = {axis_of(label) for label in op.targets}
+        if op.ports or PATH in op.targets:
+            moved = dict.fromkeys(op.ports or range(width), settled(_reach(op, occupied), axes))
+        else:
+            moved = {port: settled(boxes, axes) for port, boxes in occupied.items()}
+        occupied = {**occupied, **moved}
     return cut, steps
+
+
+def _reach(op: _Op, occupied: dict) -> list[tuple]:
+    """The boxes of ``op``'s occupied ports, or of every occupied port if it names none."""
+    ports = [port for port in op.ports if port in occupied] if op.ports else occupied
+    return [box for port in ports for box in occupied[port]]
+
+
+def _hull(boxes: Sequence[tuple]) -> tuple:
+    """The least box, one ``(start, stop)`` per axis, that holds every one of ``boxes``."""
+    if len(boxes) == 1:
+        return boxes[0]
+    return tuple((min(lo), max(hi)) for lo, hi in (zip(*axis) for axis in zip(*boxes)))
 
 
 def _signed(vec: np.ndarray) -> bool:
@@ -288,30 +322,30 @@ def _signed(vec: np.ndarray) -> bool:
     return bool((np.signbit(vec.real) | np.signbit(vec.imag) | (vec.imag != 0)).any())
 
 
-def _span(vec: np.ndarray, dim: int) -> slice:
-    """The span of the nonzero entries of ``vec``, a factor over one subsystem of ``dim`` states.
+def _span(vec: np.ndarray, dim: int) -> tuple[int, int]:
+    """``(start, stop)`` of the nonzero entries of ``vec``, a factor over ``dim`` states.
 
-    ``slice(None)`` for a span over the whole subsystem, and for a factor
-    with no nonzero entry or the wrong length, which
-    :func:`qstate._factor_product` refuses.
+    ``(0, dim)`` for a factor with no nonzero entry or the wrong length,
+    which :func:`qstate._factor_product` refuses.
     """
     hit = np.flatnonzero(vec)
-    if np.size(vec) != dim or not hit.size or (hit[0], hit[-1]) == (0, dim - 1):
-        return slice(None)
-    return slice(int(hit[0]), int(hit[-1]) + 1)
+    if np.size(vec) != dim or not hit.size:
+        return 0, dim
+    return int(hit[0]), int(hit[-1]) + 1
 
 
-def _apply_op(tensor: np.ndarray, axis_of, op: _Op, ranges: tuple | None = None) -> None:
+def _apply_op(tensor: np.ndarray, axis_of, op: _Op, occupied: dict | None = None) -> None:
     """Apply ``op`` in place; ``axis_of`` maps a subsystem label to its tensor axis.
 
-    ``ranges`` (see :func:`_plan`; None bounds nothing) is one slice per
-    axis outside which ``tensor`` holds only +0.0.  A signed permutation
-    then moves the slabs of the view whose other axes are cut to their
-    ranges, and a dense block on the leading axis multiplies only the
-    column chunks that meet the ranges (:func:`qstate._rows_product`).
-    What they skip holds +0.0, which acting on the whole tensor would
-    leave +0.0, so the bits are the same.  Any other dense block acts on
-    the whole tensor.
+    ``occupied`` (see :func:`_plan`; None bounds nothing) maps each port
+    that may hold amplitude to the boxes outside which its slice of
+    ``tensor`` holds only +0.0.  A signed permutation then moves the slabs
+    of the view whose other axes are cut to the hull of the boxes of its
+    ports (:func:`_reach`), and a dense block on the leading axis
+    multiplies only the column chunks that meet those boxes
+    (:func:`qstate._rows_product`).  What they skip holds +0.0, which
+    acting on the whole tensor would leave +0.0, so the bits are the same.
+    Any other dense block acts on the whole tensor.
     """
     axes = [axis_of(label) for label in op.targets]
     index = [slice(None)] * tensor.ndim
@@ -319,14 +353,18 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op, ranges: tuple | None = None)
         path = axis_of(PATH)
         index[path] = _port_slice(op.ports)
         axes = [path] + axes
-    occupied = None
-    if ranges is not None and op.block.cycles is not None:
-        index = [index[a] if a in axes else ranges[a] for a in range(tensor.ndim)]
-    elif ranges is not None and axes == [0] and any(r != slice(None) for r in ranges[1:]):
-        columns = np.zeros(tensor.shape[1:], dtype=bool)
-        columns[ranges[1:]] = True
-        occupied = columns.reshape(-1)
-    qstate._apply_block(tensor[tuple(index)], axes, op.block, occupied)
+    columns = None
+    if occupied is not None and op.block.cycles is not None:
+        hull = _hull(_reach(op, occupied))
+        index = [index[a] if a in axes else slice(*hull[a]) for a in range(tensor.ndim)]
+    elif occupied is not None and axes == [0]:
+        boxes = [box[1:] for box in _reach(op, occupied)]
+        if tuple((0, dim) for dim in tensor.shape[1:]) not in boxes:  # else every column
+            columns = np.zeros(tensor.shape[1:], dtype=bool)
+            for box in boxes:
+                columns[tuple(slice(*span) for span in box)] = True
+            columns = columns.reshape(-1)
+    qstate._apply_block(tensor[tuple(index)], axes, op.block, columns)
 
 
 def _port_slice(ports: tuple[int, ...]) -> slice:
@@ -362,13 +400,13 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     contiguous block.  It starts zeroed, with the product of the factors
     cut to the plan's ``cut`` (:func:`qstate._factor_product`) transposed
     in; a product with no cut and no path to move is the buffer itself.
-    The elements the plan keeps then act in place, each bounded by its
-    ``ranges`` (:func:`_apply_op`) and each guard checked on the whole
-    buffer just before its element, its refusal prefixed by
-    :func:`_where`.  Where it skips, the whole product and every element
-    would have written +0.0, so the bytes are those of every element
-    acting on the whole buffer.  The buffer owns its memory, so a
-    :class:`PureState` adopts it as it is.
+    The elements the plan keeps then act in place, each bounded by the
+    boxes of the ports it acts on (:func:`_apply_op`) and each guard
+    checked on its plan's sector just before its element, its refusal
+    prefixed by :func:`_where`.  Where it skips, the whole product and
+    every element would have written +0.0, so the bytes are those of
+    every element acting on the whole buffer.  The buffer owns its memory,
+    so a :class:`PureState` adopts it as it is.
 
     A left-out element keeps a zero's sign where running it could write
     -0.0 (a splitter's product does for some zeros on 2 or 3 columns); the
@@ -388,10 +426,10 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
         box[...] = product.reshape(box.shape)
     del product
     tensor = buffer.reshape(lead.dims)
-    for index, item, op, guard, ranges in plan:
+    for index, item, op, guard, occupied in plan:
         if guard is not None and qstate._mass(tensor[guard[0]]) > guard[1]:
             raise InvalidConfigurationError(_where(scheme, index, item) + guard[2])
-        _apply_op(tensor, lead.position, op, ranges)
+        _apply_op(tensor, lead.position, op, occupied)
     buffer.setflags(write=False)
     return buffer
 

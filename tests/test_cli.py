@@ -338,6 +338,23 @@ def test_flip_sweep_refusals_come_before_any_integration(argv, message, monkeypa
     assert calls == []
 
 
+def test_a_sweep_refusal_names_its_point(monkeypatch, capsys):
+    proc = run_cli("flip-sweep", "--g", "5", "--tau", "40,40,40,40,40,40,0.1", "--step", "0.003")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: sweep point 6 (g = 5.0, tau = 0.1): "
+        "step 0.003 exceeds min(tau, 1/kappa)/50 = 0.002\n"
+    )
+    # a grid over MAX_STEPS: points count in row order, every tau of the first g first
+    steps = iomodel.default_grid(iomodel.PulseParams(1.0, 1.0, 1.0, 1.0)).n_steps
+    monkeypatch.setattr(iomodel, "MAX_STEPS", steps)
+    assert main(["flip-sweep", "--g", "1,2", "--tau", "1,40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sweep point 1 (g = 1.0, tau = 40.0): grid [")
+    assert captured.err.endswith(f"RK4 steps, more than MAX_STEPS = {steps}\n")
+
+
 def test_flip_sweep_point_count_over_budget_exits_two_at_once(capsys):
     assert main(["flip-sweep", "--g", "1", "--tau-range", "0.1:40:1000000000"]) == 2
     captured = capsys.readouterr()

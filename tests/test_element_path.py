@@ -427,7 +427,7 @@ def test_left_out_elements_change_no_value(scheme):
     # element keeps a zero as it is, and the matrix product it would have
     # run writes -0.0 for some zeros on a few columns (a 2x2 splitter on
     # 2 or 3 columns of zeros).  The slabs and column chunks the plan's
-    # ranges skip hold zeros too.  Every builder's bytes are unchanged.
+    # boxes skip hold zeros too.  Every builder's bytes are unchanged.
     try:
         want = propagate_every_element(scheme)
     except InvalidConfigurationError as exc:
@@ -538,15 +538,21 @@ def occupancy_runs(draw):
       the seven subsystems of ``KINDS``, the path never last.
     * ``merged``: the path and an idle path of ``2 * CHUNK + 1`` states, so the second
       and last chunk has ``CHUNK + 1`` columns; every port holds amplitude.
+    * ``mesh``: a photon in one port of a 4- or 8-port path, fanned out by a Hadamard
+      mesh to cavities on distinct ports, each with its own atom, then recombined by
+      random splitters, phase shifters and reroutes.  Two atoms lead 10 or 6 idle
+      qubits, so the path rows have 4 chunks of columns picked by those two atoms.
 
     Where a signed scheme's product has zeros of either sign, every port holds amplitude,
     so no element is left out; a left-out element keeps a zero's sign (see
     ``test_left_out_elements_change_no_value``).
     """
-    layout = draw(st.sampled_from(("qubits", "chunks", "merged")))
+    layout = draw(st.sampled_from(("qubits", "chunks", "merged", "mesh")))
     signed = draw(st.booleans())
     dpath = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "mesh":
+        return draw(cavity_meshes(signed))
     if layout == "merged":
         register = Register(
             [Subsystem("path", KIND_PATH, dpath), Subsystem("idle", KIND_PATH, 2 * CHUNK + 1)]
@@ -585,6 +591,46 @@ def occupancy_runs(draw):
             initial.append(((sub.label,), draw(st.sampled_from(sub.basis_labels))))
         at += 1
     items = draw(st.lists(any_element(dpath, path=layout == "chunks"), max_size=8))
+    return dataclasses.replace(bare_scheme(Register(subs), [1.0], items), initial=tuple(initial))
+
+
+@st.composite
+def cavity_meshes(draw, signed):
+    """The ``mesh`` layout of ``occupancy_runs``: the atoms start in basis states or ``"+"``,
+    or, if ``signed``, some in a real vector with a negative entry."""
+    ports = draw(st.sampled_from((4, 8)))
+    atoms = [Subsystem(f"a{k}", KIND_ATOM_LR) for k in range(ports)]
+    idle = [Subsystem(f"q{i}", KIND_ATOM_LR) for i in range(14 - ports)]
+    path = Subsystem("path", KIND_PATH, ports)
+    subs = atoms[:2] + idle + atoms[2:] + [Subsystem("pol", KIND_POL)]
+    subs.insert(draw(st.integers(0, len(subs))), path)
+    states = ("L", "R", "+") + (("negative",) if signed else ())
+    initial = []
+    for sub in subs:
+        if sub is path:
+            state = str(draw(st.integers(0, ports - 1)))
+        elif sub in atoms:
+            state = draw(st.sampled_from(states))
+        else:
+            state = draw(st.sampled_from(("L", "R", "+")))
+        initial.append(((sub.label,), np.array([0.6, -0.8]) if state == "negative" else state))
+    order = draw(st.permutations(range(ports)))[: draw(st.integers(1, ports))]
+    cavities = [el.CavityAtomBlock(f"a{k}", port) for k, port in enumerate(order)]
+    port = st.integers(0, ports - 1)
+    two_ports = st.lists(port, min_size=2, max_size=2, unique=True).map(tuple)
+    mixer = st.one_of(
+        st.builds(el.BS, st.floats(0.01, 0.99), two_ports),
+        st.builds(el.PhaseShifter, port, st.floats(-np.pi, np.pi)),
+        two_ports.map(lambda p: el.Reroute(*p)),
+    )
+    recombine = schemes._hadamard_mesh(range(ports)) if draw(st.booleans()) else []
+    items = [
+        *schemes._hadamard_mesh(range(ports)),
+        *cavities,
+        *draw(st.lists(mixer, max_size=4)),
+        *recombine,
+        *draw(st.lists(mixer, max_size=4)),
+    ]
     return dataclasses.replace(bare_scheme(Register(subs), [1.0], items), initial=tuple(initial))
 
 
@@ -638,6 +684,118 @@ def test_path_rows_multiply_only_the_chunks_their_occupied_columns_meet(chunk, m
     assert multiplied == [[c == chunk for c in range(4)]] * 3
     assert_bit_equal(got, path_first(register, propagate_every_element(scheme)))
     assert_bit_equal(got, path_first(register, reference_propagate(scheme)))
+
+
+def assert_boxes_hold_every_nonzero(scheme):
+    """Every nonzero amplitude lies inside its port's boxes, before each step the plan keeps
+    and after the last; a port the plan holds empty holds only zeros.
+
+    The kept elements act on the whole buffer, so the bound is checked against the state
+    itself.  Steps appended after the last element read the final boxes: a phase shifter
+    of phase 0 on each port, or a pi pulse on the first subsystem of a register without a
+    path.
+    """
+    register = scheme.register
+    lead = schemes._path_first(register)
+    if "path" in register.labels:
+        probes = [el.PhaseShifter(port, 0.0) for port in range(register.subsystem("path").dim)]
+    else:
+        probes = [el.ExternalPiPulse(register.labels[0])]
+    _, steps = schemes._plan(scheme, scheme.elements + tuple(probes), lead.position)
+    tensor = schemes._propagated(scheme, upto=0).reshape(lead.dims).copy()
+    ports = tensor if "path" in register.labels else tensor[None]
+    for index, _, op, _, occupied in steps:
+        assert occupied is not None and set(occupied) <= set(range(len(ports)))
+        for port, rows in enumerate(ports):
+            inside = np.zeros(rows.shape, dtype=bool)
+            for box in occupied.get(port, ()):
+                inside[tuple(slice(*span) for span in box[-rows.ndim :])] = True
+            assert not rows[~inside].any()
+        if index >= len(scheme.elements):
+            return
+        schemes._apply_op(tensor, lead.position, op)
+    raise AssertionError("no probe step was kept")
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_every_builders_amplitudes_lie_inside_their_ports_boxes(name):
+    assert_boxes_hold_every_nonzero(BUILDERS[name]())
+
+
+def test_a_path_sharing_a_factor_may_fill_each_of_its_ports():
+    register = Register([Subsystem("path", KIND_PATH, 3), Subsystem("a1", KIND_ATOM_LR)])
+    amps = np.zeros(6)
+    amps[[0, 5]] = SQ2  # (|0, L> + |2, R>) / sqrt(2), one factor over both
+    items = [el.BS(0.5, (0, 1)), el.PhaseShifter(2, 0.3), el.ExternalPiPulse("a1")]
+    assert_boxes_hold_every_nonzero(bare_scheme(register, amps, items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(occupancy_runs())
+def test_every_amplitude_lies_inside_its_ports_boxes(scheme):
+    if not any(schemes._signed(vec) for _, vec in schemes._factors(scheme)):
+        assert_boxes_hold_every_nonzero(scheme)
+
+
+@pytest.mark.parametrize("port", [0, 1, None])
+def test_a_guard_reads_its_sector_within_the_boxes_as_the_whole_buffer_would(port):
+    # after the first pi block only port 1 holds |e> with field f2 in |1>: the doubly
+    # excited sector of (fly, f2) is populated there and nowhere else
+    register = Register(
+        [
+            Subsystem("f1", KIND_FIELD),
+            Subsystem("path", KIND_PATH, 2),
+            Subsystem("fly", KIND_ATOM_GE),
+            Subsystem("f2", KIND_FIELD),
+        ]
+    )
+    items = [el.FieldPiBlock("fly", "f1", 1), el.FieldPiBlock("fly", "f2", port)]
+    scheme = dataclasses.replace(
+        bare_scheme(register, [1.0], items, name="guarded"),
+        initial=((("f1",), "1"), (("path",), "+"), (("fly",), "g"), (("f2",), "1")),
+    )
+    _, steps = schemes._plan(scheme, items, schemes._path_first(register).position)
+    # path-first axes (path, f1, fly, f2): the first pi block widened port 1 on f1 and fly
+    assert steps[1][4] == {
+        0: (((0, 2), (1, 2), (0, 1), (1, 2)),),
+        1: (((0, 2), (0, 2), (0, 2), (1, 2)),),
+    }
+    try:
+        want = propagate_every_element(scheme)
+    except InvalidConfigurationError as exc:
+        assert port != 0
+        with pytest.raises(InvalidConfigurationError) as info:
+            schemes._propagated(scheme)
+        assert str(info.value) == str(exc) == (
+            "scheme 'guarded', element 1 (FieldPiBlock): resonant pi block reached with "
+            "population in the doubly excited |e,1> sector of (fly, f2)"
+        )
+        return
+    assert port == 0
+    assert_bit_equal(schemes._propagated(scheme), path_first(register, want))
+
+
+def test_the_second_mesh_of_w16_multiplies_92_chunks(monkeypatch):
+    # 16 ports, 17 qubits: the path rows have 2**17 columns, 16 chunks picked by atoms
+    # 1-4.  After its cavity a port's amplitude is its own atom's and the photon's, in
+    # chunk 0 and, for atoms 1-4, one more; each splitter of the second mesh multiplies
+    # the chunks of the boxes of its two ports (a range per subsystem shared by every
+    # port spans all 16 chunks there, 512 in all)
+    scheme = schemes.build_w_pow2(16)
+    chunks = []
+    rows_product = qstate._rows_product
+
+    def spy(rows, matrix, occupied=None):
+        starts = range(0, rows.shape[1], CHUNK)
+        chunks.append(sum(occupied is None or occupied[c : c + CHUNK].any() for c in starts))
+        rows_product(rows, matrix, occupied)
+
+    monkeypatch.setattr(qstate, "_rows_product", spy)
+    got = schemes._propagated(scheme)
+    assert len(chunks) == 15 + 32  # 17 splitters of the first mesh meet only empty ports
+    assert chunks[:15] == [1] * 15 and sum(chunks[15:]) == 92
+    monkeypatch.undo()
+    assert_bit_equal(got, path_first(scheme.register, propagate_every_element(scheme)))
 
 
 def test_a_factor_the_product_refuses_is_refused_as_before():

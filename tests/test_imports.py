@@ -5,10 +5,13 @@ appear as a name somewhere else in the module; ``__init__.py`` is exempt,
 since its imports are the package's re-exports, and so is ``__future__``.
 A module-level ``_name`` (a function, class or assignment) must be read as
 a name or an attribute somewhere in the package, so a helper left behind
-by removed code fails.
+by removed code fails.  Importing the command line front end loads no
+third-party package but numpy, since every command pays for its imports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,18 @@ def test_private_name_checker_flags_only_unread_names():
 def test_every_private_name_is_read_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def loaded_modules(*imports: str) -> set[str]:
+    """The modules a fresh interpreter holds after importing ``imports``."""
+    code = f"import sys{''.join(', ' + name for name in imports)}; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_cli_imports_no_third_party_package_but_numpy():
+    # against a bare interpreter, since site loads modules of its own
+    added = loaded_modules("cavnet.cli") - loaded_modules()
+    packages = {name.partition(".")[0] for name in added} - set(sys.stdlib_module_names)
+    assert packages == {"cavnet", "numpy"}

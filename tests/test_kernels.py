@@ -37,10 +37,10 @@ from cavnet.verify import Graph, LocalCorrection
 from support import reference_apply, reference_project_out, sector_mass
 
 
-def gemm_apply_op(tensor, axis_of, op, ranges=None):
+def gemm_apply_op(tensor, axis_of, op, occupied=None):
     """``op`` applied in place as one matrix product over its stacked path slices.
 
-    ``ranges`` is ignored: every op acts on the whole tensor.
+    ``occupied`` is ignored: every op acts on the whole tensor.
     """
     ports = op.ports or ()
     axes = [axis_of(label) for label in op.targets]

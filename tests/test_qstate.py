@@ -351,6 +351,46 @@ def test_project_out_refuses_last_subsystem():
         project_out(st, "a", "L")
 
 
+def corrupted_bell_state(value):
+    """A Bell state whose first amplitude is overwritten with ``value`` after its check."""
+    st = bell_state()
+    st.amplitudes.setflags(write=True)  # the state owns its array
+    st.amplitudes[0] = value
+    st.amplitudes.setflags(write=False)
+    return st
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_project_out_refuses_a_non_finite_slab(value):
+    with pytest.raises(ContractViolationError, match=r"^post state norm\*\*2 nan deviates"):
+        project_out(corrupted_bell_state(value), "a", "L")
+    # the other slab is finite, so its post state is built as before
+    prob, post = project_out(corrupted_bell_state(value), "a", "R")
+    assert prob == pytest.approx(0.5) and post.amplitude(["R"]) == pytest.approx(1.0)
+
+
+def test_project_out_refuses_a_wrong_scale(monkeypatch):
+    class HalfRoot:
+        """``math`` whose square roots are twice too large, so every scale is half."""
+
+        def sqrt(self, x):
+            return 2.0 * float(np.sqrt(x))
+
+    monkeypatch.setattr(qstate, "math", HalfRoot())
+    with pytest.raises(ContractViolationError, match=r"^post state norm\*\*2 0\.25 deviates"):
+        project_out(bell_state(), "a", "L")
+
+
+def test_project_out_post_state_is_adopted_and_normalized():
+    st = PureState(two_qubit_register(), np.array([0.6, 0.0, 0.0, 0.8j]))
+    prob, post = project_out(st, "a", "R")
+    assert prob == pytest.approx(0.64)
+    assert post.register == Register([Subsystem("b", KIND_ATOM_LR)])
+    assert post.amplitudes.base is None and not post.amplitudes.flags.writeable
+    assert abs(post.norm - 1.0) <= 1e-15
+    assert post == PureState(post.register, post.amplitudes)
+
+
 def test_overlap_conjugates_first_argument():
     reg = Register([Subsystem("a", KIND_ATOM_LR)])
     plus_i = PureState(reg, np.array([SQ2, 1j * SQ2]))
