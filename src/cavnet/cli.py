@@ -104,8 +104,10 @@ def _dump_amplitudes(amps: np.ndarray, indent: int, out: list[str]) -> None:
 
     Records are compared as 16-byte bit patterns, so -0.0 stays apart from
     0.0.  Only the first record of each run of equal records is sorted, to
-    render each distinct record once, and every record is appended as a
-    reference to its string, so ``out`` holds 8 bytes per record, not its text.
+    render each distinct record once.  Where the runs average ``_RUN_BLOCK``
+    records or more, a run of ``k`` records is ``k // _RUN_BLOCK`` references
+    to one string of ``_RUN_BLOCK`` records, then ``k % _RUN_BLOCK`` references
+    to the record's string; elsewhere each record is a reference to its string.
     """
     if amps.size == 0:
         out.append("[]")
@@ -129,6 +131,14 @@ def _dump_amplitudes(amps: np.ndarray, indent: int, out: list[str]) -> None:
     ]
     runs[0] -= 1
     out.append("[\n" + texts[inverse[0]][2:])
+    if len(bits) >= _RUN_BLOCK * len(runs):  # else the saved references would not pay
+        blocks, rest = np.divmod(runs, _RUN_BLOCK)
+        shared = np.unique(inverse[blocks > 0])
+        texts += [texts[j] * _RUN_BLOCK for j in shared]
+        # a run with no block repeats its slot, which may be any index, no time
+        slot = len(texts) - len(shared) + np.searchsorted(shared, inverse)
+        inverse = np.column_stack((slot, inverse)).ravel()
+        runs = np.column_stack((blocks, rest)).ravel()
     out.extend(np.array(texts, dtype=object)[np.repeat(inverse, runs)].tolist())
     out.append(f"\n{'  ' * indent}]")
 
@@ -142,8 +152,9 @@ def _differs_from_previous(records: np.ndarray) -> np.ndarray:
     return mask
 
 
-# Pieces joined per write by _emit: 8,192 amplitude records of a dense report are about 0.4 MB.
-_EMIT_GROUP = 1 << 13
+# Records per piece at most, and pieces per write: 8,192 records, under 0.8 MB in a report.
+_RUN_BLOCK = 16
+_EMIT_GROUP = 1 << 9
 
 
 def _emit(out_path: str | None, pieces: list[str]) -> None:

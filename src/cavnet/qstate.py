@@ -572,10 +572,15 @@ def project_out(
     parts = amps.view(np.float64)
     parts *= scale
     amps.setflags(write=False)
-    adopted = object.__new__(PureState)  # its shape and norm are checked above
-    object.__setattr__(adopted, "register", post)
-    object.__setattr__(adopted, "amplitudes", amps)
-    return prob, adopted
+    return prob, _adopt(post, amps)  # its shape and norm are checked above
+
+
+def _adopt(register: Register, amps: np.ndarray) -> PureState:
+    """A :class:`PureState` of ``amps`` as they are, which the caller has frozen and checked."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "register", register)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 def overlap(a: PureState, b: PureState) -> complex:

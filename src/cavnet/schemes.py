@@ -153,18 +153,26 @@ def _arm(port: int | None) -> tuple[int, ...] | None:
     return None if port is None else (port,)
 
 
+def _made(blocks: dict, matrix) -> qstate._Block:
+    """The checked block of ``matrix``, made once per distinct matrix in ``blocks``."""
+    key = np.asarray(matrix, dtype=complex).tobytes()
+    if key not in blocks:
+        blocks[key] = qstate._Block(matrix, _ATOL)
+    return blocks[key]
+
+
 _RESOLVE = {
-    el.BS: lambda e: _Op((), qstate._Block(el.bs_unitary(e.reflectivity), _ATOL), e.ports),
-    el.PhaseShifter: lambda e: _Op((), qstate._Block([[np.exp(1j * e.phase)]], _ATOL), (e.port,)),
-    el.Reroute: lambda e: _Op((), _SWAP, (e.src, e.dst)),
-    el.PBS: lambda e: _Op((POL,), _PBS, e.ports),
-    el.PR: lambda e: _Op((POL,), _PR, (e.port,)),
-    el.CavityAtomBlock: lambda e: _Op((e.atom, POL), _CAVITY_ATOM, _arm(e.port)),
-    el.FieldPiBlock: lambda e: _Op((e.atom, e.field), _FIELD_PI, _arm(e.port)),
-    el.FieldHalfPiBlock: lambda e: _Op((e.atom, e.field), _FIELD_HALF_PI, _arm(e.port)),
-    el.DispersiveBlock: lambda e: _Op((e.atom, e.field), _DISPERSIVE, _arm(e.port)),
-    el.RamseyZone: lambda e: _Op((e.atom,), _RAMSEY),
-    el.ExternalPiPulse: lambda e: _Op((e.atom,), _EXTERNAL_PI),
+    el.BS: lambda e, blocks: _Op((), _made(blocks, el.bs_unitary(e.reflectivity)), e.ports),
+    el.PhaseShifter: lambda e, blocks: _Op((), _made(blocks, [[np.exp(1j * e.phase)]]), (e.port,)),
+    el.Reroute: lambda e, _: _Op((), _SWAP, (e.src, e.dst)),
+    el.PBS: lambda e, _: _Op((POL,), _PBS, e.ports),
+    el.PR: lambda e, _: _Op((POL,), _PR, (e.port,)),
+    el.CavityAtomBlock: lambda e, _: _Op((e.atom, POL), _CAVITY_ATOM, _arm(e.port)),
+    el.FieldPiBlock: lambda e, _: _Op((e.atom, e.field), _FIELD_PI, _arm(e.port)),
+    el.FieldHalfPiBlock: lambda e, _: _Op((e.atom, e.field), _FIELD_HALF_PI, _arm(e.port)),
+    el.DispersiveBlock: lambda e, _: _Op((e.atom, e.field), _DISPERSIVE, _arm(e.port)),
+    el.RamseyZone: lambda e, _: _Op((e.atom,), _RAMSEY),
+    el.ExternalPiPulse: lambda e, _: _Op((e.atom,), _EXTERNAL_PI),
 }
 
 
@@ -190,12 +198,12 @@ _GUARDS = {
 }
 
 
-def _resolve(register: Register, axis_of, item) -> tuple[_Op, tuple | None]:
+def _resolve(register: Register, axis_of, item, blocks: dict) -> tuple[_Op, tuple | None]:
     """``item``'s op, and its guard as ``(sector index, limit, message)`` or None."""
     resolve = _RESOLVE.get(type(item))
     if resolve is None:
         raise ParameterError(f"unknown element {item!r}")
-    op = resolve(item)
+    op = resolve(item, blocks)
     labels = ((PATH,) if op.ports else ()) + op.targets
     positions = [register.position(label) for label in labels]
     if len(set(positions)) != len(positions):
@@ -280,11 +288,12 @@ def _plan(
 
     occupied = dict.fromkeys(ports, (tuple(box),))
     steps = []
+    blocks: dict = {}  # one block per distinct splitter or phase-shifter matrix
     for index, item in enumerate(items):
         if isinstance(item, el.Detector):
             continue
         try:
-            op, guard = _resolve(register, axis_of, item)
+            op, guard = _resolve(register, axis_of, item, blocks)
         except ParameterError as exc:
             raise type(exc)(_where(scheme, index, item) + str(exc)) from None
         if op.ports and occupied.keys().isdisjoint(op.ports):

@@ -173,7 +173,7 @@ def _pauli_layer(state: PureState, ops: list[tuple[str, str]]) -> PureState:
         slab = qstate._slab(tensor, [pos], index)
         np.subtract(0.0, slab, out=slab)
     flat.setflags(write=False)
-    return PureState(register, flat)
+    return qstate._adopt(register, flat)  # a signed permutation keeps the checked norm
 
 
 def _two_level_register(n: int, kind: str, register: Register | None) -> Register:

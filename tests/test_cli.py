@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from cavnet import iomodel, qstate, schemes, verify
 from cavnet.cli import (
     _EMIT_GROUP,
+    _RUN_BLOCK,
     SCHEME_NAMES,
     _dump_amplitudes,
     _emit,
@@ -212,14 +214,16 @@ def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, monke
     assert out.read_text() == "kept"
 
 
-def ghz14_document():
-    """The text pieces ``run-scheme ghz-atoms --n 14`` writes: 2 x 16,384 amplitude records."""
-    scheme = schemes.build_ghz_atoms(14)
-    report = {
+def report_of(scheme):
+    return {
         "scheme": schemes.scheme_to_jsonable(scheme),
         "outcomes": schemes.reports_to_jsonable(schemes.run(scheme)),
     }
-    return dump_json(report)
+
+
+def cluster12_document():
+    """The text pieces ``run-scheme cluster --n 12`` writes: 2 x 4,096 amplitude records."""
+    return dump_json(report_of(schemes.build_cluster_atoms(12)))
 
 
 def test_a_report_that_cannot_be_rendered_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -230,11 +234,11 @@ def test_a_report_that_cannot_be_rendered_writes_nothing(tmp_path, monkeypatch, 
         rows[-1]["probability"] = math.nan  # after every amplitude record before it
         return rows
 
-    assert len(ghz14_document()) > 3 * _EMIT_GROUP  # rendered, it would span several writes
+    assert len(cluster12_document()) > 3 * _EMIT_GROUP  # rendered, it would span several writes
     monkeypatch.setattr(schemes, "reports_to_jsonable", nan_probability)
     out = tmp_path / "kept.json"
     out.write_text("kept")
-    argv = ["run-scheme", "ghz-atoms", "--n", "14"]
+    argv = ["run-scheme", "cluster", "--n", "12"]
     assert main([*argv, "--out", str(out)]) == 2
     assert out.read_text() == "kept"
     assert main(argv) == 2
@@ -244,10 +248,10 @@ def test_a_report_that_cannot_be_rendered_writes_nothing(tmp_path, monkeypatch, 
 
 
 def test_a_document_of_several_write_groups_is_written_as_its_joined_pieces(tmp_path, capsys):
-    pieces = ghz14_document()
+    pieces = cluster12_document()
     assert len(pieces) > 3 * _EMIT_GROUP and len(pieces) % _EMIT_GROUP
     want = "".join(pieces) + "\n"
-    argv = ["run-scheme", "ghz-atoms", "--n", "14"]
+    argv = ["run-scheme", "cluster", "--n", "12"]
     assert main(argv) == 0
     assert capsys.readouterr().out == want
     out = tmp_path / "doc.json"
@@ -256,6 +260,62 @@ def test_a_document_of_several_write_groups_is_written_as_its_joined_pieces(tmp_
     pieces = [str(i) * (i % 5) for i in range(2 * _EMIT_GROUP + 1)]
     _emit(None, pieces)
     assert capsys.readouterr().out == "".join(pieces)
+
+
+class WriteSizes:
+    """A text stream that keeps only the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_every_write_of_a_dense_report_is_at_most_one_mib(monkeypatch):
+    stream = WriteSizes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["run-scheme", "w", "--n", "16"]) == 0
+    assert sum(stream.sizes) == 52_455_774 and max(stream.sizes) <= 1 << 20
+    # the longest records there are, in long runs at a report's depth
+    widest = complex(-1.2345678901234567e-308, -1.2345678901234567e-308)
+    doc = {"outcomes": [{"corrected_state": np.full(1 << 16, widest)}]}
+    stream.sizes.clear()
+    _emit(None, dump_json(doc))
+    assert sum(stream.sizes) > 90 << 16 and max(stream.sizes) <= 1 << 20
+
+
+def test_the_pieces_of_a_w16_report_hold_at_most_two_mib():
+    report = report_of(schemes.build_w_pow2(16))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pieces = dump_json(report)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len("".join(pieces)) == 52_455_773  # the document, less its final newline
+    assert held <= 2 << 20  # one reference per record would be 8 MiB
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("w", "--n", "16"), "98b0c8883019e2586f665ab88d26792d7aeaddc86cbfb116063c23d5c3e80d4d"),
+        (
+            ("ghz-fields", "--n", "18"),
+            "18dfe74a71bce73f498a112e5a044b8bbf00ad1b8c882ce1713667bc349077e7",
+        ),
+    ],
+)
+def test_the_dense_reports_keep_their_bytes(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run-scheme", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_run_scheme_w16_peak_memory_is_at_most_two_states(tmp_path):
@@ -653,6 +713,14 @@ def amplitude_vectors(draw):
 @example(np.array([complex(-0.0, 0.0)] * 200 + [0.5j] + [0j] * 200), 1)
 @example(np.array([0.5 + 0j] + [complex(0.0, -0.0)] * 250), 2)
 @example(np.array([complex(-0.0, 0.0)] * 120 + [0j] * 120 + [complex(-0.0, -0.0)] * 120), 3)
+# runs about the block length of shared run pieces, at either end and side by side, in
+# vectors whose runs average the block length or more, so they are rendered as blocks
+@example(np.array([complex(-0.0, 0.0)] * (_RUN_BLOCK - 1) + [0j] * (2 * _RUN_BLOCK + 1)), 0)
+@example(np.array([0j] * _RUN_BLOCK + [complex(-0.0, -0.0)] * (_RUN_BLOCK + 1)), 1)
+@example(np.array([0j] * (_RUN_BLOCK + 1) + [complex(0.0, -0.0)] * (2 * _RUN_BLOCK)), 2)
+@example(np.array([0.25 + 0j] + [complex(-0.0, 0.0)] * (5 * _RUN_BLOCK + 3) + [0j] * 2), 3)
+@example(np.array([complex(-0.0, 0.0)] * (2 * _RUN_BLOCK) + [0j] * (5 * _RUN_BLOCK + 3)), 4)
+@example(np.array([0j] * 2 * _RUN_BLOCK + [0.5j] * (_RUN_BLOCK - 1) + [-0.0] * 2 * _RUN_BLOCK), 1)
 def test_dump_json_array_matches_pair_list(vec, indent):
     pairs = [[float(z.real), float(z.imag)] for z in vec]
     assert "".join(dump_json(vec, indent)) == "".join(dump_json(pairs, indent))
@@ -660,12 +728,23 @@ def test_dump_json_array_matches_pair_list(vec, indent):
     assert "".join(dump_json(doc, indent)) == "".join(dump_json(pair_doc, indent))
 
 
-def test_a_run_of_equal_records_is_appended_as_references_to_one_string():
+def test_a_run_of_equal_records_is_appended_as_references_to_shared_blocks():
     pieces = []
-    _dump_amplitudes(np.array([0.5j] + [0.0] * 999 + [0.25, 0.25]), 1, pieces)
-    assert len(pieces) == 1 + 999 + 2 + 1  # opening, the zero run, two 0.25 records, closing
-    assert len({id(piece) for piece in pieces[1:1000]}) == 1
-    assert pieces[1000] is pieces[1001] and pieces[1000] is not pieces[1]
+    _dump_amplitudes(np.array([0.5j] + [0.0] * 1000 + [0.25, 0.25]), 1, pieces)
+    blocks, rest = divmod(1000, _RUN_BLOCK)
+    # opening, the zero run's blocks and the rest of it, two 0.25 records, closing
+    assert len(pieces) == 1 + blocks + rest + 2 + 1
+    zero = pieces[1 + blocks]
+    assert zero == ",\n    [\n      0.0,\n      0.0\n    ]"
+    assert all(piece is pieces[1] for piece in pieces[1 : 1 + blocks])
+    assert pieces[1] == zero * _RUN_BLOCK
+    assert all(piece is zero for piece in pieces[1 + blocks : 1 + blocks + rest])
+    assert pieces[-3] is pieces[-2] and pieces[-3] is not zero
+    # runs that average fewer than _RUN_BLOCK records: one reference per record
+    pieces = []
+    _dump_amplitudes(np.array([0.5j] + [0.0] * 2 * _RUN_BLOCK + [0.25, 0.5, 0.25]), 1, pieces)
+    assert len(pieces) == 2 * _RUN_BLOCK + 4 + 1
+    assert all(piece is pieces[1] for piece in pieces[1 : 1 + 2 * _RUN_BLOCK])
 
 
 def reference_dump_json(value, indent=0):
@@ -774,10 +853,12 @@ def test_run_report_is_json_serializable():
 RUN_SCHEME_CASES = [
     (("ghz-atoms", "--n", "4"), lambda: schemes.build_ghz_atoms(4)),
     (("w", "--n", "4"), lambda: schemes.build_w_pow2(4)),
+    (("w", "--n", "8"), lambda: schemes.build_w_pow2(8)),
     (("w3-prob",), schemes.build_w3_probabilistic),
     (("w3-det",), schemes.build_w3_deterministic),
     (("cluster", "--n", "3"), lambda: schemes.build_cluster_atoms(3)),
     (("ghz-fields", "--n", "4"), lambda: schemes.build_ghz_fields(4)),
+    (("ghz-fields", "--n", "10"), lambda: schemes.build_ghz_fields(10)),
     (("field-cz",), schemes.build_field_cz_pair),
     (("graph", "--kind", "ring", "--n", "3"), lambda: schemes.build_field_graph("ring", 3)),
     (("graph", "--kind", "star", "--n", "3"), lambda: schemes.build_field_graph("star", 3)),

@@ -249,3 +249,29 @@ def test_x_on_a_subsystem_that_is_not_two_level_is_refused_by_its_joint_dim():
         message = r"^block shape \(2, 2\) does not match joint target dim 3$"
         with pytest.raises(ShapeError, match=message):
             LocalCorrection(ops).apply(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_pauli_only_layer_keeps_its_inputs_norm(data):
+    register, state = data.draw(registers_and_states())
+    qubits = [s.label for s in register.subsystems if s.dim == 2]
+    assume(qubits)
+    ops = data.draw(
+        st.lists(st.tuples(st.sampled_from(qubits), st.sampled_from(["X", "Z"])), min_size=1)
+    )
+    got = LocalCorrection(tuple(ops)).apply(state)
+    assert abs(got.norm - state.norm) <= 1e-12
+
+
+def test_a_pauli_only_layer_reads_no_norm_and_a_phase_layer_checks_one(monkeypatch):
+    register = Register([Subsystem("a", KIND_ATOM_LR), Subsystem("f", KIND_FIELD)])
+    state = PureState(register, np.full(4, 0.5, dtype=complex))
+    calls = []
+    real = qstate._check_norm
+    monkeypatch.setattr(qstate, "_check_norm", lambda amps: calls.append(1) or real(amps))
+    got = LocalCorrection((("a", "X"), ("f", "Z"), ("a", "Z"))).apply(state)
+    assert calls == [] and not got.amplitudes.flags.writeable
+    assert got.register is register and got.amplitudes.shape == (4,)
+    LocalCorrection((("a", "X"), ("f", ("phase", 0.5)))).apply(state)
+    assert calls == [1]

@@ -68,7 +68,7 @@ def reference_propagate(scheme):
     tensor = schemes.initial_state(scheme).amplitudes.reshape(register.dims).copy()
     for item in scheme.elements:
         if not isinstance(item, el.Detector):
-            schemes._apply_op(tensor, register.position, schemes._RESOLVE[type(item)](item))
+            schemes._apply_op(tensor, register.position, schemes._RESOLVE[type(item)](item, {}))
     return tensor.reshape(-1)
 
 
@@ -796,6 +796,40 @@ def test_the_second_mesh_of_w16_multiplies_92_chunks(monkeypatch):
     assert chunks[:15] == [1] * 15 and sum(chunks[15:]) == 92
     monkeypatch.undo()
     assert_bit_equal(got, path_first(scheme.register, propagate_every_element(scheme)))
+
+
+def count_blocks(monkeypatch):
+    """A list that gains one entry per ``qstate._Block`` made while the patch holds."""
+    made = []
+    init = qstate._Block.__init__
+    monkeypatch.setattr(qstate._Block, "__init__", lambda *a: made.append(1) or init(*a))
+    return made
+
+
+def test_a_plan_makes_one_block_per_distinct_splitter_matrix(monkeypatch):
+    scheme = schemes.build_w_pow2(16)
+    axis_of = schemes._path_first(scheme.register).position
+    splitters = [item for item in scheme.elements if isinstance(item, el.BS)]
+    assert len(splitters) == 64 and len({item.reflectivity for item in splitters}) == 1
+    made = count_blocks(monkeypatch)
+    _, steps = schemes._plan(scheme, scheme.elements, axis_of)
+    assert made == [1]  # 64 splitters, one reflectivity; every other element has its block
+    assert len({id(op.block) for _, item, op, _, _ in steps if isinstance(item, el.BS)}) == 1
+    schemes._plan(scheme, scheme.elements, axis_of)
+    assert made == [1, 1]  # the blocks live in one plan only
+
+
+def test_a_plan_makes_one_block_per_distinct_phase(monkeypatch):
+    register = Register([Subsystem("path", KIND_PATH, 3)])
+    items = [el.BS(0.5, (0, 1)), el.BS(0.25, (1, 2))]
+    items += [el.PhaseShifter(port, phase) for port, phase in [(0, 0.5), (1, 0.5), (2, 1.0)]]
+    items += [el.BS(0.5, (0, 2))]
+    made = count_blocks(monkeypatch)
+    _, steps = schemes._plan(photon_scheme(register, 0, items), items, register.position)
+    assert len(made) == 4
+    blocks = [op.block for _, _, op, _, _ in steps]
+    assert len(blocks) == 6 and blocks[2] is blocks[3] and blocks[0] is blocks[5]
+    assert len({id(block) for block in blocks}) == 4
 
 
 def test_a_factor_the_product_refuses_is_refused_as_before():
