@@ -20,9 +20,9 @@ half-pi block and phase corrections are matrix products.  Blocks are
 checked here only: ``_Block`` refuses a matrix that is not unitary to its
 caller's tolerance (1e-12 for elements, 1e-9 for corrections and
 :func:`apply_unitary`), ``_check_fit`` one whose size is not the joint
-dimension of its axes.  Zero-sign rule: a slab move writes ``src + 0.0``
-or ``0.0 - src``, so every zero it writes is ``+0.0``, as the matrix
-product gives on every scheme; a ``+1`` fixed point is left as it is.
+dimension of its axes.  Zero-sign rule: every zero of an initial product
+is ``+0.0``, and so is every zero a slab move writes (``src + 0.0`` or
+``0.0 - src``); a ``+1`` fixed point is left as it is.
 Norm is checked to 1e-9 whenever a ``PureState`` is made and never
 silently renormalized; global phase is likewise never stripped.
 """
@@ -315,14 +315,14 @@ def _factor_product(
     """:func:`from_factors`'s amplitudes in register order, as a fresh writable array.
 
     The factors multiply in register order, each from the right of the
-    product so far.  ``cut``, one slice per subsystem in register order,
-    bounds the entries that may be nonzero: each factor is cut to it first,
-    and the result is the product of the cuts over the box they span, so
-    every amplitude in it has the bits of the whole product.  The 1-D
-    result owns its memory, so once frozen a :class:`PureState` adopts it
-    without a copy.  Refused: factors that do not tile the register in
-    order, a factor of the wrong length, and a norm that is not 1 within
-    1e-9.
+    product so far; adding 0.0 makes each zero +0.0, whatever the signs.
+    ``cut``, one slice per subsystem in register order, bounds the entries
+    that may be nonzero: each factor is cut to it first, and the result is
+    the product of the cuts over the box they span, so every amplitude in
+    it has the bits of the whole product.  The 1-D result owns its memory,
+    so once frozen a :class:`PureState` adopts it without a copy.  Refused:
+    factors that do not tile the register in order, a factor of the wrong
+    length, and a norm that is not 1 within 1e-9.
     """
     covered: list[str] = []
     flat = np.ones(1, dtype=complex)  # owns the product so far
@@ -349,6 +349,7 @@ def _factor_product(
         flat = product
     if len(covered) != len(register):
         raise ShapeError("initial-state factors do not cover the whole register")
+    np.add(flat, 0.0, out=flat)
     _check_norm(flat)
     return flat
 
@@ -359,11 +360,13 @@ def _block_product(view: np.ndarray, axes: list[int], block: np.ndarray) -> np.n
     The dense kernel, used by :func:`apply_unitary` and by :func:`_apply_block`
     for every block that is not a signed permutation.  The target axes go to
     the front, one matrix product acts on the flattened rest, and the result
-    is returned in ``view``'s axis order.
+    is returned in ``view``'s axis order.  The rest is made contiguous, as
+    ``np.dot`` rounds a strided operand in its own loop, not as BLAS does.
     """
     order = axes + [a for a in range(view.ndim) if a not in axes]
     moved = view.transpose(order)
-    out = np.dot(block, moved.reshape(len(block), -1)).reshape(moved.shape)
+    rest = np.ascontiguousarray(moved.reshape(len(block), -1))
+    out = np.dot(block, rest).reshape(moved.shape)
     return out.transpose(np.argsort(order))
 
 
@@ -381,9 +384,9 @@ def _rows_product(
     has one column, which numpy would multiply as a matrix-vector product.
     ``occupied``, one flag per column, marks where ``rows`` may hold more
     than +0.0; a chunk of ``_CHUNK_COLUMNS`` columns none of which is
-    marked is skipped, since the product leaves such a chunk +0.0.  A last
-    chunk of another width is always multiplied, as BLAS writes -0.0 for
-    some zeros in its tail columns.
+    marked is skipped (see :mod:`cavnet.schemes`, element application).  A
+    last chunk of another width is always multiplied, as BLAS writes -0.0
+    for some zeros in its tail columns.
     """
     cols = rows.shape[1]
     bounds = [*range(0, max(cols - 1, 1), _CHUNK_COLUMNS), cols]
@@ -471,11 +474,11 @@ def _apply_block(
     A signed permutation moves slabs: a slab is ``view`` at one joint index
     of ``axes``, each cycle saves one slab in a temporary, a +1 move writes
     ``src + 0.0`` and a -1 move ``0.0 - src``, and a +1 fixed point is not
-    touched.  Every zero a move writes is therefore ``+0.0``, so the moves
-    are exact on a view of any shape.  A dense block on the leading axis,
-    whose slabs are contiguous (a splitter on a path-first buffer), goes
-    through :func:`_rows_product`, which skips the column chunks that
-    ``occupied`` leaves unmarked; any other goes through
+    touched, so every zero a move writes is +0.0 (see :mod:`cavnet.schemes`,
+    element application).  A dense block on the leading axis, whose slabs
+    are contiguous (a splitter on a path-first buffer), goes through
+    :func:`_rows_product`, which skips the column chunks that ``occupied``
+    leaves unmarked; any other goes through
     :func:`_block_product`.  A block whose size is not the joint dimension
     of ``axes`` is refused.
     """

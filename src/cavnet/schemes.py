@@ -123,23 +123,22 @@ class OutcomeReport:
 # a block that acts only in that arm, and two ports for a block that mixes
 # two arms.  :func:`qstate._apply_block` rewrites
 # only the path slices an op names, in place on the buffer :func:`_propagated`
-# owns; the fixed blocks below are signed permutations, except the Ramsey
-# zone and the half-pi block, so they move slabs.  :func:`_plan` resolves
-# and checks every element, and the sector of its ``_GUARDS`` entry, before
-# any acts, and bounds the slabs and columns each may find nonzero;
-# :func:`run` checks the outcome declarations before it propagates.
+# owns; every fixed block but the Ramsey zone and the half-pi block is a
+# signed permutation, so it moves slabs.  :func:`_plan` resolves and checks
+# every element, and the sector of its ``_GUARDS`` entry, before any acts,
+# and bounds the slabs and columns each may find nonzero; :func:`run` checks
+# the outcome declarations before it propagates.
+#
+# Why the bounds keep the bytes: every zero of the initial product is +0.0,
+# whatever the factors' signs (:func:`qstate._factor_product`); a slab move
+# writes ``src + 0.0`` or ``0.0 - src``; and a full chunk of +0.0 columns
+# multiplies to +0.0.  So what the plan skips holds +0.0, as it would if
+# every element acted on the whole buffer, and a cut guard sums the same
+# nonzero amplitudes in another order.  A left-out element keeps a zero's
+# sign where running it could write -0.0 (a splitter on 2 or 3 columns).
 
 
 _ATOL = el.ELEMENT_UNITARY_ATOL
-_SWAP = qstate._Block([[0.0, 1.0], [1.0, 0.0]], _ATOL)
-_PBS = qstate._Block(el.pbs_unitary(), _ATOL)
-_PR = qstate._Block(el.pr_unitary(), _ATOL)
-_CAVITY_ATOM = qstate._Block(el.cavity_atom_block_unitary(), _ATOL)
-_FIELD_PI = qstate._Block(el.field_pi_block_unitary(), _ATOL)
-_FIELD_HALF_PI = qstate._Block(el.field_half_pi_block_unitary(), _ATOL)
-_DISPERSIVE = qstate._Block(el.dispersive_block_unitary(), _ATOL)
-_RAMSEY = qstate._Block(el.ramsey_unitary(), _ATOL)
-_EXTERNAL_PI = qstate._Block(el.external_pi_unitary(), _ATOL)
 
 
 @dataclass(frozen=True)
@@ -153,26 +152,21 @@ def _arm(port: int | None) -> tuple[int, ...] | None:
     return None if port is None else (port,)
 
 
-def _made(blocks: dict, matrix) -> qstate._Block:
-    """The checked block of ``matrix``, made once per distinct matrix in ``blocks``."""
-    key = np.asarray(matrix, dtype=complex).tobytes()
-    if key not in blocks:
-        blocks[key] = qstate._Block(matrix, _ATOL)
-    return blocks[key]
-
-
+# kind -> (targets, matrix, ports) of the element's op
 _RESOLVE = {
-    el.BS: lambda e, blocks: _Op((), _made(blocks, el.bs_unitary(e.reflectivity)), e.ports),
-    el.PhaseShifter: lambda e, blocks: _Op((), _made(blocks, [[np.exp(1j * e.phase)]]), (e.port,)),
-    el.Reroute: lambda e, _: _Op((), _SWAP, (e.src, e.dst)),
-    el.PBS: lambda e, _: _Op((POL,), _PBS, e.ports),
-    el.PR: lambda e, _: _Op((POL,), _PR, (e.port,)),
-    el.CavityAtomBlock: lambda e, _: _Op((e.atom, POL), _CAVITY_ATOM, _arm(e.port)),
-    el.FieldPiBlock: lambda e, _: _Op((e.atom, e.field), _FIELD_PI, _arm(e.port)),
-    el.FieldHalfPiBlock: lambda e, _: _Op((e.atom, e.field), _FIELD_HALF_PI, _arm(e.port)),
-    el.DispersiveBlock: lambda e, _: _Op((e.atom, e.field), _DISPERSIVE, _arm(e.port)),
-    el.RamseyZone: lambda e, _: _Op((e.atom,), _RAMSEY),
-    el.ExternalPiPulse: lambda e, _: _Op((e.atom,), _EXTERNAL_PI),
+    el.BS: lambda e: ((), el.bs_unitary(e.reflectivity), e.ports),
+    el.PhaseShifter: lambda e: ((), [[np.exp(1j * e.phase)]], (e.port,)),
+    el.Reroute: lambda e: ((), [[0.0, 1.0], [1.0, 0.0]], (e.src, e.dst)),
+    el.PBS: lambda e: ((POL,), el.pbs_unitary(), e.ports),
+    el.PR: lambda e: ((POL,), el.pr_unitary(), (e.port,)),
+    el.CavityAtomBlock: lambda e: ((e.atom, POL), el.cavity_atom_block_unitary(), _arm(e.port)),
+    el.FieldPiBlock: lambda e: ((e.atom, e.field), el.field_pi_block_unitary(), _arm(e.port)),
+    el.FieldHalfPiBlock: lambda e: (
+        (e.atom, e.field), el.field_half_pi_block_unitary(), _arm(e.port)
+    ),
+    el.DispersiveBlock: lambda e: ((e.atom, e.field), el.dispersive_block_unitary(), _arm(e.port)),
+    el.RamseyZone: lambda e: ((e.atom,), el.ramsey_unitary(), None),
+    el.ExternalPiPulse: lambda e: ((e.atom,), el.external_pi_unitary(), None),
 }
 
 
@@ -199,11 +193,18 @@ _GUARDS = {
 
 
 def _resolve(register: Register, axis_of, item, blocks: dict) -> tuple[_Op, tuple | None]:
-    """``item``'s op, and its guard as ``(sector index, limit, message)`` or None."""
+    """``item``'s op, and its guard as ``(sector index, limit, message)`` or None.
+
+    The op's block is made once per distinct matrix, keyed on its bytes in ``blocks``.
+    """
     resolve = _RESOLVE.get(type(item))
     if resolve is None:
         raise ParameterError(f"unknown element {item!r}")
-    op = resolve(item, blocks)
+    targets, matrix, ports = resolve(item)
+    key = np.asarray(matrix, dtype=complex).tobytes()
+    if key not in blocks:
+        blocks[key] = qstate._Block(matrix, _ATOL)
+    op = _Op(targets, blocks[key], ports)
     labels = ((PATH,) if op.ports else ()) + op.targets
     positions = [register.position(label) for label in labels]
     if len(set(positions)) != len(positions):
@@ -251,19 +252,14 @@ def _plan(
     gives both ports the union of their boxes, one that targets the path
     every port the union of all; a port with more boxes than the path has
     ports gets their hull.  A guard's sector is cut to the hull of the
-    boxes of its element's ports: its mass, only compared with the limit,
-    sums the same nonzero amplitudes, in another order.
+    boxes of its element's ports.
 
     ``cut`` is the first box, with the span of the path factor, in
     register order for :func:`qstate._factor_product`, or None if it
-    spans every axis.  The bound holds only where the whole product writes
-    +0.0 outside the spans, so only when every factor is real and free of
-    sign bits, as every builder's is; otherwise ``cut`` and every
-    ``occupied`` are None and each element acts on the whole buffer.
+    spans every axis.  Why the bytes stay: see the comment above ``_ATOL``.
     """
     register = scheme.register
     factors = _factors(scheme)
-    exact = not any(_signed(vec) for _, vec in factors)
     dims = [sub.dim for sub in sorted(register.subsystems, key=lambda sub: axis_of(sub.label))]
     whole = [(0, dim) for dim in dims]
     box = whole.copy()
@@ -275,7 +271,7 @@ def _plan(
         if PATH in labels:
             ports = np.flatnonzero(vec).tolist() if len(labels) == 1 else range(width)
     cut = None
-    if exact and box != whole:
+    if box != whole:
         cut = tuple(slice(*box[axis_of(label)]) for label in register.labels)
     if PATH in register.labels:
         box[axis_of(PATH)] = whole[axis_of(PATH)]
@@ -288,7 +284,7 @@ def _plan(
 
     occupied = dict.fromkeys(ports, (tuple(box),))
     steps = []
-    blocks: dict = {}  # one block per distinct splitter or phase-shifter matrix
+    blocks: dict = {}  # one block per distinct matrix
     for index, item in enumerate(items):
         if isinstance(item, el.Detector):
             continue
@@ -298,11 +294,11 @@ def _plan(
             raise type(exc)(_where(scheme, index, item) + str(exc)) from None
         if op.ports and occupied.keys().isdisjoint(op.ports):
             continue
-        if exact and guard is not None:
+        if guard is not None:
             hull = _hull(_reach(op, occupied))
             sector = tuple(slice(*h) if s == slice(None) else s for s, h in zip(guard[0], hull))
             guard = (sector, *guard[1:])
-        steps.append((index, item, op, guard, occupied if exact else None))
+        steps.append((index, item, op, guard, occupied))
         axes = {axis_of(label) for label in op.targets}
         if op.ports or PATH in op.targets:
             moved = dict.fromkeys(op.ports or range(width), settled(_reach(op, occupied), axes))
@@ -323,12 +319,6 @@ def _hull(boxes: Sequence[tuple]) -> tuple:
     if len(boxes) == 1:
         return boxes[0]
     return tuple((min(lo), max(hi)) for lo, hi in (zip(*axis) for axis in zip(*boxes)))
-
-
-def _signed(vec: np.ndarray) -> bool:
-    """Whether ``vec`` has an entry that is not real, or a part with its sign bit set."""
-    vec = np.asarray(vec, dtype=complex)
-    return bool((np.signbit(vec.real) | np.signbit(vec.imag) | (vec.imag != 0)).any())
 
 
 def _span(vec: np.ndarray, dim: int) -> tuple[int, int]:
@@ -352,9 +342,8 @@ def _apply_op(tensor: np.ndarray, axis_of, op: _Op, occupied: dict | None = None
     of the view whose other axes are cut to the hull of the boxes of its
     ports (:func:`_reach`), and a dense block on the leading axis
     multiplies only the column chunks that meet those boxes
-    (:func:`qstate._rows_product`).  What they skip holds +0.0, which
-    acting on the whole tensor would leave +0.0, so the bits are the same.
-    Any other dense block acts on the whole tensor.
+    (:func:`qstate._rows_product`), with the bits of the whole tensor (see
+    the comment above ``_ATOL``).  Any other dense block acts on it whole.
     """
     axes = [axis_of(label) for label in op.targets]
     index = [slice(None)] * tensor.ndim
@@ -412,14 +401,9 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     The elements the plan keeps then act in place, each bounded by the
     boxes of the ports it acts on (:func:`_apply_op`) and each guard
     checked on its plan's sector just before its element, its refusal
-    prefixed by :func:`_where`.  Where it skips, the whole product and
-    every element would have written +0.0, so the bytes are those of
-    every element acting on the whole buffer.  The buffer owns its memory,
-    so a :class:`PureState` adopts it as it is.
-
-    A left-out element keeps a zero's sign where running it could write
-    -0.0 (a splitter's product does for some zeros on 2 or 3 columns); the
-    values are equal, and no builder's bytes change.
+    prefixed by :func:`_where`.  The bytes are those of every element
+    acting on the whole buffer (see the comment above ``_ATOL``).  The
+    buffer owns its memory, so a :class:`PureState` adopts it as it is.
     """
     register = scheme.register
     lead = _path_first(register)

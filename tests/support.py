@@ -88,7 +88,7 @@ def propagate_every_element(scheme):
             if sector_mass(tensor, register, axis_of, sector) > limit:
                 where = f"scheme {scheme.name!r}, element {index} ({type(item).__name__})"
                 raise InvalidConfigurationError(f"{where}: {message}")
-        schemes._apply_op(tensor, axis_of, schemes._RESOLVE[type(item)](item, {}))
+        schemes._apply_op(tensor, axis_of, schemes._resolve(register, axis_of, item, {})[0])
     return tensor.transpose(axis).reshape(-1)
 
 

@@ -310,6 +310,21 @@ def test_the_pieces_of_a_w16_report_hold_at_most_two_mib():
             ("ghz-fields", "--n", "18"),
             "18dfe74a71bce73f498a112e5a044b8bbf00ad1b8c882ce1713667bc349077e7",
         ),
+        (
+            ("cluster", "--n", "16"),
+            "a4ab8cd37d92ff67401efc9d57638ba696ebd868edf87ad0b553220fc10946c7",
+        ),
+        (
+            ("graph", "--kind", "ring", "--n", "8"),
+            "6a46a090294193a6a20d6eb78bed15cd421e0fa606fa1b7bb13a152845d32dfe",
+        ),
+        (
+            ("ghz-atoms", "--n", "18"),
+            "2e98e66786ace6fe85e911acf63ebe1926272fedf9aca8f6c9e4810b97a2ee63",
+        ),
+        (("w3-det",), "56856fd66ca434c4e4a875f399c9360d4af8df49e8c3ed1d32c065c59e6addbe"),
+        (("w3-prob",), "13f4510babe9538683b8234546e1339f5f44399c56fe06a761c9633b2bda85ef"),
+        (("field-cz",), "580c8d8db65fe6fc0353c5b3b8f2ae3f09e05f9cb2cdba4c41abff4443d8cac3"),
     ],
 )
 def test_the_dense_reports_keep_their_bytes(argv, digest, tmp_path):

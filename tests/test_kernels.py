@@ -326,5 +326,5 @@ def test_a_left_out_step_finds_only_zeros_on_its_ports(name):
     assert bool(left_out) == (name in ("w4", "w8", "w3-prob"))
     for index, item in left_out:
         before = schemes.propagate(scheme, upto=index).tensor_view()
-        ports = list(schemes._RESOLVE[type(item)](item, {}).ports)
+        ports = list(schemes._resolve(register, register.position, item, {})[0].ports)
         assert not np.take(before, ports, axis=register.position(schemes.PATH)).any()

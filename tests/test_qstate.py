@@ -273,6 +273,22 @@ def test_from_factors_bell_pair():
     assert st.amplitude(["0", "e"]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[0.6, -0.8], [1.0, 0.0], [0.0, 1.0]],
+        [[-1.0, 0.0], [0.0, -1j], [SQ2, -SQ2]],
+        [[0.6j, -0.8], [-0.0, 1.0], [complex(0.0, -0.0), -1.0]],
+    ],
+)
+def test_from_factors_writes_every_zero_as_positive_zero(factors):
+    reg = Register([Subsystem(label, KIND_ATOM_LR) for label in "abc"])
+    amps = from_factors(reg, [((label,), f) for label, f in zip("abc", factors)]).amplitudes
+    assert np.array_equal(amps, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    parts = amps.view(np.float64)
+    assert (parts == 0).any() and not np.signbit(parts[parts == 0]).any()
+
+
 def test_from_factors_must_tile_in_order():
     reg = two_qubit_register()
     with pytest.raises(ShapeError):
