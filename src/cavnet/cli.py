@@ -234,8 +234,6 @@ def _parse_tau_range(raw: str) -> list[float]:
         raise ParameterError(
             f"--tau-range count {count} exceeds MAX_SWEEP_POINTS = {iomodel.MAX_SWEEP_POINTS}"
         )
-    if count == 1:
-        return [start]
     return [float(t) for t in np.geomspace(start, stop, count)]
 
 

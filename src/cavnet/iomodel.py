@@ -77,6 +77,8 @@ class PulseParams:
         for name, g in (("g_L", self.g_L), ("g_R", self.g_R)):
             if not (math.isfinite(g) and g >= 0):
                 raise ParameterError(f"{name} must be nonnegative, got {g}")
+        if not math.isfinite(self.g_total_sq):
+            raise ParameterError(f"g_L^2 + g_R^2 overflows for g_L = {self.g_L}, g_R = {self.g_R}")
 
     @property
     def g_total_sq(self) -> float:
@@ -309,7 +311,7 @@ def _check_grid(params: PulseParams, grid: TimeGrid) -> None:
         )
     steps = (grid.t_end - grid.t_start) / grid.step
     if steps > MAX_STEPS:
-        count = grid.n_steps if math.isfinite(steps) else steps
+        count = grid.n_steps if steps < 1e18 else f"{steps:.3g}"
         raise ParameterError(
             f"grid [{grid.t_start}, {grid.t_end}] with step {grid.step} needs "
             f"{count} RK4 steps, more than MAX_STEPS = {MAX_STEPS}"
@@ -386,13 +388,15 @@ def adiabatic_output_coefficients(params: PulseParams) -> tuple[float, float]:
     r^2 + t^2 = 1 identically.  Matched couplings give (0, 1): complete
     conversion, which is the polarization/atom flip the schemes rely on.
     """
-    gsq = params.g_total_sq
-    if gsq == 0.0:
+    scale = max(params.g_L, params.g_R)
+    if scale == 0.0:
         raise DegenerateCouplingError(
             "both couplings vanish; the pulse sees an empty cavity"
         )
-    r_ll = 1.0 - 2.0 * params.g_R * params.g_R / gsq
-    t_lr = 2.0 * params.g_L * params.g_R / gsq
+    g_l, g_r = params.g_L / scale, params.g_R / scale  # so no square over- or underflows
+    gsq = g_l * g_l + g_r * g_r
+    r_ll = 1.0 - 2.0 * g_r * g_r / gsq
+    t_lr = 2.0 * g_l * g_r / gsq
     return r_ll, t_lr
 
 

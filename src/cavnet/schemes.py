@@ -445,16 +445,11 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 def _strip_flyer(state: PureState, label: str) -> PureState:
     """Remove a flying subsystem that must be in a product with the rest.
 
-    The outcome masses are scanned in basis order only until one holds
-    more than half, since no later one can then hold more; the subsystem
-    is projected out once, onto the largest mass seen.
+    Every outcome's mass is read, and the subsystem is projected out once,
+    onto the largest.
     """
     sub = state.register.subsystem(label)
-    probs: list[float] = []
-    for out in sub.basis_labels:
-        probs.append(qstate.projection_probability(state, label, out))
-        if probs[-1] > 0.5:
-            break
+    probs = [qstate.projection_probability(state, label, out) for out in sub.basis_labels]
     best = int(np.argmax(probs))
     prob, post = qstate.project_out(state, label, sub.basis_labels[best])
     if post is None or prob < 1.0 - FLYER_PURITY_ATOL:
@@ -652,7 +647,7 @@ def _fourier_tritter() -> np.ndarray:
 
 
 def _two_mode_elements(w: np.ndarray, ports: tuple[int, int]) -> list[el.Element]:
-    """Realize a 2x2 unitary as phase shifters around one beam splitter."""
+    """Realize a 2x2 unitary with no zero entry as phases around one beam splitter."""
     p, q = ports
     out: list[el.Element] = []
 
@@ -661,26 +656,12 @@ def _two_mode_elements(w: np.ndarray, ports: tuple[int, int]) -> list[el.Element
         if abs(phase) > 1e-12:
             out.append(el.PhaseShifter(port, phase))
 
-    # A reflectivity that rounds to 1 makes no splitter, so that rotation is
-    # a phased swap; one that rounds to 0 has |w01| < 1e-12 already.
-    reflectivity = float(abs(w[0, 1]) ** 2)
-    if abs(w[0, 1]) < 1e-12:  # diagonal: pure phases
-        push_phase(p, np.angle(w[0, 0]))
-        push_phase(q, np.angle(w[1, 1]))
-        return out
-    if abs(w[0, 0]) < 1e-12 or reflectivity == 1.0:  # antidiagonal: phased swap, as BS-pi-BS
-        push_phase(p, np.angle(w[1, 0]))
-        push_phase(q, np.angle(w[0, 1]))
-        out.append(el.BS(0.5, ports))
-        out.append(el.PhaseShifter(q, np.pi))
-        out.append(el.BS(0.5, ports))
-        return out
     c = float(np.angle(w[0, 0]))
     d = float(np.angle(w[0, 1]))
     b = float(np.angle(w[1, 0])) - c
     push_phase(p, c)
     push_phase(q, d)
-    out.append(el.BS(reflectivity, ports))
+    out.append(el.BS(float(abs(w[0, 1]) ** 2), ports))
     push_phase(q, b)
     return out
 
@@ -691,6 +672,8 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
     ``v`` is square with one port per row.  Left-multiplying Givens
     rotations reduce ``v`` to a phase diagonal; the element list plays the
     factors back so that applying it to the path equals applying ``v``.
+    No rotation may have a zero entry (a splitter of reflectivity 0 or 1 is
+    refused when applied); the Fourier tritter, the only input, has none.
     """
     u = np.array(v, dtype=complex)
     n = len(ports)
@@ -698,8 +681,6 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
     for col in range(n - 1):
         for row in range(col + 1, n):
             a, b = u[col, col], u[row, col]
-            if abs(b) <= 1e-15:
-                continue
             nrm = float(np.hypot(abs(a), abs(b)))
             g = np.array([[a.conjugate(), b.conjugate()], [-b, a]], dtype=complex) / nrm
             u[[col, row], :] = g @ u[[col, row], :]

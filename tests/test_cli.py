@@ -430,6 +430,24 @@ def test_a_sweep_refusal_names_its_point(monkeypatch, capsys):
     assert captured.err.endswith(f"RK4 steps, more than MAX_STEPS = {steps}\n")
 
 
+def test_couplings_whose_squares_overflow_are_refused_naming_the_point(capsys):
+    assert main(["flip-sweep", "--g", "1,1e200", "--tau", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sweep point 1 (g = 1e+200, tau = 1.0): "
+        "g_L^2 + g_R^2 overflows for g_L = 1e+200, g_R = 1e+200\n"
+    )
+
+
+def test_a_one_point_tau_range_is_its_start(capsys):
+    assert _parse_tau_range("2.5:40:1") == [2.5]
+    assert main(["flip-sweep", "--g", "1", "--tau-range", "2.5:40:1"]) == 0
+    ranged = capsys.readouterr().out
+    assert main(["flip-sweep", "--g", "1", "--tau", "2.5"]) == 0
+    assert capsys.readouterr().out == ranged
+
+
 def test_flip_sweep_point_count_over_budget_exits_two_at_once(capsys):
     assert main(["flip-sweep", "--g", "1", "--tau-range", "0.1:40:1000000000"]) == 2
     captured = capsys.readouterr()

@@ -1,12 +1,15 @@
-"""Every package module uses every name it imports, and the package every private name.
+"""Every package module uses every name it imports, and every name it defines is read.
 
 The checks read the source with ``ast``.  A name bound by an import must
 appear as a name somewhere else in the module; ``__init__.py`` is exempt,
 since its imports are the package's re-exports, and so is ``__future__``.
 A module-level ``_name`` (a function, class or assignment) must be read as
 a name or an attribute somewhere in the package, so a helper left behind
-by removed code fails.  Importing the command line front end loads no
-third-party package but numpy, since every command pays for its imports.
+by removed code fails.  A module-level public name must be read as a name,
+an attribute or by ``from ... import`` in the package, the tests, the
+demos or the benchmark; the re-exports of ``__init__.py`` do not count.
+Importing the command line front end loads no third-party package but
+numpy, since every command pays for its imports.
 """
 
 import ast
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cavnet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cavnet"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,8 +58,8 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Line of each module-level ``_name`` that ``tree`` defines (dunder names are not private)."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Line of each module-level name ``tree`` defines, dunder names left out."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -66,7 +70,7 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defined[name] = node.lineno
     return defined
 
@@ -88,8 +92,8 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return [
         f"{module}: {name} (line {line})"
         for module, tree in trees.items()
-        for name, line in private_definitions(tree).items()
-        if name not in read
+        for name, line in definitions(tree).items()
+        if name.startswith("_") and name not in read
     ]
 
 
@@ -111,6 +115,51 @@ def test_private_name_checker_flags_only_unread_names():
 def test_every_private_name_is_read_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(defining: dict[str, str], reading: dict[str, str]) -> list[str]:
+    """``"module: name (line N)"`` for each public definition no source in ``reading`` reads.
+
+    A source reads a name bare, as an attribute, or by ``from ... import``.
+    """
+    read: set[str] = set()
+    for source in reading.values():
+        tree = ast.parse(source)
+        read |= read_names(tree)
+        read |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    return [
+        f"{module}: {name} (line {line})"
+        for module, source in defining.items()
+        for name, line in definitions(ast.parse(source)).items()
+        if not name.startswith("_") and name not in read
+    ]
+
+
+def test_public_name_checker_flags_only_unread_names():
+    defining = {"a.py": "LIMIT = 3\ndef helper(): pass\nclass Shape: pass\nGone = 1\n_hidden = 0\n"}
+    reading = {
+        "a.py": defining["a.py"],
+        "b.py": "from a import helper\nimport a\nprint(a.Shape)\nLIMIT = 4\n",
+    }
+    assert unread_public_names(defining, reading) == ["a.py: LIMIT (line 1)", "a.py: Gone (line 4)"]
+
+
+def test_every_public_name_is_read_outside_the_re_exports():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    del defining["__init__.py"]
+    reading = {
+        str(p): p.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+        if p != PACKAGE / "__init__.py"
+    }
+    assert len(defining) >= 8 and len(reading) > len(defining)
+    assert unread_public_names(defining, reading) == []
 
 
 def loaded_modules(*imports: str) -> set[str]:

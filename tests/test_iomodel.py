@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cavnet import iomodel as io
 from cavnet.errors import (
@@ -89,6 +91,12 @@ def test_a_decay_rate_that_rounds_to_zero_needs_an_endless_grid():
     assert default_grid(params).t_end == np.inf
     with pytest.raises(ParameterError, match="inf RK4 steps, more than MAX_STEPS"):
         io.flip_probability_sweep([1e-12], [1.0])
+
+
+def test_a_huge_step_count_is_printed_in_short_form():
+    # g = 1e150 kappa needs about 7.35e153 steps; the exact integer has 154 digits
+    with pytest.raises(ParameterError, match=r"needs 7\.35e\+153 RK4 steps, more than MAX_STEPS"):
+        io.flip_probability_sweep([1e150], [1.0])
 
 
 def test_default_grid_tracks_ringdown_and_coupling():
@@ -389,6 +397,26 @@ def test_adiabatic_coefficients_matched_and_conservation():
         assert r * r + t * t == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DegenerateCouplingError):
         adiabatic_output_coefficients(PulseParams(0.0, 0.0, 1.0, 1.0))
+
+
+@given(
+    g_L=st.floats(min_value=0.0, allow_infinity=False),
+    g_R=st.floats(min_value=0.0, allow_infinity=False),
+)
+@example(g_L=1e200, g_R=1e200)  # g^2 overflows: refused
+@example(g_L=1e-170, g_R=0.0)  # g^2 underflows to zero
+@example(g_L=1e-160, g_R=2e-160)  # g^2 is subnormal
+@example(g_L=0.0, g_R=1.3e154)  # g^2 is finite, 2 g^2 is not
+def test_every_accepted_coupling_pair_gives_unit_norm_coefficients(g_L, g_R):
+    assume(g_L > 0.0 or g_R > 0.0)
+    try:
+        params = PulseParams(g_L, g_R)
+    except ParameterError as exc:
+        assert f"g_L = {g_L}, g_R = {g_R}" in str(exc)
+        return
+    r, t = adiabatic_output_coefficients(params)
+    assert np.isfinite([r, t]).all()
+    assert r * r + t * t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_adiabatic_limit_of_the_trajectory():
