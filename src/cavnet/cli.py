@@ -9,6 +9,7 @@ construction order, and CSV uses LF endings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
 import json
 import math
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import iomodel, schemes
+from . import iomodel, qstate, schemes
 from .errors import CavnetError, ParameterError
 from .iomodel import format_float
 from .verify import Graph
@@ -378,7 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h), and the bytes of one state vector of
+# the largest register the budget admits.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_STATE_VECTOR_BYTES = qstate.MAX_TOTAL_DIM * np.dtype(complex).itemsize
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed arrays mapped, for the next array to reuse.
+
+    glibc's default thresholds move as arrays are freed: a freed multi-MB
+    array goes back to the kernel, by ``munmap`` or by trimming the heap,
+    and the next one is faulted in page by page.  Serving every block up to
+    one state vector from the heap, and trimming only above two of them,
+    keeps freed pages for reuse; a second call sets the same values.  The
+    trim threshold is set only once ``mallopt`` has applied the mmap
+    threshold (returned 1); without glibc's ``mallopt`` nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library, or not glibc's
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _STATE_VECTOR_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 2 * _STATE_VECTOR_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

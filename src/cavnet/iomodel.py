@@ -140,13 +140,14 @@ def slowest_decay_rate(params: PulseParams) -> float:
     with g^2 = g_L^2 + g_R^2 (the dark combination of c_L, c_R decays at
     kappa/2).  Underdamped systems ring down at kappa/4; overdamped ones
     are limited by the slow branch, which goes to zero as the couplings
-    vanish -- except that at exactly zero coupling the atom decouples
-    entirely and the cavity rate kappa/2 governs.
+    vanish -- except that when g_L and g_R are both exactly zero the atom
+    decouples entirely and the cavity rate kappa/2 governs.  A nonzero
+    coupling whose square underflows to 0.0 takes the overdamped branch,
+    whose rate rounds to 0.0 as it does once g^2 is below ~1e-17 kappa^2.
     """
-    gsq = params.g_total_sq
-    if gsq == 0.0:
+    if params.g_L == 0.0 and params.g_R == 0.0:
         return params.kappa / 2.0
-    disc = params.kappa * params.kappa / 16.0 - gsq
+    disc = params.kappa * params.kappa / 16.0 - params.g_total_sq
     if disc <= 0.0:
         return params.kappa / 4.0
     return params.kappa / 4.0 - math.sqrt(disc)

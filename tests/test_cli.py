@@ -1,13 +1,16 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -440,6 +443,17 @@ def test_couplings_whose_squares_overflow_are_refused_naming_the_point(capsys):
     )
 
 
+@pytest.mark.parametrize("g", ["1e-12", "1e-160", "1e-170"])  # g^2 normal, subnormal, zero
+def test_couplings_too_weak_to_decay_are_refused_even_when_their_squares_underflow(g, capsys):
+    assert main(["flip-sweep", "--g", g, "--tau", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sweep point 0 (g = {float(g)}, tau = 1.0): grid [-6.0, inf] with step 0.01 "
+        "needs inf RK4 steps, more than MAX_STEPS = 4000000\n"
+    )
+
+
 def test_a_one_point_tau_range_is_its_start(capsys):
     assert _parse_tau_range("2.5:40:1") == [2.5]
     assert main(["flip-sweep", "--g", "1", "--tau-range", "2.5:40:1"]) == 0
@@ -521,6 +535,74 @@ def test_main_callable_in_process(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["expected_steps"] == 3.0
+
+
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD (malloc.h), set to the bytes of the
+# largest state vector the budget admits (16 per complex amplitude) and twice that
+MALLOPT_CALLS = [(-3, qstate.MAX_TOTAL_DIM * 16), (-1, 2 * qstate.MAX_TOTAL_DIM * 16)]
+
+
+def fake_libc(result):
+    """A C library whose ``mallopt`` records its calls and returns ``result``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return types.SimpleNamespace(mallopt=mallopt), calls
+
+
+def test_main_fixes_the_allocator_thresholds_before_each_command_runs(tmp_path, monkeypatch):
+    libc, calls = fake_libc(1)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    build, seen = schemes.build_w_pow2, []
+    monkeypatch.setattr(schemes, "build_w_pow2", lambda n: seen.append(list(calls)) or build(n))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:  # a second call sets the same values again
+        assert main(["run-scheme", "w", "--n", "4", "--out", str(out)]) == 0
+    assert seen == [MALLOPT_CALLS, MALLOPT_CALLS * 2]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_glibc_accepts_both_thresholds():
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    assert [mallopt(param, value) for param, value in MALLOPT_CALLS] == [1, 1]
+
+
+def test_importing_the_cli_leaves_the_allocator_alone():
+    code = (
+        "import ctypes, numpy\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+        "import cavnet.cli\n"
+        "cavnet.cli.build_parser()\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", ["missing", "without mallopt", "refusing"])
+def test_without_glibcs_mallopt_a_run_is_unchanged(libc, tmp_path, monkeypatch, capsys):
+    assert main(["run-scheme", "w", "--n", "4", "--out", str(tmp_path / "ref.json")]) == 0
+    refusing, calls = fake_libc(0)
+    cdll = {
+        "missing": _no_c_library,
+        "without mallopt": lambda name: types.SimpleNamespace(),  # not glibc
+        "refusing": lambda name: refusing,
+    }[libc]
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["run-scheme", "w", "--n", "4", "--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert capsys.readouterr().err == ""
+    assert calls == (MALLOPT_CALLS[:1] if libc == "refusing" else [])
 
 
 @pytest.mark.parametrize(

@@ -210,11 +210,16 @@ def test_a_pauli_layer_in_one_copy_matches_the_slab_route_bit_for_bit(data):
         at = data.draw(st.integers(0, len(ops)))
         phase = ("phase", data.draw(st.floats(-7.0, 7.0)))
         ops.insert(at, (data.draw(st.sampled_from(qubits)), phase))
-    got = LocalCorrection(tuple(ops)).apply(state)
+    correction = LocalCorrection(tuple(ops))
+    got = correction.apply(state)
     if all(op == "I" for _, op in ops):
         assert got is state
+    elif any(op not in ("I", "X", "Z") for _, op in ops):
+        # a phase layer runs slab_route's own loop, so check it against apply_unitary;
+        # on a -0.0 input the signs of zeros may differ there (LocalCorrection's docstring)
+        assert np.array_equal(got.amplitudes, reference_apply(correction, state).amplitudes)
     else:
-        assert_bit_equal(got.amplitudes, slab_route(LocalCorrection(tuple(ops)), state))
+        assert_bit_equal(got.amplitudes, slab_route(correction, state))
 
 
 @pytest.mark.parametrize(
