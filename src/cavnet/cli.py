@@ -24,17 +24,17 @@ from .errors import CavnetError, ParameterError
 from .iomodel import format_float
 from .verify import Graph
 
-# run-scheme name -> (builder in cavnet.schemes, whether it takes --n).  The
+# run-scheme name -> (builder in cavnet.schemes, the flags it takes).  The
 # builder is looked up when the command runs, so a wrapped builder is called.
 _SCHEMES = {
-    "ghz-atoms": ("build_ghz_atoms", True),
-    "w": ("build_w_pow2", True),
-    "w3-prob": ("build_w3_probabilistic", False),
-    "w3-det": ("build_w3_deterministic", False),
-    "cluster": ("build_cluster_atoms", True),
-    "ghz-fields": ("build_ghz_fields", True),
-    "field-cz": ("build_field_cz_pair", False),
-    "graph": ("build_field_graph", False),
+    "ghz-atoms": ("build_ghz_atoms", ("n",)),
+    "w": ("build_w_pow2", ("n",)),
+    "w3-prob": ("build_w3_probabilistic", ()),
+    "w3-det": ("build_w3_deterministic", ()),
+    "cluster": ("build_cluster_atoms", ("n",)),
+    "ghz-fields": ("build_ghz_fields", ("n",)),
+    "field-cz": ("build_field_cz_pair", ()),
+    "graph": ("build_field_graph", ("kind", "n", "graph")),
 }
 SCHEME_NAMES = tuple(_SCHEMES)
 
@@ -170,7 +170,14 @@ def _emit(out_path: str | None, pieces: list[str]) -> None:
         "".join(pieces[i : i + _EMIT_GROUP]) for i in range(0, len(pieces), _EMIT_GROUP)
     )
     if out_path is None:
-        sys.stdout.writelines(groups)
+        try:
+            sys.stdout.writelines(groups)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk; devnull keeps exit's flush quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ParameterError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
@@ -229,8 +236,8 @@ def _parse_tau_range(raw: str) -> list[float]:
         count = int(parts[2])
     except ValueError:
         raise ParameterError(f"--tau-range expects start:stop:count, got {raw!r}")
-    if start <= 0 or stop <= 0 or count < 1:
-        raise ParameterError("--tau-range needs positive start/stop and count >= 1")
+    if not (0 < start < math.inf and 0 < stop < math.inf) or count < 1:
+        raise ParameterError("--tau-range needs finite positive start/stop and count >= 1")
     if count > iomodel.MAX_SWEEP_POINTS:
         raise ParameterError(
             f"--tau-range count {count} exceeds MAX_SWEEP_POINTS = {iomodel.MAX_SWEEP_POINTS}"
@@ -269,15 +276,18 @@ def _load_graph(path: str) -> Graph:
 
 
 def _build_scheme(args) -> schemes.Scheme:
-    name, needs_n = _SCHEMES[args.scheme]
+    name, takes = _SCHEMES[args.scheme]
+    for flag in ("n", "kind", "graph"):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise ParameterError(f"scheme {args.scheme} does not take --{flag}")
     builder = getattr(schemes, name)
-    if needs_n:
-        if args.n is None:
-            raise ParameterError(f"scheme {args.scheme} requires --n")
-        return builder(args.n)
     if args.scheme == "graph":  # build_field_graph refuses both or neither
         graph = None if args.graph is None else _load_graph(args.graph)
         return builder(args.kind, args.n, graph)
+    if "n" in takes:
+        if args.n is None:
+            raise ParameterError(f"scheme {args.scheme} requires --n")
+        return builder(args.n)
     return builder()
 
 

@@ -42,13 +42,12 @@ from .errors import (
     DegenerateCouplingError,
     NumericalBlowupError,
     ParameterError,
-    ShapeError,
 )
 
 # Largest grid integrate_pulse accepts, more than 5x the largest grid in use
 # (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
-# An integration peaks at ~80 bytes per step (~140 with a complex drive), so
-# this caps one call near 0.3 GB; larger grids raise ParameterError first.
+# An integration peaks at ~80 bytes per step, so this caps one call near
+# 0.3 GB; larger grids raise ParameterError first.
 MAX_STEPS = 4_000_000
 # Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
@@ -110,7 +109,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PulseResult:
-    """Trajectories, output waveforms, and integrated probabilities."""
+    """Trajectories, output pulses, and integrated probabilities."""
 
     time_grid: np.ndarray
     c_L: np.ndarray
@@ -178,30 +177,6 @@ def default_grid(params: PulseParams) -> TimeGrid:
     )
 
 
-def _input_samples(
-    grid: TimeGrid,
-    params: PulseParams,
-    waveform: Callable[[np.ndarray], np.ndarray] | Sequence | None,
-) -> np.ndarray:
-    """Drive samples on the half-step lattice t_start, t_start+h/2, ...
-
-    A custom waveform must give finite samples of the right shape.
-    """
-    n = grid.n_steps
-    half_times = grid.t_start + 0.5 * grid.step * np.arange(2 * n + 1)
-    if waveform is None:
-        return gaussian_input(params.tau)(half_times)
-    samples = np.asarray(waveform(half_times) if callable(waveform) else waveform)
-    if samples.shape != (2 * n + 1,):
-        raise ShapeError(
-            f"waveform needs {2 * n + 1} half-step samples "
-            f"(grid has {n} steps), got shape {samples.shape}"
-        )
-    if not np.isfinite(samples).all():
-        raise ParameterError("waveform samples must be finite (got NaN or inf)")
-    return samples
-
-
 def _rk4_tableau(params: PulseParams, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Precomputed affine RK4 update for the linear driven system.
 
@@ -243,8 +218,7 @@ def _trajectory(params: PulseParams, h: float, f_half: np.ndarray) -> np.ndarray
     """
     m, v1, v2, v3 = _rk4_tableau(params, h)
     n = (len(f_half) - 1) // 2
-    dtype = complex if np.iscomplexobj(f_half) else float
-    u = np.zeros((-(-n // SCAN_BLOCK) * SCAN_BLOCK, 3), dtype=dtype)
+    u = np.zeros((-(-n // SCAN_BLOCK) * SCAN_BLOCK, 3))
     windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
     np.matmul(windows, np.array([v1, v2, v3]), out=u[:n])
     return _scan_affine(m - np.eye(3), u)
@@ -319,11 +293,7 @@ def _check_grid(params: PulseParams, grid: TimeGrid) -> None:
         )
 
 
-def integrate_pulse(
-    params: PulseParams,
-    grid: TimeGrid | None = None,
-    waveform: Callable[[np.ndarray], np.ndarray] | Sequence | None = None,
-) -> PulseResult:
+def integrate_pulse(params: PulseParams, grid: TimeGrid | None = None) -> PulseResult:
     """RK4 trajectory from empty initial conditions and integrated outputs.
 
     ``grid`` defaults to :func:`default_grid`.  A custom grid must resolve
@@ -331,18 +301,13 @@ def integrate_pulse(
     narrower grids reject with an accuracy error rather than silently
     losing probability.
 
-    ``waveform`` replaces the Gaussian drive: either a callable evaluated
-    on the half-step lattice or a sequence of 2*n_steps + 1 samples spaced
-    half a step apart.  Probabilities are meaningful for unit-norm inputs;
-    custom waveforms are used as given, never renormalized.
-
     Grids over ``MAX_STEPS`` steps raise a parameter error before any
     sample is drawn.  The RK4 recurrence is solved by the blocked scan of
     ``_scan_affine``: the steps of a per-step loop in another summation
     order, so the amplitudes agree with such a loop to rounding (~1e-14).
 
     P_flip is the trapezoid integral of |f_R_out|^2 on the grid.  Because
-    both output waveforms vanish smoothly at the window ends, the trapezoid
+    both output pulses vanish smoothly at the window ends, the trapezoid
     rule's Euler-Maclaurin boundary terms cancel and the quadrature error
     sits far below the integrator's.
     """
@@ -352,7 +317,7 @@ def integrate_pulse(
 
     n = grid.n_steps
     h = grid.step
-    f_half = _input_samples(grid, params, waveform)
+    f_half = gaussian_input(params.tau)(grid.t_start + 0.5 * h * np.arange(2 * n + 1))
     with np.errstate(all="ignore"):  # a blow-up is reported by the check below
         y = _trajectory(params, h, f_half)[: n + 1]
     if not np.isfinite(y).all():

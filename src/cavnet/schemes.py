@@ -397,8 +397,7 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     The buffer has ``path``'s axis first, so each path slice is one
     contiguous block.  It starts zeroed, with the product of the factors
     cut to the plan's ``cut`` (:func:`qstate._factor_product`) transposed
-    in; a product with no cut and no path to move is the buffer itself.
-    The elements the plan keeps then act in place, each bounded by the
+    in.  The elements the plan keeps then act in place, each bounded by the
     boxes of the ports it acts on (:func:`_apply_op`) and each guard
     checked on its plan's sector just before its element, its refusal
     prefixed by :func:`_where`.  The bytes are those of every element
@@ -410,13 +409,10 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     items = scheme.elements if upto is None else scheme.elements[:upto]
     cut, plan = _plan(scheme, items, lead.position)
     product = qstate._factor_product(register, _factors(scheme), cut)
-    if cut is None and lead is register:
-        buffer = product
-    else:
-        buffer = np.zeros(register.total_dim, dtype=complex)
-        view = buffer.reshape(lead.dims).transpose([lead.position(lab) for lab in register.labels])
-        box = view if cut is None else view[cut]
-        box[...] = product.reshape(box.shape)
+    buffer = np.zeros(register.total_dim, dtype=complex)
+    view = buffer.reshape(lead.dims).transpose([lead.position(lab) for lab in register.labels])
+    box = view if cut is None else view[cut]
+    box[...] = product.reshape(box.shape)
     del product
     tensor = buffer.reshape(lead.dims)
     for index, item, op, guard, occupied in plan:

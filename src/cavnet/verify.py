@@ -184,7 +184,9 @@ def _two_level_register(n: int, kind: str, register: Register | None) -> Registe
             if sub.dim != 2:
                 raise ShapeError("target construction needs two-level subsystems")
         return register
-    prefix = {KIND_ATOM_LR: "atom", KIND_FIELD: "field", KIND_ATOM_GE: "atom"}[kind]
+    prefix = {KIND_ATOM_LR: "atom", KIND_FIELD: "field", KIND_ATOM_GE: "atom"}.get(kind)
+    if prefix is None:
+        raise ParameterError(f"no two-level register of kind {kind!r}")
     return Register(Subsystem(f"{prefix}{i + 1}", kind) for i in range(n))
 
 

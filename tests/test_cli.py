@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +32,16 @@ from cavnet.cli import (
 )
 from cavnet.errors import ParameterError
 
+# subprocesses import the package from the checkout, installed or not
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "cavnet", *args],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         timeout=120,
     )
 
@@ -217,6 +223,70 @@ def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, monke
     assert out.read_text() == "kept"
 
 
+def test_a_stdout_closed_after_one_byte_exits_two_without_traceback():
+    with subprocess.Popen(
+        [sys.executable, "-m", "cavnet", "run-scheme", "ghz-atoms", "--n", "12"],
+        stdout=subprocess.PIPE,  # 413 KB of output, more than the pipe holds
+        stderr=subprocess.PIPE,
+        env=SRC_ENV,
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_on_a_full_device_exits_two_without_traceback():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavnet", "retry-walk", "--p", "1", "--n", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=SRC_ENV,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+class FailingStdout:
+    """A stdout over ``fd`` whose ``writelines`` or ``flush`` raises ``error``."""
+
+    def __init__(self, fd, failing, error):
+        self.fd, self.failing, self.error = fd, failing, error
+
+    def fileno(self):
+        return self.fd
+
+    def writelines(self, lines):
+        list(lines)
+        if self.failing == "writelines":
+            raise self.error
+
+    def flush(self):
+        if self.failing == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC], ids=errno.errorcode.get)
+@pytest.mark.parametrize("failing", ["writelines", "flush"])
+def test_a_failing_stdout_exits_two_and_points_its_descriptor_at_devnull(
+    failing, code, tmp_path, monkeypatch, capsys
+):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    error = OSError(code, os.strerror(code))  # BrokenPipeError for EPIPE
+    try:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(fd, failing, error))
+        assert main(["retry-walk", "--p", "1", "--n", "2"]) == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(code)}\n"
+
+
 def report_of(scheme):
     return {
         "scheme": schemes.scheme_to_jsonable(scheme),
@@ -277,6 +347,9 @@ class WriteSizes:
     def writelines(self, lines):
         for line in lines:
             self.write(line)
+
+    def flush(self):
+        pass
 
 
 def test_every_write_of_a_dense_report_is_at_most_one_mib(monkeypatch):
@@ -462,6 +535,16 @@ def test_a_one_point_tau_range_is_its_start(capsys):
     assert capsys.readouterr().out == ranged
 
 
+@pytest.mark.parametrize("bounds", ["1:inf:2", "inf:40:2", "nan:2:2", "1:nan:3", "1:-inf:2"])
+def test_a_non_finite_tau_range_bound_is_refused_naming_the_flag(bounds, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(iomodel, "_trajectory", lambda *a: calls.append(a))
+    assert main(["flip-sweep", "--g", "1", "--tau-range", bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err == "error: --tau-range needs finite positive start/stop and count >= 1\n"
+
+
 def test_flip_sweep_point_count_over_budget_exits_two_at_once(capsys):
     assert main(["flip-sweep", "--g", "1", "--tau-range", "0.1:40:1000000000"]) == 2
     captured = capsys.readouterr()
@@ -581,7 +664,9 @@ def test_importing_the_cli_leaves_the_allocator_alone():
         "cavnet.cli.build_parser()\n"
         "print(calls)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, timeout=60
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
@@ -987,6 +1072,28 @@ def test_run_scheme_calls_the_builder_bound_in_schemes(monkeypatch):
     monkeypatch.setattr(schemes, "build_field_cz_pair", lambda: calls.append(1) or real())
     assert main(["run-scheme", "field-cz"]) == 0
     assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "argv,builder,flag",
+    [
+        (["w3-det", "--n", "5"], "build_w3_deterministic", "--n"),
+        (["w3-prob", "--kind", "ring"], "build_w3_probabilistic", "--kind"),
+        (["field-cz", "--graph", "g.json"], "build_field_cz_pair", "--graph"),
+        (["w", "--n", "4", "--kind", "ring"], "build_w_pow2", "--kind"),
+        (["ghz-atoms", "--n", "3", "--graph", "g.json"], "build_ghz_atoms", "--graph"),
+        (["cluster", "--kind", "star", "--n", "3"], "build_cluster_atoms", "--kind"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_a_flag_the_scheme_does_not_take_is_refused_before_it_is_built(
+    argv, builder, flag, monkeypatch, capsys
+):
+    monkeypatch.setattr(schemes, builder, lambda *a: pytest.fail("built the scheme"))
+    assert main(["run-scheme", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scheme {argv[0]} does not take {flag}\n"
 
 
 def test_run_scheme_cases_cover_every_scheme():

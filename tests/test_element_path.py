@@ -496,9 +496,9 @@ def test_path_first_product_is_the_transposed_register_order_product(case):
     want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
     assert_bit_equal(got, want)
     assert got.base is None and not got.flags.writeable  # so a PureState adopts it
-    cut, _ = schemes._plan(scheme, (), lead.position)
-    # the product is the buffer itself only without a cut or a move
-    assert (got is products[0]) == (cut is None and lead is register)
+    # the product is written into a fresh buffer, never adopted as it
+    assert len(products) == 1 and got is not products[0]
+    assert not np.shares_memory(got, products[0])
 
 
 # ------------------------------------------------------------ occupancy

@@ -13,6 +13,7 @@ numpy, since every command pays for its imports.
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -165,7 +166,10 @@ def test_every_public_name_is_read_outside_the_re_exports():
 def loaded_modules(*imports: str) -> set[str]:
     """The modules a fresh interpreter holds after importing ``imports``."""
     code = f"import sys{''.join(', ' + name for name in imports)}; print(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 

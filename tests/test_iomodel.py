@@ -1,5 +1,5 @@
 """Pulse integrator: frozen references, an independent frequency-domain
-oracle, unitarity, adiabatic formulas, and grid/waveform validation."""
+oracle, unitarity, adiabatic formulas, and grid validation."""
 
 import warnings
 
@@ -14,7 +14,6 @@ from cavnet.errors import (
     DegenerateCouplingError,
     NumericalBlowupError,
     ParameterError,
-    ShapeError,
 )
 from cavnet.iomodel import (
     PulseParams,
@@ -224,7 +223,7 @@ def test_output_fields_obey_boundary_relations():
     assert np.abs(res.f_R_out - np.sqrt(k) * res.c_R).max() < 1e-14
 
 
-# ----------------------------------------------------- custom grids, waveforms
+# ------------------------------------------------------------------ custom grids
 
 
 def test_custom_grid_step_guard():
@@ -264,12 +263,15 @@ def test_step_budget_rejects_before_sampling(monkeypatch):
     params = matched(1.0)
     grid = default_grid(params)
     monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps - 1)
+    gaussian = io.gaussian_input
 
-    def waveform(t):
-        raise AssertionError("sampled a waveform over the step budget")
+    def refuse(tau):
+        raise AssertionError("sampled the drive over the step budget")
 
+    monkeypatch.setattr(io, "gaussian_input", refuse)
     with pytest.raises(ParameterError, match=str(grid.n_steps)):
-        integrate_pulse(params, grid=grid, waveform=waveform)
+        integrate_pulse(params, grid=grid)
+    monkeypatch.setattr(io, "gaussian_input", gaussian)
     monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps)
     assert integrate_pulse(params, grid=grid).P_flip > 0.0
 
@@ -315,40 +317,6 @@ def test_sweep_step_total_is_checked_before_integrating(monkeypatch):
     assert calls == []
     monkeypatch.setattr(io, "MAX_SWEEP_STEPS", 3 * steps)
     assert len(flip_probability_sweep([1.0], [1.0] * 3)) == len(calls) == 3
-
-
-def test_sampled_waveform_matches_callable():
-    params = matched(1.0, tau=1.0)
-    grid = default_grid(params)
-    times = grid.times()
-    half = np.empty(2 * grid.n_steps + 1)
-    half[0::2] = gaussian_input(1.0)(times)
-    half[1::2] = gaussian_input(1.0)((times[:-1] + times[1:]) / 2)
-    res_samples = integrate_pulse(params, grid=grid, waveform=half)
-    res_default = integrate_pulse(params, grid=grid)
-    assert abs(res_samples.P_flip - res_default.P_flip) < 1e-12
-    res_callable = integrate_pulse(params, grid=grid, waveform=gaussian_input(1.0))
-    assert abs(res_callable.P_flip - res_default.P_flip) < 1e-12
-
-
-def test_sampled_waveform_length_guard():
-    params = matched(1.0)
-    grid = default_grid(params)
-    with pytest.raises(ShapeError):
-        integrate_pulse(params, grid=grid, waveform=np.ones(grid.n_steps + 1))
-
-
-def test_non_finite_waveform_samples_are_parameter_errors():
-    params = matched(1.0)
-    grid = default_grid(params)
-    samples = np.ones(2 * grid.n_steps + 1)
-    samples[7] = np.nan
-    with pytest.raises(ParameterError, match="finite"):
-        integrate_pulse(params, grid=grid, waveform=samples)
-    with pytest.raises(ParameterError, match="finite"):
-        integrate_pulse(params, grid=grid, waveform=lambda t: np.where(t > 0, np.inf, 0.0))
-    with pytest.raises(ParameterError, match="finite"):
-        integrate_pulse(params, grid=grid, waveform=lambda t: np.full(t.shape, -np.inf + 0j))
 
 
 @pytest.mark.parametrize(

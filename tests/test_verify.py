@@ -9,6 +9,7 @@ from cavnet.qstate import (
     KIND_ATOM_LR,
     KIND_FIELD,
     KIND_PATH,
+    KIND_POL,
     PureState,
     Register,
     Subsystem,
@@ -114,6 +115,15 @@ def test_targets_need_two_qubits():
             )),
             "target construction needs two-level subsystems",
         ),
+        (
+            lambda: graph_target(Graph.path(2), kind=KIND_POL),
+            "no two-level register of kind 'pol-LR'",
+        ),
+        (
+            lambda: graph_target(Graph.path(2), kind=KIND_PATH),
+            "no two-level register of kind 'path'",
+        ),
+        (lambda: graph_target(Graph.path(2), kind="x"), "no two-level register of kind 'x'"),
     ],
 )
 def test_target_constructors_refuse_bad_arguments(call, message):
