@@ -316,24 +316,28 @@ def cmd_flip_sweep(args) -> int:
 
 
 def cmd_retry_walk(args) -> int:
+    if args.seed is not None and args.mc_trajectories is None:
+        raise ParameterError("--seed applies only with --mc-trajectories")
+    seed = 0 if args.seed is None else args.seed
     params = schemes.RetryWalkParams(
         p_flip=args.p, n_cavities=args.n, max_steps=args.max_steps
     )
-    mc = None  # run first, so its budgets refuse before the exact walk's loop
+    mc = None  # run first, so its budgets refuse before either walk runs
     if args.mc_trajectories is not None:
-        mc = schemes.retry_walk_mc(params, args.mc_trajectories, args.seed)
+        mc = schemes.retry_walk_mc(params, args.mc_trajectories, seed)
     result = schemes.retry_walk(params)
+    expected = result.expected_steps  # inf beyond the largest double; JSON has no inf
     payload = {
         "p_flip": params.p_flip,
         "n_cavities": params.n_cavities,
         "max_steps": params.max_steps,
         "success_prob": result.success_prob,
-        "expected_steps": result.expected_steps,
+        "expected_steps": expected if math.isfinite(expected) else None,
         "conditional_fidelity": result.conditional_fidelity,
     }
     if args.mc_trajectories is not None:
         payload["mc_trajectories"] = args.mc_trajectories
-        payload["seed"] = args.seed
+        payload["seed"] = seed
         payload["mc_success_prob"] = mc
     _emit_json(args.out, payload)
     return 0
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk_p.add_argument(
         "--mc-trajectories", type=int, default=None, help="Monte-Carlo cross-check size"
     )
-    walk_p.add_argument("--seed", type=int, default=0)
+    walk_p.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed (default 0)")
     walk_p.add_argument("--out", default=None, help="write output to a file")
     walk_p.set_defaults(func=cmd_retry_walk)
     return parser

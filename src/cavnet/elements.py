@@ -90,8 +90,8 @@ def field_pi_block_unitary() -> np.ndarray:
     Basis order (atom, field): ``g0, g1, e0, e1``.  ``|g,1> -> |e,0>`` and
     ``|e,0> -> -|g,1>``; ``|g,0>`` is untouched.  The doubly excited
     ``|e,1>`` column is formally the identity, but schemes refuse to apply
-    the block when that sector is populated (see
-    :func:`cavnet.schemes.propagate`).
+    the block when that sector is populated (see ``cavnet.schemes._GUARDS``,
+    checked in ``_propagated``).
     """
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0] = 1.0

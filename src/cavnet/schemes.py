@@ -64,19 +64,16 @@ FLYER_PURITY_ATOL = 1e-9
 # Most walkers retry_walk_mc accepts, 10x the README's 1M-walker example: at
 # 18 bytes of buffers per walker this caps one call near 180 MB.
 MAX_MC_TRAJECTORIES = 10_000_000
-# Most cavities RetryWalkParams accepts; retry_walk builds a dense
-# (n+2) x (n+2) transition matrix, about 8 MB at this cap.
+# Most cavities RetryWalkParams accepts; retry_walk_mc keeps positions in
+# int16, and one step of retry_walk touches each of the n + 2 positions.
 MAX_WALK_CAVITIES = 1_000
 # Most steps RetryWalkParams accepts, 10x the default budget: both walks
 # loop over steps in Python, and one step of retry_walk at MAX_WALK_CAVITIES
-# takes about 0.3 ms, so this caps that loop near 30 s.
+# takes about 3 us (2-vCPU Xeon), so this caps that loop near 0.3 s.
 MAX_WALK_STEPS = 100_000
 # Most walkers x max_steps retry_walk_mc accepts, 1M walkers for the default 10,000
 # steps: at ~12 ns per walker step (2-vCPU Xeon) this caps one call near 2 minutes.
 MAX_MC_WALKER_STEPS = 10**10
-# Most (n + 2)**2 x max_steps either walk accepts, the work of retry_walk's dense
-# steps: the default 10,000 steps at MAX_WALK_CAVITIES, 2-8 s on a 2-vCPU Xeon.
-MAX_WALK_CELL_STEPS = (MAX_WALK_CAVITIES + 2) ** 2 * 10_000
 
 
 @dataclass(frozen=True)
@@ -1051,52 +1048,41 @@ class RetryWalkResult:
     conditional_fidelity: float
 
 
-def _walk_matrix(params: RetryWalkParams) -> np.ndarray:
-    n, p = params.n_cavities, params.p_flip
-    m = np.zeros((n + 2, n + 2))
-    m[0, 1] = 1.0
-    for j in range(1, n + 1):
-        m[j, j + 1] = p
-        m[j, j - 1] = 1.0 - p
-    m[n + 1, n + 1] = 1.0
-    return m
-
-
-def _refuse_long_walk(params: RetryWalkParams) -> None:
-    cells = (params.n_cavities + 2) ** 2 * params.max_steps
-    if cells > MAX_WALK_CELL_STEPS:
-        raise ParameterError(
-            f"(n + 2)**2 x max_steps = {cells} for {params.n_cavities} cavities and "
-            f"{params.max_steps} steps exceeds MAX_WALK_CELL_STEPS = {MAX_WALK_CELL_STEPS}"
-        )
-
-
 def retry_walk(params: RetryWalkParams) -> RetryWalkResult:
     """Success probability within ``max_steps`` and the mean step count.
 
-    ``success_prob`` iterates the chain's distribution; ``expected_steps``
-    solves the linear hitting-time system and so refers to the unlimited
-    walk (finite for every ``p_flip > 0``).  A detected photon has made
-    exactly the intended sequence of net forward flips, so the conditional
-    fidelity of the delivered state is 1 identically: wrong turns cost
-    time, never quality.
+    ``success_prob`` steps the chain's distribution in place: each cavity
+    sends ``p`` of its mass forward and ``q = 1 - p`` back, and the source
+    sends all of its mass to cavity 1.  ``expected_steps`` refers to the
+    unlimited walk: it sums the mean times ``E_k`` from cavity ``k`` to
+    ``k + 1``, ``E_k = (1 + q E_{k-1}) / p`` from ``E_0 = 1`` (Norris,
+    *Markov Chains*, 1997, sec. 1.3), whose terms are all positive, so
+    nothing cancels; a mean beyond the largest double is ``inf``.  A
+    detected photon has made exactly the intended sequence of net forward
+    flips, so the conditional fidelity of the delivered state is 1
+    identically: wrong turns cost time, never quality.
     """
-    _refuse_long_walk(params)
-    m = _walk_matrix(params)
-    n = params.n_cavities
+    n, p = params.n_cavities, params.p_flip
+    q = 1.0 - p
     dist = np.zeros(n + 2)
     dist[1] = 1.0
     for _ in range(params.max_steps):
-        dist = dist @ m
+        forward = p * dist[1:-1]
+        source = dist[0]
+        np.multiply(dist[1:-1], q, out=dist[:-2])  # cavities 1..n send q back
+        dist[-2] = 0.0  # the detector sends nothing back to cavity n
+        dist[1] += source
+        dist[2:] += forward
         if dist[n + 1] >= 1.0 - 1e-15:
             break
-    success = float(dist[n + 1])
 
-    transient = m[: n + 1, : n + 1]
-    times = np.linalg.solve(np.eye(n + 1) - transient, np.ones(n + 1))
+    expected, hop = 0.0, 1.0
+    for _ in range(n):
+        hop = (1.0 + q * hop) / p
+        expected += hop
     return RetryWalkResult(
-        success_prob=success,
-        expected_steps=float(times[1]),
+        success_prob=float(dist[n + 1]),
+        expected_steps=expected,
         conditional_fidelity=1.0,
     )
 
@@ -1106,12 +1092,12 @@ def retry_walk_mc(
 ) -> float:
     """Monte-Carlo estimate of ``success_prob`` over independent walkers.
 
-    More than ``MAX_MC_TRAJECTORIES`` walkers, more than
-    ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps``, or a walk
-    :func:`retry_walk` refuses raise a parameter error, in that order,
-    before any buffer is allocated.  The walk stops early once no live
-    walker can reach the detector in the steps left (the farthest position
-    plus the steps left is at most ``n``): the estimate is then final.
+    More than ``MAX_MC_TRAJECTORIES`` walkers or more than
+    ``MAX_MC_WALKER_STEPS`` walkers times ``params.max_steps`` raise a
+    parameter error, in that order, before any buffer is allocated.  The
+    walk stops early once no live walker can reach the detector in the
+    steps left (the farthest position plus the steps left is at most
+    ``n``): the estimate is then final.
     """
     if trajectories < 1:
         raise ParameterError("need at least one trajectory")
@@ -1126,7 +1112,6 @@ def retry_walk_mc(
             f"{trajectories} trajectories x {params.max_steps} steps exceed "
             f"MAX_MC_WALKER_STEPS = {MAX_MC_WALKER_STEPS}"
         )
-    _refuse_long_walk(params)
     rng = np.random.default_rng(seed)
     n, p = params.n_cavities, params.p_flip
     # The live walkers are the prefix pos[:live], kept in their original order,

@@ -620,6 +620,37 @@ def test_main_callable_in_process(capsys):
     assert payload["expected_steps"] == 3.0
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["--p", "1e-17", "--n", "1"], '"expected_steps": 2e+17,'),
+        # means beyond the largest double, which JSON cannot hold
+        (["--p", "1e-320", "--n", "4"], '"expected_steps": null,'),
+        (["--p", "0.01", "--n", "1000"], '"expected_steps": null,'),
+    ],
+    ids=["p-1e-17", "p-1e-320", "p-0.01-n-1000"],
+)
+def test_retry_walk_mean_is_exact_or_null_for_tiny_p(argv, line, capsys):
+    assert main(["retry-walk", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"  {line}" in captured.out.splitlines()
+
+
+def test_retry_walk_seed_needs_mc_trajectories(capsys):
+    for seed in ("-3", "0"):
+        assert main(["retry-walk", "--p", "0.5", "--n", "4", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed applies only with --mc-trajectories\n"
+    walk = ["retry-walk", "--p", "0.5", "--n", "4", "--mc-trajectories", "50"]
+    assert main(walk) == 0
+    unseeded = capsys.readouterr().out
+    assert json.loads(unseeded)["seed"] == 0
+    assert main([*walk, "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
 # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD (malloc.h), set to the bytes of the
 # largest state vector the budget admits (16 per complex amplitude) and twice that
 MALLOPT_CALLS = [(-3, qstate.MAX_TOTAL_DIM * 16), (-1, 2 * qstate.MAX_TOTAL_DIM * 16)]
@@ -851,6 +882,8 @@ graph_files = (graph_documents | json_values).map(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=fuzz_argv(), graph_bytes=graph_files)
+@example(argv=["retry-walk", "--p", "1e-5", "--n", "4", "--max-steps", "10"], graph_bytes=b"")
+@example(argv=["retry-walk", "--p", "1e-17", "--n", "1", "--max-steps", "10"], graph_bytes=b"")
 def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
     argv, graph_bytes, tmp_path, monkeypatch, capsys
 ):
@@ -869,9 +902,34 @@ def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
         code = main(argv)
     except SystemExit as exc:  # argparse refusing the command line
         code = exc.code
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3), (argv, err)
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, captured.err)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        outs = [value for flag, value in zip(argv, argv[1:]) if flag == "--out"]
+        text = Path(outs[-1]).read_text() if outs else captured.out
+        check_fuzzed_output(argv[0], text)
+
+
+def check_fuzzed_output(command, text):
+    """The output parses as CSV or JSON, every number in it is finite, and a
+    retry walk's mean is ``null`` or at least one step per cavity."""
+    if command == "flip-sweep":
+        header, *rows = text.splitlines()
+        assert header == "g_over_kappa,kappa_tau,P_flip" and rows
+        numbers = [float(cell) for row in rows for cell in row.split(",")]
+    else:
+        numbers = []
+
+        def number(literal):  # every JSON number, NaN and Infinity included
+            numbers.append(float(literal))
+            return numbers[-1]
+
+        doc = json.loads(text, parse_int=number, parse_float=number, parse_constant=number)
+        if command == "retry-walk":
+            mean = doc["expected_steps"]
+            assert mean is None or mean >= doc["n_cavities"], mean
+    assert all(math.isfinite(x) for x in numbers)
 
 
 def test_dump_json_formatting():

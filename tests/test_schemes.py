@@ -1,6 +1,9 @@
 """Scheme builders, the measurement loop, meshes, and the retry walk."""
 
 import dataclasses
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -697,26 +700,71 @@ def test_propagate_upto_prefix():
 
 
 def expected_steps_oracle(p, n):
-    """Reflecting-origin hitting time: closed form via step differences."""
-    if p == 1.0:
-        return float(n)
-    r = (1.0 - p) / p
-    if p == 0.5:
-        return float(n * (n + 2))
-    total = 0.0
-    for k in range(1, n + 1):
-        total += r**k + (r**k - 1.0) / (p * (r - 1.0))
+    """Reflecting-origin hitting time, exactly: closed form via step differences."""
+    p = Fraction(p)
+    if p == 1:
+        return Fraction(n)
+    if p == Fraction(1, 2):
+        return Fraction(n * (n + 2))
+    r = (1 - p) / p
+    return sum(r**k + (r**k - 1) / (p * (r - 1)) for k in range(1, n + 1))
+
+
+def expected_steps_recurrence(p, n):
+    """``E_1 + ... + E_n`` with ``E_k = (1 + q E_{k-1}) / p`` and ``E_0 = 1``, exactly."""
+    p = Fraction(p)
+    hop, total = Fraction(1), Fraction(0)
+    for _ in range(n):
+        hop = (1 + (1 - p) * hop) / p
+        total += hop
     return total
 
 
 def test_retry_walk_expected_steps_closed_form():
-    for p in (0.5, 0.6, 0.8, 0.95, 1.0):
-        for n in (1, 2, 4, 8):
-            res = retry_walk(RetryWalkParams(p_flip=p, n_cavities=n))
-            assert res.expected_steps == pytest.approx(
-                expected_steps_oracle(p, n), rel=1e-12
-            )
+    for p in (1e-3, 0.1, 0.3, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0):
+        for n in (1, 2, 4, 8, 30, 100, 120):
+            exact = expected_steps_recurrence(p, n)
+            assert exact == expected_steps_oracle(p, n)
+            res = retry_walk(RetryWalkParams(p_flip=p, n_cavities=n, max_steps=n))
+            if exact > sys.float_info.max:  # only p = 1e-3 at n = 120
+                assert res.expected_steps == math.inf
+            else:
+                assert res.expected_steps == pytest.approx(float(exact), rel=1e-12)
             assert res.conditional_fidelity == 1.0
+
+
+def exact_success_prob(p, n, max_steps):
+    """The walk's absorbed mass after ``max_steps`` steps, as an exact rational.
+
+    ``p = a / d`` exactly, so after ``t`` steps every mass times ``d**t`` is an
+    integer: cavities send ``a`` forward and ``d - a`` back, the source and
+    the detector keep all ``d``.
+    """
+    a, d = p.as_integer_ratio()
+    mass = [0] * (n + 2)
+    mass[1] = 1
+    for _ in range(max_steps):
+        step = [0] * (n + 2)
+        step[1] += d * mass[0]
+        step[n + 1] += d * mass[n + 1]
+        for j in range(1, n + 1):
+            step[j + 1] += a * mass[j]
+            step[j - 1] += (d - a) * mass[j]
+        mass = step
+    return Fraction(mass[n + 1], d**max_steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True) | st.floats(1e-12, 1e-3),
+    st.integers(1, 12),
+    st.integers(1, 200),
+)
+def test_retry_walk_success_prob_matches_the_exact_walk(p, n, max_steps):
+    # the float walk may stop once 1 - 1e-15 is absorbed; the exact one never does
+    res = retry_walk(RetryWalkParams(p_flip=p, n_cavities=n, max_steps=max_steps))
+    exact = float(exact_success_prob(p, n, max_steps))
+    assert res.success_prob == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
 
 def test_retry_walk_success_prob_monotone_in_budget():
@@ -769,32 +817,6 @@ def test_retry_walk_budgets_refuse_before_allocating(monkeypatch):
         RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
 
 
-def test_walk_cell_budget_refuses_before_either_walk(monkeypatch):
-    # (n + 2)**2 x max_steps: 16 x 5 = 80 for two cavities and five steps
-    monkeypatch.setattr(schemes, "MAX_WALK_CELL_STEPS", 80)
-    at_limit = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=5)
-    assert 0.0 < retry_walk(at_limit).success_prob <= 1.0
-    assert 0.0 <= retry_walk_mc(at_limit, 3, seed=1) <= 1.0
-
-    def refuse(*args):
-        raise AssertionError("a walk started")
-
-    monkeypatch.setattr(schemes, "_walk_matrix", refuse)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    longer = RetryWalkParams(p_flip=0.5, n_cavities=2, max_steps=6)
-    message = (
-        "(n + 2)**2 x max_steps = 96 for 2 cavities and 6 steps exceeds MAX_WALK_CELL_STEPS = 80"
-    )
-    for walk in (retry_walk, lambda p: retry_walk_mc(p, 3, seed=1)):
-        with pytest.raises(ParameterError) as info:
-            walk(longer)
-        assert str(info.value) == message
-    # the walker budgets keep their own messages: they are checked first
-    monkeypatch.setattr(schemes, "MAX_MC_WALKER_STEPS", 12)
-    with pytest.raises(ParameterError, match="MAX_MC_WALKER_STEPS = 12"):
-        retry_walk_mc(longer, 3, seed=1)
-
-
 def full_walk_mc(params, trajectories, seed):
     """``retry_walk_mc``'s walk run for every step until no walker is live."""
     rng = np.random.default_rng(seed)
@@ -843,11 +865,6 @@ def test_mc_walk_stops_once_no_walker_can_reach_the_detector(monkeypatch):
     monkeypatch.undo()
     assert estimate == full_walk_mc(params, 1_000, 3) == 0.0
     assert 340 <= len(draws) < 400
-
-
-def test_walk_cell_budget_admits_the_default_steps_at_the_cavity_cap():
-    at_cap = RetryWalkParams(p_flip=0.5, n_cavities=schemes.MAX_WALK_CAVITIES)
-    assert (at_cap.n_cavities + 2) ** 2 * at_cap.max_steps == schemes.MAX_WALK_CELL_STEPS
 
 
 @pytest.mark.parametrize(
