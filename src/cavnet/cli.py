@@ -256,9 +256,9 @@ def _load_graph(path: str) -> Graph:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ParameterError(f"cannot read graph file {path}: {exc}")
+        raise ParameterError(f"cannot read graph file: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-        raise ParameterError(f"graph file {path} is not valid JSON: {exc}")
+        raise ParameterError(f"graph file is not valid JSON: {exc}")
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ParameterError(
             'graph file must be {"vertices": int, "edges": [[u,v], ...]}'
@@ -281,14 +281,18 @@ def _build_scheme(args) -> schemes.Scheme:
         if getattr(args, flag) is not None and flag not in takes:
             raise ParameterError(f"scheme {args.scheme} does not take --{flag}")
     builder = getattr(schemes, name)
-    if args.scheme == "graph":  # build_field_graph refuses both or neither
-        graph = None if args.graph is None else _load_graph(args.graph)
-        return builder(args.kind, args.n, graph)
-    if "n" in takes:
-        if args.n is None:
-            raise ParameterError(f"scheme {args.scheme} requires --n")
+    if not takes:
+        return builder()
+    if args.n is None and args.graph is None:
+        raise ParameterError(f"scheme {args.scheme} requires --n")
+    try:
+        if args.scheme == "graph":  # build_field_graph refuses both or neither
+            graph = None if args.graph is None else _load_graph(args.graph)
+            return builder(args.kind, args.n, graph)
         return builder(args.n)
-    return builder()
+    except ParameterError as exc:  # name the flags given, which the library does not know
+        given = " ".join(f"--{f} {getattr(args, f)}" for f in takes if getattr(args, f) is not None)
+        raise ParameterError(f"{given}: {exc}") from None
 
 
 def cmd_run_scheme(args) -> int:
@@ -326,19 +330,11 @@ def cmd_retry_walk(args) -> int:
     if args.mc_trajectories is not None:
         mc = schemes.retry_walk_mc(params, args.mc_trajectories, seed)
     result = schemes.retry_walk(params)
-    expected = result.expected_steps  # inf beyond the largest double; JSON has no inf
-    payload = {
-        "p_flip": params.p_flip,
-        "n_cavities": params.n_cavities,
-        "max_steps": params.max_steps,
-        "success_prob": result.success_prob,
-        "expected_steps": expected if math.isfinite(expected) else None,
-        "conditional_fidelity": result.conditional_fidelity,
-    }
+    payload = {**vars(params), **vars(result)}
+    if not math.isfinite(result.expected_steps):  # inf beyond the largest double; JSON has no inf
+        payload["expected_steps"] = None
     if args.mc_trajectories is not None:
-        payload["mc_trajectories"] = args.mc_trajectories
-        payload["seed"] = seed
-        payload["mc_success_prob"] = mc
+        payload.update(mc_trajectories=args.mc_trajectories, seed=seed, mc_success_prob=mc)
     _emit_json(args.out, payload)
     return 0
 

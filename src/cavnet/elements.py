@@ -185,30 +185,24 @@ class CavityAtomBlock:
 
 
 @dataclass(frozen=True)
-class FieldPiBlock:
+class _FieldPass:
+    """A flying ladder atom's pass through a field cavity, in the arm ``port`` if given."""
+
+    atom: str
+    field: str
+    port: int | None = None
+
+
+class FieldPiBlock(_FieldPass):
     """Resonant pi pass of the flying ladder atom through a field cavity."""
 
-    atom: str
-    field: str
-    port: int | None = None
 
-
-@dataclass(frozen=True)
-class FieldHalfPiBlock:
+class FieldHalfPiBlock(_FieldPass):
     """Resonant half-pi pass (entangling 45-degree rotation)."""
 
-    atom: str
-    field: str
-    port: int | None = None
 
-
-@dataclass(frozen=True)
-class DispersiveBlock:
+class DispersiveBlock(_FieldPass):
     """Far-detuned pass imprinting a conditional pi phase."""
-
-    atom: str
-    field: str
-    port: int | None = None
 
 
 @dataclass(frozen=True)

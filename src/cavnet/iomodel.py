@@ -53,7 +53,7 @@ MAX_STEPS = 4_000_000
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
 MAX_SWEEP_POINTS = 10_000
 # Most RK4 steps summed over a sweep's points, 11x the golden sweep's
-# 3,449,430: about 4-5 s at ~110 ns per step (2-vCPU Xeon), and it admits
+# 3,449,430: about 2 s at 32-45 ns per step (2-vCPU Xeon), and it admits
 # any one point that MAX_STEPS admits.
 MAX_SWEEP_STEPS = 10 * MAX_STEPS
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
@@ -400,7 +400,7 @@ def flip_probability_sweep(
         raise ParameterError("need at least one g and one tau value")
     if len(gs) * len(taus) > MAX_SWEEP_POINTS:
         raise ParameterError(
-            f"sweep of {len(gs)} x {len(taus)} points exceeds "
+            f"sweep of {len(gs)} g x {len(taus)} tau values exceeds "
             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
         )
     for g in gs:  # PulseParams accepts g = 0, a sweep does not

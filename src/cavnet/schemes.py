@@ -29,7 +29,7 @@ render the documented JSON shape used by the command line front end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,7 +72,7 @@ MAX_WALK_CAVITIES = 1_000
 # takes about 3 us (2-vCPU Xeon), so this caps that loop near 0.3 s.
 MAX_WALK_STEPS = 100_000
 # Most walkers x max_steps retry_walk_mc accepts, 1M walkers for the default 10,000
-# steps: at ~12 ns per walker step (2-vCPU Xeon) this caps one call near 2 minutes.
+# steps: at ~2.3 ns per walker step (2-vCPU Xeon) this caps one call near 25 s.
 MAX_MC_WALKER_STEPS = 10**10
 
 
@@ -126,13 +126,14 @@ class OutcomeReport:
 # and bounds the slabs and columns each may find nonzero; :func:`run` checks
 # the outcome declarations before it propagates.
 #
-# Why the bounds keep the bytes: every zero of the initial product is +0.0,
-# whatever the factors' signs (:func:`qstate._factor_product`); a slab move
-# writes ``src + 0.0`` or ``0.0 - src``; and a full chunk of +0.0 columns
-# multiplies to +0.0.  So what the plan skips holds +0.0, as it would if
-# every element acted on the whole buffer, and a cut guard sums the same
-# nonzero amplitudes in another order.  A left-out element keeps a zero's
-# sign where running it could write -0.0 (a splitter on 2 or 3 columns).
+# Why the bounds keep the values, and the bytes of every builder: every zero
+# of the initial product is +0.0, whatever the factors' signs
+# (:func:`qstate._factor_product`); a slab move writes ``src + 0.0`` or
+# ``0.0 - src``; and a full chunk of +0.0 columns multiplies to +0.0.  So
+# what the plan skips holds +0.0, as it would if every element acted on the
+# whole buffer, and a cut guard sums the same nonzero amplitudes in another
+# order.  On a hand-wired scheme a left-out element keeps a zero's +0.0 where
+# running it could write -0.0 (OpenBLAS, a splitter on 2 or 3 columns).
 
 
 _ATOL = el.ELEMENT_UNITARY_ATOL
@@ -397,9 +398,9 @@ def _propagated(scheme: Scheme, upto: int | None = None) -> np.ndarray:
     in.  The elements the plan keeps then act in place, each bounded by the
     boxes of the ports it acts on (:func:`_apply_op`) and each guard
     checked on its plan's sector just before its element, its refusal
-    prefixed by :func:`_where`.  The bytes are those of every element
-    acting on the whole buffer (see the comment above ``_ATOL``).  The
-    buffer owns its memory, so a :class:`PureState` adopts it as it is.
+    prefixed by :func:`_where`.  The values, and every builder's bytes, are
+    those of every element acting on the whole buffer (see above ``_ATOL``).
+    The buffer owns its memory, so a :class:`PureState` adopts it as it is.
     """
     register = scheme.register
     lead = _path_first(register)
@@ -425,7 +426,8 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 
     :func:`_propagated` runs the elements on its path-first buffer, which
     is then transposed into a fresh register-order array and frozen into a
-    :class:`PureState` (its norm checked) once.
+    :class:`PureState` (its norm checked) once.  Its values, and for every
+    builder its bytes, are those of every element acting on the whole state.
     """
     register = scheme.register
     lead = _path_first(register)
@@ -1100,7 +1102,7 @@ def retry_walk_mc(
     ``n``): the estimate is then final.
     """
     if trajectories < 1:
-        raise ParameterError("need at least one trajectory")
+        raise ParameterError(f"need at least one trajectory, got {trajectories}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if trajectories > MAX_MC_TRAJECTORIES:
@@ -1143,22 +1145,12 @@ def retry_walk_mc(
 # serialization
 
 
-def _element_to_jsonable(item: el.Element) -> dict:
-    out: dict = {"type": type(item).__name__}
-    for f in dataclass_fields(item):
-        value = getattr(item, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def scheme_to_jsonable(scheme: Scheme) -> dict:
     initial = [{"subsystems": list(labels), "state": state} for labels, state in scheme.initial]
     return {
         "name": scheme.name,
         "n": scheme.n,
-        "elements": [_element_to_jsonable(item) for item in scheme.elements],
+        "elements": [{"type": type(item).__name__, **vars(item)} for item in scheme.elements],
         "initial": initial,
     }
 

@@ -35,14 +35,8 @@ from .qstate import (
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
 _PAULI = {op: qstate._Block(m, qstate.UNITARY_ATOL) for op, m in (("X", _X), ("Z", _Z))}
-_KIND_BY_LABEL = {
-    "L": KIND_ATOM_LR,
-    "R": KIND_ATOM_LR,
-    "0": KIND_FIELD,
-    "1": KIND_FIELD,
-    "g": KIND_ATOM_GE,
-    "e": KIND_ATOM_GE,
-}
+# The kinds a target register may have, each with its subsystems' label prefix.
+_TARGET_PREFIX = {KIND_ATOM_LR: "atom", KIND_ATOM_GE: "atom", KIND_FIELD: "field"}
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,7 @@ def _two_level_register(n: int, kind: str, register: Register | None) -> Registe
             if sub.dim != 2:
                 raise ShapeError("target construction needs two-level subsystems")
         return register
-    prefix = {KIND_ATOM_LR: "atom", KIND_FIELD: "field", KIND_ATOM_GE: "atom"}.get(kind)
+    prefix = _TARGET_PREFIX.get(kind)
     if prefix is None:
         raise ParameterError(f"no two-level register of kind {kind!r}")
     return Register(Subsystem(f"{prefix}{i + 1}", kind) for i in range(n))
@@ -201,10 +195,9 @@ def ghz_target(
         raise ParameterError("ghz_target needs n >= 2")
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    try:
-        kind = _KIND_BY_LABEL[zero_label]
-    except KeyError:
-        raise ParameterError(f"unknown basis label {zero_label!r}") from None
+    kind = next((k for k in _TARGET_PREFIX if zero_label in qstate._TWO_LEVEL_LABELS[k]), None)
+    if kind is None:
+        raise ParameterError(f"unknown basis label {zero_label!r}")
     register = _two_level_register(n, kind, register)
     lead = register.subsystems[0].index_of(zero_label)
     amps = np.zeros(register.total_dim, dtype=complex)

@@ -27,6 +27,7 @@ from cavnet.cli import (
     _dump_amplitudes,
     _emit,
     _parse_tau_range,
+    build_parser,
     dump_json,
     main,
 )
@@ -771,7 +772,7 @@ def test_oversized_n_is_refused_before_any_subsystem_or_graph(argv, tmp_path, mo
     assert main(["run-scheme", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith("error: register dimension 2**")
+    assert captured.err.startswith(f"error: {' '.join(argv[1:])}: register dimension 2**")
     assert "exceeds MAX_TOTAL_DIM" in captured.err
 
 
@@ -884,6 +885,14 @@ graph_files = (graph_documents | json_values).map(
 @given(argv=fuzz_argv(), graph_bytes=graph_files)
 @example(argv=["retry-walk", "--p", "1e-5", "--n", "4", "--max-steps", "10"], graph_bytes=b"")
 @example(argv=["retry-walk", "--p", "1e-17", "--n", "1", "--max-steps", "10"], graph_bytes=b"")
+@example(
+    argv=["retry-walk", "--p", "0.5", "--n", "4", "--max-steps", "9", "--mc-trajectories", "0"],
+    graph_bytes=b"",
+)
+@example(argv=["run-scheme", "graph", "--kind", "ring", "--n", "2"], graph_bytes=b"")
+@example(argv=["run-scheme", "graph"], graph_bytes=b"")
+@example(argv=["run-scheme", "cluster", "--n", "7"], graph_bytes=b"")
+@example(argv=["run-scheme", "graph", "--graph", "{graph}"], graph_bytes=b'{"vertices": 0, "edges": []}')
 def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
     argv, graph_bytes, tmp_path, monkeypatch, capsys
 ):
@@ -909,6 +918,42 @@ def test_fuzzed_command_lines_exit_0_2_or_3_without_traceback(
         outs = [value for flag, value in zip(argv, argv[1:]) if flag == "--out"]
         text = Path(outs[-1]).read_text() if outs else captured.out
         check_fuzzed_output(argv[0], text)
+    if code == 2:
+        check_fuzzed_refusal(argv, captured.err)
+
+
+# A retry walk run without --max-steps refuses its default step count under FUZZ_BUDGETS.
+DEFAULT_MAX_STEPS = str(build_parser().parse_args(["retry-walk", "--p", "1", "--n", "1"]).max_steps)
+
+
+def check_fuzzed_refusal(argv, err):
+    """One ``error:`` line, naming a flag of the command or a value the command line gave.
+
+    A flag is named as ``--g`` or ``g``, a value by a token of the message
+    (numbers compare as floats), but a word value only in quotes: ``ring``
+    in "a ring needs ..." is prose.
+    """
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    message = lines[0].split("error:", 1)[1]
+    tokens = {token.strip(",;:()[]") for token in message.split()}
+    flags = {name for flag in FUZZ_FLAGS[argv[0]] for name in (flag, flag[2:])}
+    values = {arg for arg in argv[1:] if arg} | {DEFAULT_MAX_STEPS}
+    words = {value for value in values if value.isalpha() and as_float(value) is None}
+    numbers = {as_float(value) for value in values} - {None}
+    assert (
+        flags & tokens
+        or (values - words) & tokens
+        or any(f"'{word}'" in message for word in words)
+        or any(as_float(token) in numbers for token in tokens)
+    ), (argv, message)
+
+
+def as_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def check_fuzzed_output(command, text):

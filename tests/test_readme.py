@@ -1,0 +1,31 @@
+"""The README's examples stay true: its command lines parse, and its library snippet runs."""
+
+import re
+import shlex
+from pathlib import Path
+
+from cavnet.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def fenced(language):
+    """The bodies of the README's fenced blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.S | re.M)
+
+
+def test_every_readme_command_line_parses():
+    block = next(body for body in fenced("sh") if "cavnet run-scheme" in body)
+    lines = [line for line in block.splitlines() if line.startswith("cavnet ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])  # argparse exits 2 on a bad line
+        assert args.func is not None, line
+
+
+def test_the_readme_library_snippet_runs(capsys):
+    snippet = next(body for body in fenced("python") if "from cavnet import" in body)
+    exec(compile(snippet, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["D1", "D2"]

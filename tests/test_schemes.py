@@ -869,7 +869,7 @@ def test_mc_walk_stops_once_no_walker_can_reach_the_detector(monkeypatch):
 
 @pytest.mark.parametrize(
     "trajectories,seed,message",
-    [(0, 1, "need at least one trajectory"), (-3, 1, "need at least one trajectory"),
+    [(0, 1, "need at least one trajectory, got 0"), (-3, 1, "need at least one trajectory, got -3"),
      (5, -1, "seed must be non-negative, got -1")],
 )
 def test_retry_walk_mc_refuses_no_walkers_and_a_negative_seed(trajectories, seed, message):
