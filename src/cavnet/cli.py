@@ -22,7 +22,7 @@ import numpy as np
 from . import iomodel, qstate, schemes
 from .errors import CavnetError, ParameterError
 from .iomodel import format_float
-from .verify import Graph
+from .verify import GRAPH_FAMILIES, Graph
 
 # run-scheme name -> (builder in cavnet.schemes, the flags it takes).  The
 # builder is looked up when the command runs, so a wrapped builder is called.
@@ -228,12 +228,9 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 def _parse_tau_range(raw: str) -> list[float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ParameterError(f"--tau-range expects start:stop:count, got {raw!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+    try:  # a field too many or too few is a ValueError of the unpacking
+        start_text, stop_text, count_text = raw.split(":")
+        start, stop, count = float(start_text), float(stop_text), int(count_text)
     except ValueError:
         raise ParameterError(f"--tau-range expects start:stop:count, got {raw!r}")
     if not (0 < start < math.inf and 0 < stop < math.inf) or count < 1:
@@ -351,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n", type=int, default=None, help="register size")
     run_p.add_argument(
         "--kind",
-        choices=("star", "linear", "ring"),
+        choices=tuple(GRAPH_FAMILIES),
         default=None,
         help="named graph family for the graph scheme",
     )

@@ -292,37 +292,25 @@ def product_state(register: Register, labels: Sequence[str | int]) -> PureState:
     return PureState(register, amps)
 
 
-def from_factors(
-    register: Register, factors: Sequence[tuple[Sequence[str], np.ndarray]]
-) -> PureState:
-    """Build a state as a tensor product of amplitude factors.
+def _factor_product(
+    register: Register, factors, cut: Sequence[slice] | None = None
+) -> np.ndarray:
+    """A tensor product of amplitude factors in register order, as a fresh writable array.
 
     Each factor covers one or more *consecutive* register subsystems (given
     by label) and supplies an amplitude vector over their joint basis; the
     factors must tile the register in order.  This is how schemes express
     initial conditions that are not plain product basis states, e.g. a
-    ``(|0,g> + |1,e>)/sqrt(2)`` cavity-atom pair.  The product and its
-    checks are :func:`_factor_product`'s.
-    """
-    vec = _factor_product(register, factors)
-    vec.setflags(write=False)
-    return PureState(register, vec)
+    ``(|0,g> + |1,e>)/sqrt(2)`` cavity-atom pair.  The factors multiply in
+    register order, each from the right of the product so far; adding 0.0
+    makes each zero +0.0, whatever the signs.
 
-
-def _factor_product(
-    register: Register, factors, cut: Sequence[slice] | None = None
-) -> np.ndarray:
-    """:func:`from_factors`'s amplitudes in register order, as a fresh writable array.
-
-    The factors multiply in register order, each from the right of the
-    product so far; adding 0.0 makes each zero +0.0, whatever the signs.
     ``cut``, one slice per subsystem in register order, bounds the entries
     that may be nonzero: each factor is cut to it first, and the result is
     the product of the cuts over the box they span, so every amplitude in
-    it has the bits of the whole product.  The 1-D result owns its memory,
-    so once frozen a :class:`PureState` adopts it without a copy.  Refused:
-    factors that do not tile the register in order, a factor of the wrong
-    length, and a norm that is not 1 within 1e-9.
+    it has the bits of the whole product.  Refused: factors that do not
+    tile the register in order, a factor of the wrong length, and a norm
+    that is not 1 within 1e-9.
     """
     covered: list[str] = []
     flat = np.ones(1, dtype=complex)  # owns the product so far

@@ -39,7 +39,6 @@ from . import qstate, verify
 from .errors import (
     ContractViolationError,
     DegenerateCouplingError,
-    GraphError,
     InvalidConfigurationError,
     LossyWiringError,
     ParameterError,
@@ -377,7 +376,8 @@ def _factors(scheme: Scheme) -> list[tuple[tuple[str, ...], np.ndarray]]:
 
 
 def initial_state(scheme: Scheme) -> PureState:
-    return qstate.from_factors(scheme.register, _factors(scheme))
+    """The state before any element acts: :func:`propagate` over no elements."""
+    return propagate(scheme, upto=0)
 
 
 def _path_first(register: Register) -> Register:
@@ -930,15 +930,6 @@ def build_field_cz_pair() -> Scheme:
     return _scheme("field-cz", 2, entries, items, detectors, corrections, targets)
 
 
-# (atom vertex, cavity vertex) passes of each named graph kind on n vertices;
-# the passes are the graph's edges.
-_GRAPH_PASSES = {
-    "star": lambda n: [(j, 0) for j in range(1, n)],
-    "linear": lambda n: [(j, j - 1) for j in range(1, n)],
-    "ring": lambda n: [(j, j - 1) for j in range(1, n)] + [(0, n - 1)],
-}
-
-
 def build_field_graph(
     kind: str | None = None,
     n: int | None = None,
@@ -946,16 +937,16 @@ def build_field_graph(
 ) -> Scheme:
     """Graph state over cavity fields, one dispersive pass per edge.
 
-    Named kinds follow the sequential recipes: ``star`` keeps cavity 1 in
-    (|0>+|1>)/sqrt(2) and sends atom j (entangled with its own cavity j)
-    through cavity 1; ``linear`` sends atom j through cavity j-1; ``ring``
-    closes the chain by also sending atom 1 through cavity n.  An explicit
-    ``graph`` uses one cavity-atom pair per vertex and routes the
-    larger-vertex atom of every edge through the smaller vertex's cavity.
-    Measuring the atoms leaves the fields in the graph state after the
-    recorded per-field Z corrections (Z on field j when atom j reads e);
-    every one of the ``2**(measured atoms)`` outcome combinations occurs
-    with the same probability.
+    Named kinds follow the sequential recipes of :data:`verify.GRAPH_FAMILIES`:
+    ``star`` keeps cavity 1 in (|0>+|1>)/sqrt(2) and sends atom j (entangled
+    with its own cavity j) through cavity 1; ``linear`` sends atom j through
+    cavity j-1; ``ring`` closes the chain by also sending atom 1 through
+    cavity n.  An explicit ``graph`` uses one cavity-atom pair per vertex
+    and routes the larger-vertex atom of every edge through the smaller
+    vertex's cavity.  Measuring the atoms leaves the fields in the graph
+    state after the recorded per-field Z corrections (Z on field j when atom
+    j reads e); every one of the ``2**(measured atoms)`` outcome
+    combinations occurs with the same probability.
     """
     if graph is not None:
         if kind is not None or n is not None:
@@ -968,18 +959,17 @@ def build_field_graph(
     else:
         if kind is None or n is None:
             raise ParameterError("need kind and n when no explicit graph is given")
-        if kind not in _GRAPH_PASSES:
+        if kind not in verify.GRAPH_FAMILIES:
             raise ParameterError(f"unknown graph kind {kind!r}")
-        if kind == "ring" and n < 3:
-            raise GraphError("a ring needs at least 3 vertices")
-        if n < 2:
-            raise ParameterError(f"{kind} graph needs n >= 2")
         # the vertices whose atom makes a pass: all of a ring's, all but the first otherwise
         paired = range(0 if kind == "ring" else 1, n)
-        _refuse_oversized(2 * n - paired.start)  # the fields and atoms
+        _refuse_oversized(2 * n - paired.start)  # the fields and atoms, before any edge is made
+        edges = verify.family_edges(kind, n)  # refuses a ring of n < 3, which is never oversized
+        if n < 2:
+            raise ParameterError(f"{kind} graph needs n >= 2")
         scheme_name = f"graph-{kind}"
-        passes = _GRAPH_PASSES[kind](n)
-        graph = Graph(n, passes)
+        passes = [(v, u) for u, v in edges]
+        graph = Graph(n, edges)
 
     entries = [
         ("pair", Subsystem(f"field{v + 1}", KIND_FIELD), Subsystem(f"atom{v + 1}", KIND_ATOM_GE))

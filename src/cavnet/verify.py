@@ -37,6 +37,20 @@ _Z = np.diag([1.0, -1.0]).astype(complex)
 _PAULI = {op: qstate._Block(m, qstate.UNITARY_ATOL) for op, m in (("X", _X), ("Z", _Z))}
 # The kinds a target register may have, each with its subsystems' label prefix.
 _TARGET_PREFIX = {KIND_ATOM_LR: "atom", KIND_ATOM_GE: "atom", KIND_FIELD: "field"}
+# Each named graph family's edges (u, v) on n vertices, in the order of its
+# recipe: the atom of vertex v passes through the cavity of vertex u.
+GRAPH_FAMILIES = {
+    "star": lambda n: [(0, v) for v in range(1, n)],
+    "linear": lambda n: [(v - 1, v) for v in range(1, n)],
+    "ring": lambda n: [(v - 1, v) for v in range(1, n)] + [(n - 1, 0)],
+}
+
+
+def family_edges(kind: str, n: int) -> list[tuple[int, int]]:
+    """``GRAPH_FAMILIES[kind](n)``; a ring of fewer than 3 vertices is refused."""
+    if kind == "ring" and n < 3:
+        raise GraphError("a ring needs at least 3 vertices")
+    return GRAPH_FAMILIES[kind](n)
 
 
 @dataclass(frozen=True)
@@ -68,17 +82,15 @@ class Graph:
 
     @classmethod
     def path(cls, n: int) -> "Graph":
-        return cls(n, [(i, i + 1) for i in range(n - 1)])
+        return cls(n, family_edges("linear", n))
 
     @classmethod
     def star(cls, n: int) -> "Graph":
-        return cls(n, [(0, j) for j in range(1, n)])
+        return cls(n, family_edges("star", n))
 
     @classmethod
     def ring(cls, n: int) -> "Graph":
-        if n < 3:
-            raise GraphError("a ring needs at least 3 vertices")
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
+        return cls(n, family_edges("ring", n))
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,9 @@ def sector_mass(tensor, register, axis_of, assignments):
 def propagate_every_element(scheme):
     """Final register-order amplitudes of ``scheme`` with every element applied.
 
-    The buffer is :func:`schemes.initial_state` with the path axis moved to
-    the front, as ``propagate``'s is; each guard is checked and each op
+    The buffer is the uncut product of the initial factors
+    (:func:`qstate._factor_product`) with the path axis moved to the front,
+    as ``propagate``'s is; each guard is checked and each op
     applied through ``schemes._apply_op``, and no element is left out.
     """
     register = scheme.register
@@ -78,7 +79,8 @@ def propagate_every_element(scheme):
     def axis_of(label):
         return axis[register.position(label)]
 
-    tensor = schemes.initial_state(scheme).tensor_view().transpose(order).copy()
+    product = qstate._factor_product(register, schemes._factors(scheme))
+    tensor = product.reshape(register.dims).transpose(order).copy()
     for index, item in enumerate(scheme.elements):
         if isinstance(item, el.Detector):
             continue

@@ -98,31 +98,53 @@ def test_run_scheme_usage_errors(tmp_path):
     )
 
 
+EDGE_ENTRY = "edge entries must be [u, v] integer pairs, entry 0 is not"
+NOT_JSON = "graph file is not valid JSON: "
+WRONG_TYPES = "graph file fields have wrong types"
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content,message",
     [
-        b'{"vertices": 2, "edges": [[0, null]]}',
-        b'{"vertices": 2, "edges": [[0, "a"]]}',
-        b'{"vertices": 2, "edges": [[0, 1]], "name": "\xff"}',
-        b'{"vertices": 2, "edges": [[0, 1.5]]}',
-        b'{"vertices": 2, "edges": [[0, true]]}',
-        b'{"vertices": true, "edges": []}',
-        b'{"vertices": 2.0, "edges": []}',
-        b'{"vertices": 2, "edges": [[0, 1, 1]]}',
-        b"[" * 100_000,
+        (b'{"vertices": 2, "edges": [[0, null]]}', EDGE_ENTRY),
+        (b'{"vertices": 2, "edges": [[0, "a"]]}', EDGE_ENTRY),
+        (b'{"vertices": 2, "edges": [[0, 1]], "name": "\xff"}', NOT_JSON),
+        (b'{"vertices": 2, "edges": [[0, 1.5]]}', EDGE_ENTRY),
+        (b'{"vertices": 2, "edges": [[0, true]]}', EDGE_ENTRY),
+        (b'{"vertices": true, "edges": []}', WRONG_TYPES),
+        (b'{"vertices": 2.0, "edges": []}', WRONG_TYPES),
+        (b'{"vertices": 2, "edges": [[0, 1, 1]]}', EDGE_ENTRY),
+        (b"[" * 100_000, NOT_JSON),
+        (b'{"vertices": 2, "edges": [[0, 1]]', NOT_JSON),
+        (b'{"vertices": 2}', 'graph file must be {"vertices": int, "edges": [[u,v], ...]}'),
+        (b'{"vertices": 2, "edges": {"0": 1}}', WRONG_TYPES),
     ],
     ids=[
         "null-endpoint", "string-endpoint", "not-utf8", "float-endpoint",
         "bool-endpoint", "bool-vertices", "float-vertices", "triple", "deep-nesting",
+        "unclosed", "no-edges", "edges-not-a-list",
     ],
 )
-def test_malformed_graph_files_exit_two_with_one_line(content, tmp_path, capsys):
+def test_malformed_graph_files_exit_two_with_one_line(content, message, tmp_path, capsys):
     spec = tmp_path / "g.json"
     spec.write_bytes(content)
     assert main(["run-scheme", "graph", "--graph", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: --graph {spec}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name,reason", [("missing.json", "No such file or directory"), ("folder", "Is a directory")]
+)
+def test_an_unreadable_graph_file_exits_two_naming_the_reason(name, reason, tmp_path, capsys):
+    (tmp_path / "folder").mkdir()
+    spec = tmp_path / name
+    assert main(["run-scheme", "graph", "--graph", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --graph {spec}: cannot read graph file: {reason}\n"
 
 
 OUT_COMMANDS = [
@@ -408,6 +430,85 @@ def test_the_dense_reports_keep_their_bytes(argv, digest, tmp_path):
     out = tmp_path / "report.json"
     assert main(["run-scheme", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+SEED7_GRAPH = {
+    "vertices": 8,
+    "edges": [[0, 2], [0, 3], [0, 4], [0, 5], [1, 5], [1, 6], [1, 7], [2, 7], [3, 4], [3, 6]],
+}
+# sha256 of the output of each promised command the test above does not run;
+# GRAPH stands for a file holding SEED7_GRAPH (perfbench's seed-7 graph).
+PROMISED_BYTES = {
+    "flip-sweep --g 0.5,1,2,5 --tau-range 0.1:40:20":
+        "d44190824e02ce4a64e6cb5a42cbb1588caa26d1f5b08b2eebe97d7f2a404a9a",
+    "flip-sweep --g 1 --tau 2,3":
+        "157d6f9a6b840ebbc230a3a6db26453c8117711a3a7ea2d4cfe48cf25ad494c4",
+    "retry-walk --p 0.8 --n 4 --mc-trajectories 100000 --seed 7":
+        "b542e4c1a7dd0480a02f8d08180b3f0f1799c2a430c5922a887924eabab7281e",
+    "retry-walk --p 0.01 --n 1000":
+        "2eb3f39dacc019709c9f69d1ab1669654bdf610dc82e6b1d0d3ccb34f494ea02",
+    "retry-walk --p 0.8 --n 4":
+        "373692425b806360ece067466f136439249635796d1c89cf5bed9862db13a914",
+    "run-scheme graph --graph GRAPH":
+        "1fa16cc81a865885aabbaa445a4c8ba448d77ce8fad6fe3e63426988f844e687",
+    "run-scheme ghz-atoms --n 4":
+        "209c41dad1a3a59074dad335cab3f737bb169221d963c07f1de72d9107f400fb",
+    "run-scheme w --n 8":
+        "3ad323ba6495c76192100c63f04b2a1438627457ddabf27911e62ad8afc222db",
+    "run-scheme cluster --n 5":
+        "b93e5f6c4656309accf06b552dfc808160dba9785d9b5d9dc3c289556e3ef60f",
+    "run-scheme ghz-fields --n 4":
+        "9337b899fd408f022a096242afb9413b17a55b285be8f68961c6e12f140b2e42",
+    "run-scheme graph --kind star --n 5":
+        "64716aa8297c37f05664a4f8844c28ae548d3199700c491cb78204f09711ca30",
+    "run-scheme graph --kind linear --n 4":
+        "6d4b1f147bfc8d7f1bb5ea42da1431fa1d6a1b63422fd6e7716520f1d9742bf8",
+    "run-scheme graph --kind ring --n 6":
+        "88a010a932ea06af8269ff9908e796ba7e1a1b6695d5df6477f4d0656d0f9dc9",
+}
+
+
+@pytest.mark.parametrize("command,digest", PROMISED_BYTES.items(), ids=list(PROMISED_BYTES))
+def test_the_promised_outputs_keep_their_bytes(command, digest, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(SEED7_GRAPH))
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in command.split()]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("run-scheme w3-det --n 5", "error: scheme w3-det does not take --n"),
+        ("retry-walk --p 2 --n 4", "error: p_flip must lie in [0, 1], got 2.0"),
+        (
+            "flip-sweep --g 1 --tau 0",
+            "error: sweep point 0 (g = 1.0, tau = 0.0): tau must be positive, got 0.0",
+        ),
+        ("flip-sweep --g 1,x --tau 1", "error: --g expects comma-separated numbers, got '1,x'"),
+        (
+            "flip-sweep --g 1 --tau-range 1:2",
+            "error: --tau-range expects start:stop:count, got '1:2'",
+        ),
+        (
+            "flip-sweep --g 1 --tau-range 1:2:3:4",
+            "error: --tau-range expects start:stop:count, got '1:2:3:4'",
+        ),
+        (
+            "flip-sweep --g 1 --tau-range 1:2:3.0",
+            "error: --tau-range expects start:stop:count, got '1:2:3.0'",
+        ),
+        (
+            "flip-sweep --g 1 --tau-range 1:x:3",
+            "error: --tau-range expects start:stop:count, got '1:x:3'",
+        ),
+    ],
+)
+def test_a_refusal_prints_its_one_promised_line(command, line, capsys):
+    assert main(command.split()) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_run_scheme_w16_peak_memory_is_at_most_two_states(tmp_path):

@@ -12,6 +12,7 @@ the initial factors.
 """
 
 import dataclasses
+import functools
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,6 @@ from cavnet.qstate import (
     KIND_POL,
     Register,
     Subsystem,
-    from_factors,
 )
 from support import bare_scheme, propagate_every_element
 
@@ -63,9 +63,12 @@ def random_state(register, seed, empty=()):
 
 
 def reference_propagate(scheme):
-    """Final amplitudes of every element applied on a register-order buffer (no guards)."""
+    """Final amplitudes of every element applied on a register-order buffer (no guards).
+
+    The buffer is the uncut product of the initial factors (:func:`qstate._factor_product`).
+    """
     register = scheme.register
-    tensor = schemes.initial_state(scheme).amplitudes.reshape(register.dims).copy()
+    tensor = qstate._factor_product(register, schemes._factors(scheme)).reshape(register.dims)
     for item in scheme.elements:
         if not isinstance(item, el.Detector):
             op = schemes._resolve(register, register.position, item, {})[0]
@@ -493,7 +496,9 @@ def test_path_first_product_is_the_transposed_register_order_product(case):
     with mock.patch.object(qstate, "_factor_product", spy):
         got = schemes._propagated(scheme, upto=0)
     order = [register.position(label) for label in lead.labels]
-    want = from_factors(register, factors).tensor_view().transpose(order).reshape(-1)
+    vectors = [np.asarray(amps, dtype=complex) for _, amps in factors]
+    want = functools.reduce(np.kron, vectors) + 0.0  # every zero +0.0
+    want = want.reshape(register.dims).transpose(order).reshape(-1)
     assert_bit_equal(got, want)
     assert got.base is None and not got.flags.writeable  # so a PureState adopts it
     # the product is written into a fresh buffer, never adopted as it

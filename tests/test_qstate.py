@@ -1,11 +1,12 @@
 """State-vector layer: registers, product states, unitaries, projections."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavnet import qstate
+from cavnet import qstate, schemes
 from cavnet.errors import (
     ContractViolationError,
     InvalidLabelError,
@@ -22,14 +23,20 @@ from cavnet.qstate import (
     Register,
     Subsystem,
     apply_unitary,
-    from_factors,
     overlap,
     product_state,
     project_out,
     projection_probability,
 )
+from support import bare_scheme
 
 SQ2 = np.sqrt(0.5)
+
+
+def initial_of(register, factors):
+    """:func:`schemes.initial_state` of a scheme with no elements, started from ``factors``."""
+    scheme = dataclasses.replace(bare_scheme(register, [1.0]), initial=tuple(factors))
+    return schemes.initial_state(scheme)
 
 
 def two_qubit_register():
@@ -252,7 +259,7 @@ def test_pure_state_adopts_frozen_arrays_that_own_their_memory():
     fresh.setflags(write=False)
     assert PureState(two_qubit_register(), fresh).amplitudes is fresh
     prob, post = project_out(bell_state(), "a", "R")
-    pair = from_factors(two_qubit_register(), [(("a", "b"), [SQ2, 0, 0, SQ2])])
+    pair = initial_of(two_qubit_register(), [(("a", "b"), [SQ2, 0, 0, SQ2])])
     made = [post, pair, apply_unitary(pair, ["b"], np.eye(2))]
     for st in made:  # fresh results are adopted, not copied a second time
         assert st.amplitudes.base is None and not st.amplitudes.flags.writeable
@@ -267,7 +274,7 @@ def test_from_factors_bell_pair():
     reg = Register(
         [Subsystem("f", KIND_FIELD), Subsystem("a", KIND_ATOM_GE)]
     )
-    st = from_factors(reg, [(("f", "a"), np.array([SQ2, 0, 0, SQ2]))])
+    st = initial_of(reg, [(("f", "a"), np.array([SQ2, 0, 0, SQ2]))])
     assert st.amplitude(["0", "g"]) == pytest.approx(SQ2)
     assert st.amplitude(["1", "e"]) == pytest.approx(SQ2)
     assert st.amplitude(["0", "e"]) == 0.0
@@ -283,7 +290,7 @@ def test_from_factors_bell_pair():
 )
 def test_from_factors_writes_every_zero_as_positive_zero(factors):
     reg = Register([Subsystem(label, KIND_ATOM_LR) for label in "abc"])
-    amps = from_factors(reg, [((label,), f) for label, f in zip("abc", factors)]).amplitudes
+    amps = initial_of(reg, [((label,), f) for label, f in zip("abc", factors)]).amplitudes
     assert np.array_equal(amps, np.kron(np.kron(factors[0], factors[1]), factors[2]))
     parts = amps.view(np.float64)
     assert (parts == 0).any() and not np.signbit(parts[parts == 0]).any()
@@ -292,11 +299,11 @@ def test_from_factors_writes_every_zero_as_positive_zero(factors):
 def test_from_factors_must_tile_in_order():
     reg = two_qubit_register()
     with pytest.raises(ShapeError):
-        from_factors(reg, [(("b",), np.array([1.0, 0.0]))])
+        initial_of(reg, [(("b",), np.array([1.0, 0.0]))])
     with pytest.raises(ShapeError):
-        from_factors(reg, [(("a",), np.array([1.0, 0.0]))])  # b uncovered
+        initial_of(reg, [(("a",), np.array([1.0, 0.0]))])  # b uncovered
     with pytest.raises(ShapeError):
-        from_factors(reg, [(("a",), np.array([1.0, 0.0, 0.0]))])
+        initial_of(reg, [(("a",), np.array([1.0, 0.0, 0.0]))])
 
 
 def test_apply_unitary_single_qubit_x():

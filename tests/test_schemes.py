@@ -931,10 +931,10 @@ def test_builders_refuse_an_oversized_register_before_their_tables(monkeypatch):
 )
 def test_a_qubit_count_past_the_budget_is_refused_unlisted(build, qubits, monkeypatch):
     def refuse(n):
-        raise AssertionError("a pass list was built")
+        raise AssertionError("an edge list was built")
 
-    for kind in schemes._GRAPH_PASSES:
-        monkeypatch.setitem(schemes._GRAPH_PASSES, kind, refuse)
+    for kind in verify.GRAPH_FAMILIES:
+        monkeypatch.setitem(verify.GRAPH_FAMILIES, kind, refuse)
     with pytest.raises(ParameterError) as info:
         build()
     assert str(info.value) == (
