@@ -200,7 +200,10 @@ def _refuse_unwritable(out_path: str) -> None:
     not a directory, with the reason ``open`` would give.  A new file needs
     write and search permission on its parent and an existing one write
     permission on itself (``os.access``); without it the reason is EACCES.
+    An empty path is refused naming the flag, since its message names no file.
     """
+    if not out_path:
+        raise ParameterError("--out got an empty path")
     if os.path.isdir(out_path):
         raise ParameterError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
     parent = os.path.dirname(out_path) or "."

@@ -566,17 +566,19 @@ def _scheme(
     n: int,
     entries: Iterable[tuple],
     items: Iterable[el.Element],
-    detectors: Iterable[el.Detector],
-    corrections: dict[str, LocalCorrection],
-    targets: dict[str, PureState | None],
+    detectors: Sequence[el.Detector],
+    corrections: Sequence[LocalCorrection],
+    targets: Sequence[PureState | None],
     flying: tuple[str, ...] = (),
 ) -> Scheme:
     """A :class:`Scheme` whose ``register`` and ``initial`` are ``(state, subsystem, ...)`` entries.
 
     The entries list each subsystem once, in register order, one factor
     each; ``initial`` keeps each ``state`` as its name (see :func:`_factor`).
+    ``corrections`` and ``targets`` list one entry per outcome, in :func:`_outcome_combos` order.
     """
     entries = tuple(entries)
+    ids = [combo_id for combo_id, _ in _outcome_combos(detectors)]
     return Scheme(
         name=name,
         n=n,
@@ -584,8 +586,8 @@ def _scheme(
         initial=tuple((tuple(sub.label for sub in subs), state) for state, *subs in entries),
         elements=tuple(items),
         detectors=tuple(detectors),
-        corrections=corrections,
-        targets=targets,
+        corrections=dict(zip(ids, corrections, strict=True)),
+        targets=dict(zip(ids, targets, strict=True)),
         flying=flying,
     )
 
@@ -607,9 +609,24 @@ def _refuse_oversized(qubits: int, *dims: int) -> None:
     qstate._checked_total_dim((2,) * qubits + dims)
 
 
-def _port_detectors(ports: int) -> tuple[el.Detector, ...]:
-    """Detectors ``D1 .. D<ports>`` on path ports ``0 .. ports-1``."""
-    return tuple(el.Detector(f"D{j + 1}", PATH, j) for j in range(ports))
+def _path_scheme(
+    name: str,
+    qubits: Sequence[tuple[str, Subsystem]],
+    messenger: tuple[str, Subsystem],
+    items: Iterable[el.Element],
+    corrections: Sequence[LocalCorrection],
+    targets: Sequence[PureState | None],
+) -> Scheme:
+    """A scheme of ``qubits``, a path entered at port 0 and the flying ``messenger``.
+
+    ``qubits`` and ``messenger`` are ``(state, subsystem)`` entries.  The path
+    has one port per outcome, and detector ``D<j+1>`` watches port ``j``.
+    """
+    ports = len(corrections)
+    entries = [*qubits, ("0", Subsystem(PATH, KIND_PATH, ports)), messenger]
+    detectors = [el.Detector(f"D{j + 1}", PATH, j) for j in range(ports)]
+    flying = (messenger[1].label,)
+    return _scheme(name, len(qubits), entries, items, detectors, corrections, targets, flying)
 
 
 def _hadamard_mesh(ports: Sequence[int]) -> list[el.BS]:
@@ -698,20 +715,14 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
 def _photon_scheme(
     name: str,
     pattern: Sequence[str],
-    dpath: int,
     items: Iterable[el.Element],
-    detectors: Iterable[el.Detector],
-    corrections: dict[str, LocalCorrection],
-    targets: dict[str, PureState | None],
+    corrections: Sequence[LocalCorrection],
+    targets: Sequence[PureState | None],
 ) -> Scheme:
-    """Atoms ``atom1 ..`` prepared in ``pattern``, one L-polarized photon in port 0.
-
-    The register is the L/R atoms, a path of ``dpath`` ports and the
-    photon's polarization, which is the flying subsystem.
-    """
-    entries = [(s, Subsystem(f"atom{i + 1}", KIND_ATOM_LR)) for i, s in enumerate(pattern)]
-    entries += [("0", Subsystem(PATH, KIND_PATH, dpath)), ("L", Subsystem(POL, KIND_POL))]
-    return _scheme(name, len(pattern), entries, items, detectors, corrections, targets, (POL,))
+    """:func:`_path_scheme` of L/R atoms ``atom1 ..`` in ``pattern`` and an L-polarized photon."""
+    atoms = [(s, Subsystem(f"atom{i + 1}", KIND_ATOM_LR)) for i, s in enumerate(pattern)]
+    photon = ("L", Subsystem(POL, KIND_POL))
+    return _path_scheme(name, atoms, photon, items, corrections, targets)
 
 
 def _ghz_wiring(
@@ -738,21 +749,20 @@ def _ghz_wiring(
     x_layer = LocalCorrection(
         tuple((f"{prefix}{i + 1}", "X") for i, s in enumerate(branch1) if s == a)
     )
-    corrections = {"D1": x_layer, "D2": x_layer}
-    targets = {"D1": verify.ghz_target(n, 1, b), "D2": verify.ghz_target(n, -1, b)}
-    return pattern, items, corrections, targets
+    targets = [verify.ghz_target(n, 1, b), verify.ghz_target(n, -1, b)]
+    return pattern, items, [x_layer, x_layer], targets
 
 
-def _hadamard_z_layers(ports: int, atoms: int) -> dict[str, LocalCorrection]:
-    """Z layer per detector ``D<j+1>``: Z on each atom k with Hadamard sign -1."""
-    return {
-        f"D{j + 1}": LocalCorrection(
+def _hadamard_z_layers(ports: int, atoms: int) -> list[LocalCorrection]:
+    """Z layer per port ``j``: Z on each atom k with Hadamard sign -1."""
+    return [
+        LocalCorrection(
             tuple(
                 (f"atom{k + 1}", "Z") for k in range(atoms) if bin(j & k).count("1") % 2
             )
         )
         for j in range(ports)
-    }
+    ]
 
 
 def build_ghz_atoms(n: int) -> Scheme:
@@ -771,9 +781,7 @@ def build_ghz_atoms(n: int) -> Scheme:
     pattern, items, corrections, targets = _ghz_wiring(
         n, "atom", ("L", "R"), el.CavityAtomBlock
     )
-    return _photon_scheme(
-        "ghz-atoms", pattern, 2, items, _port_detectors(2), corrections, targets
-    )
+    return _photon_scheme("ghz-atoms", pattern, items, corrections, targets)
 
 
 def build_w_pow2(n: int) -> Scheme:
@@ -791,11 +799,7 @@ def build_w_pow2(n: int) -> Scheme:
     mesh = _hadamard_mesh(range(n))
     cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(n)]
     items = [*mesh, *cavities, *mesh]
-    corrections = _hadamard_z_layers(n, n)
-    targets = dict.fromkeys(corrections, target)
-    return _photon_scheme(
-        "w", ["L"] * n, n, items, _port_detectors(n), corrections, targets
-    )
+    return _photon_scheme("w", ["L"] * n, items, _hadamard_z_layers(n, n), [target] * n)
 
 
 def build_w3_probabilistic() -> Scheme:
@@ -809,11 +813,9 @@ def build_w3_probabilistic() -> Scheme:
     mesh = _hadamard_mesh(range(4))
     cavities = [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(3)]
     items = [*mesh, *cavities, el.Reroute(3, 4), *mesh]
-    corrections = {**_hadamard_z_layers(4, 3), "D5": LocalCorrection()}
-    targets = {**dict.fromkeys(corrections, verify.w_target(3)), "D5": None}
-    return _photon_scheme(
-        "w3-prob", ["L"] * 3, 5, items, _port_detectors(5), corrections, targets
-    )
+    corrections = [*_hadamard_z_layers(4, 3), LocalCorrection()]
+    targets = [*[verify.w_target(3)] * 4, None]
+    return _photon_scheme("w3-prob", ["L"] * 3, items, corrections, targets)
 
 
 def build_w3_deterministic() -> Scheme:
@@ -829,8 +831,8 @@ def build_w3_deterministic() -> Scheme:
     items = [el.BS(1.0 / 3.0, (0, 1)), el.BS(0.5, (0, 2))]
     items += [el.CavityAtomBlock(f"atom{k + 1}", port=k) for k in range(3)]
     items += _unitary_mesh(tritter, (0, 1, 2))
-    corrections = {
-        f"D{j + 1}": LocalCorrection(
+    corrections = [
+        LocalCorrection(
             tuple(
                 (f"atom{k + 1}", ("phase", float(-np.angle(tritter[j, k]))))
                 for k in range(3)
@@ -838,11 +840,8 @@ def build_w3_deterministic() -> Scheme:
             )
         )
         for j in range(3)
-    }
-    targets = dict.fromkeys(corrections, verify.w_target(3))
-    return _photon_scheme(
-        "w3-det", ["L"] * 3, 3, items, _port_detectors(3), corrections, targets
-    )
+    ]
+    return _photon_scheme("w3-det", ["L"] * 3, items, corrections, [verify.w_target(3)] * 3)
 
 
 def build_cluster_atoms(n: int) -> Scheme:
@@ -870,11 +869,9 @@ def build_cluster_atoms(n: int) -> Scheme:
         items.append(el.CavityAtomBlock(f"atom{i + 1}", port=1))
         items.append(el.PR(port=1))
         items.append(el.BS(0.5, (0, 1)))
-    corrections = {"D1": LocalCorrection(), "D2": LocalCorrection(((f"atom{n}", "Z"),))}
-    targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(n), KIND_ATOM_LR))
-    return _photon_scheme(
-        "cluster", ["L"] * n, 2, items, _port_detectors(2), corrections, targets
-    )
+    corrections = [LocalCorrection(), LocalCorrection(((f"atom{n}", "Z"),))]
+    targets = [verify.graph_target(Graph.path(n), KIND_ATOM_LR)] * 2
+    return _photon_scheme("cluster", ["L"] * n, items, corrections, targets)
 
 
 # --------------------------------------------------------------------------
@@ -896,10 +893,9 @@ def build_ghz_fields(n: int) -> Scheme:
     pattern, items, corrections, targets = _ghz_wiring(
         n, "field", ("1", "0"), lambda field, port: el.FieldPiBlock("atom", field, port)
     )
-    entries = [(s, Subsystem(f"field{i + 1}", KIND_FIELD)) for i, s in enumerate(pattern)]
-    entries += [("0", Subsystem(PATH, KIND_PATH, 2)), ("g", Subsystem("atom", KIND_ATOM_GE))]
-    detectors = _port_detectors(2)
-    return _scheme("ghz-fields", n, entries, items, detectors, corrections, targets, ("atom",))
+    fields = [(s, Subsystem(f"field{i + 1}", KIND_FIELD)) for i, s in enumerate(pattern)]
+    atom = ("g", Subsystem("atom", KIND_ATOM_GE))
+    return _path_scheme("ghz-fields", fields, atom, items, corrections, targets)
 
 
 def build_field_cz_pair() -> Scheme:
@@ -925,8 +921,8 @@ def build_field_cz_pair() -> Scheme:
         el.RamseyZone("atom"),
     )
     detectors = (el.Detector("Dg", "atom", "g"), el.Detector("De", "atom", "e"))
-    corrections = {"Dg": LocalCorrection(), "De": LocalCorrection((("field1", "Z"),))}
-    targets = dict.fromkeys(corrections, verify.graph_target(Graph.path(2), KIND_FIELD))
+    corrections = [LocalCorrection(), LocalCorrection((("field1", "Z"),))]
+    targets = [verify.graph_target(Graph.path(2), KIND_FIELD)] * 2
     return _scheme("field-cz", 2, entries, items, detectors, corrections, targets)
 
 
@@ -942,11 +938,12 @@ def build_field_graph(
     with its own cavity j) through cavity 1; ``linear`` sends atom j through
     cavity j-1; ``ring`` closes the chain by also sending atom 1 through
     cavity n.  An explicit ``graph`` uses one cavity-atom pair per vertex
-    and routes the larger-vertex atom of every edge through the smaller
-    vertex's cavity.  Measuring the atoms leaves the fields in the graph
-    state after the recorded per-field Z corrections (Z on field j when atom
-    j reads e); every one of the ``2**(measured atoms)`` outcome
-    combinations occurs with the same probability.
+    and takes its edges in sorted order, each (u, v) with u < v.  For every
+    edge (u, v) the atom of v passes through the cavity of u.  Measuring the
+    atoms leaves the fields in the graph state after the recorded per-field
+    Z corrections (Z on field j when atom j reads e); every one of the
+    ``2**(measured atoms)`` outcome combinations occurs with the same
+    probability.
     """
     if graph is not None:
         if kind is not None or n is not None:
@@ -954,7 +951,7 @@ def build_field_graph(
         n = graph.vertices
         _refuse_oversized(2 * n)  # a field and an atom per vertex
         scheme_name = "graph-custom"
-        passes = [(max(u, v), min(u, v)) for u, v in sorted(graph.edges)]
+        edges = sorted(graph.edges)
         paired = range(n)  # every vertex carries an atom
     else:
         if kind is None or n is None:
@@ -968,7 +965,6 @@ def build_field_graph(
         if n < 2:
             raise ParameterError(f"{kind} graph needs n >= 2")
         scheme_name = f"graph-{kind}"
-        passes = [(v, u) for u, v in edges]
         graph = Graph(n, edges)
 
     entries = [
@@ -979,20 +975,20 @@ def build_field_graph(
     ]
 
     items: list[el.Element] = [
-        el.DispersiveBlock(f"atom{a + 1}", f"field{f + 1}") for a, f in passes
+        el.DispersiveBlock(f"atom{v + 1}", f"field{u + 1}") for u, v in edges
     ]
     items += [el.RamseyZone(f"atom{v + 1}") for v in paired]
     detectors = [
         el.Detector(f"D{v + 1}{out}", f"atom{v + 1}", out) for v in paired for out in "ge"
     ]
 
-    corrections = {
-        combo_id: LocalCorrection(
+    corrections = [
+        LocalCorrection(
             tuple((f"field{v + 1}", "Z") for v, det in zip(paired, combo) if det.outcome == "e")
         )
-        for combo_id, combo in _outcome_combos(detectors)
-    }
-    targets = dict.fromkeys(corrections, verify.graph_target(graph, KIND_FIELD))
+        for _, combo in _outcome_combos(detectors)
+    ]
+    targets = [verify.graph_target(graph, KIND_FIELD)] * len(corrections)
     return _scheme(scheme_name, n, entries, items, detectors, corrections, targets)
 
 

@@ -222,6 +222,30 @@ def test_an_out_path_without_permission_is_refused_before_any_work(
     assert out.exists() == exists and (not exists or out.read_text() == "kept")
 
 
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
+def test_an_empty_out_path_is_refused_naming_the_flag_before_any_work(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for owner, name in [
+        (schemes, "build_field_cz_pair"),
+        (iomodel, "flip_probability_sweep"),
+        (schemes, "retry_walk"),
+        (schemes, "retry_walk_mc"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert main([*argv, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out got an empty path\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_out_path_that_fails_on_write_exits_two_and_prints_nothing(capsys):
+    # /dev/full passes the check before any work; only the write itself fails
+    assert main(["retry-walk", "--p", "1", "--n", "2", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured == ("", "error: cannot write /dev/full: No space left on device\n")
+
+
 def test_an_out_path_with_permission_is_written(tmp_path, monkeypatch):
     # an existing file is written through its own permission, whatever its directory's
     out = tmp_path / "out.txt"
@@ -1228,6 +1252,11 @@ def test_dump_json_rejects_non_finite(bad):
         dump_json(np.array([0.5j, complex(bad, 0.0)]))
     with pytest.raises(ParameterError):
         dump_json(np.array([complex(0.0, bad)]))
+
+
+def test_dump_json_refuses_a_value_it_cannot_render():
+    with pytest.raises(ParameterError, match="^cannot serialize object$"):
+        dump_json({"a": 1.0, "b": object()})
 
 
 def run_report(scheme):

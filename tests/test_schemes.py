@@ -410,6 +410,32 @@ def test_run_reports_exactly_the_declared_outcome_ids(name):
     assert ids == list(scheme.corrections) == list(scheme.targets)
 
 
+# the schemes detected at the ports of a path, each with the one subsystem that flies through it
+PATH_MESSENGERS = {
+    "ghz-atoms": "pol",
+    "w": "pol",
+    "w3-prob": "pol",
+    "w3-det": "pol",
+    "cluster": "pol",
+    "ghz-fields": "atom",
+}
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_every_builder_keys_its_outcomes_by_its_detectors_combinations(name):
+    scheme = DECLARED[name]()
+    ids = [combo_id for combo_id, _ in schemes._outcome_combos(scheme.detectors)]
+    assert list(scheme.corrections) == list(scheme.targets) == ids
+    if name not in PATH_MESSENGERS:
+        assert schemes.PATH not in scheme.register.labels
+        assert scheme.flying == ()
+        return
+    ports = scheme.register.subsystem(schemes.PATH).dim
+    watched = [(det.id, det.subsystem, det.outcome) for det in scheme.detectors]
+    assert watched == [(f"D{j + 1}", schemes.PATH, j) for j in range(ports)]
+    assert scheme.flying == (PATH_MESSENGERS[name],)
+
+
 @pytest.mark.parametrize("name", DECLARED)
 def test_initial_spec_lists_the_register_in_order(name):
     scheme = DECLARED[name]()
