@@ -68,28 +68,21 @@ def _render(value, indent: int, out: list[str]) -> None:
         out.append(format_float(x))
     elif isinstance(value, str):
         out.append(json.dumps(value))
-    elif isinstance(value, dict):
+    elif isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            brackets, entries = "{}", ((f"{json.dumps(str(k))}: ", v) for k, v in value.items())
+        else:
+            brackets, entries = "[]", (("", item) for item in value)
         if not value:
-            out.append("{}")
+            out.append(brackets)
             return
         inner = "  " * (indent + 1)
-        sep = "{\n"
-        for key, item in value.items():
-            out.append(f"{sep}{inner}{json.dumps(str(key))}: ")
+        sep = brackets[0] + "\n"
+        for key, item in entries:
+            out.append(f"{sep}{inner}{key}")
             _render(item, indent + 1, out)
             sep = ",\n"
-        out.append(f"\n{'  ' * indent}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = "  " * (indent + 1)
-        sep = "[\n"
-        for item in value:
-            out.append(sep + inner)
-            _render(item, indent + 1, out)
-            sep = ",\n"
-        out.append(f"\n{'  ' * indent}]")
+        out.append(f"\n{'  ' * indent}{brackets[1]}")
     elif (
         isinstance(value, np.ndarray)
         and value.ndim == 1

@@ -658,24 +658,22 @@ def _fourier_tritter() -> np.ndarray:
     ) / np.sqrt(3.0)
 
 
+def _phase_shifter(port: int, phase: float) -> list[el.PhaseShifter]:
+    """A shifter of ``phase`` wrapped into (-pi, pi] on ``port``, or none within 1e-12 of 0."""
+    phase = float(np.angle(np.exp(1j * phase)))
+    return [el.PhaseShifter(port, phase)] if abs(phase) > 1e-12 else []
+
+
 def _two_mode_elements(w: np.ndarray, ports: tuple[int, int]) -> list[el.Element]:
     """Realize a 2x2 unitary with no zero entry as phases around one beam splitter."""
     p, q = ports
-    out: list[el.Element] = []
-
-    def push_phase(port: int, phase: float) -> None:
-        phase = float(np.angle(np.exp(1j * phase)))
-        if abs(phase) > 1e-12:
-            out.append(el.PhaseShifter(port, phase))
-
     c = float(np.angle(w[0, 0]))
-    d = float(np.angle(w[0, 1]))
-    b = float(np.angle(w[1, 0])) - c
-    push_phase(p, c)
-    push_phase(q, d)
-    out.append(el.BS(float(abs(w[0, 1]) ** 2), ports))
-    push_phase(q, b)
-    return out
+    return [
+        *_phase_shifter(p, c),
+        *_phase_shifter(q, float(np.angle(w[0, 1]))),
+        el.BS(float(abs(w[0, 1]) ** 2), ports),
+        *_phase_shifter(q, float(np.angle(w[1, 0])) - c),
+    ]
 
 
 def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
@@ -700,9 +698,7 @@ def _unitary_mesh(v: np.ndarray, ports: Sequence[int]) -> list[el.Element]:
 
     out: list[el.Element] = []
     for k in range(n):
-        phase = float(np.angle(u[k, k]))
-        if abs(phase) > 1e-12:
-            out.append(el.PhaseShifter(ports[k], phase))
+        out += _phase_shifter(ports[k], float(np.angle(u[k, k])))
     for i, j, g in reversed(rotations):
         out.extend(_two_mode_elements(g.conj().T, (ports[i], ports[j])))
     return out
@@ -726,10 +722,11 @@ def _photon_scheme(
 
 
 def _ghz_wiring(
-    n: int, prefix: str, labels: tuple[str, str], block: Callable[[str, int], el.Element]
+    n: int, prefix: str, noun: str, labels: tuple[str, str], block: Callable[[str, int], el.Element]
 ):
     """Pattern, elements, corrections and targets shared by the two GHZ builders.
 
+    An odd ``n``, one below 2 (counting ``noun``s) or an oversized one is refused first.
     For ``labels = (a, b)`` the qubits ``prefix1 ..`` start in the pairwise
     pattern ``a a b b a a ...``.  A balanced splitter opens two arms, arm 0
     passes the odd-numbered qubits and arm 1 the even-numbered ones
@@ -738,6 +735,9 @@ def _ghz_wiring(
     acts wherever that branch holds ``a``; it leaves the GHZ state over ``b``
     with sign + at D1 and - at D2.
     """
+    if n < 2 or n % 2:
+        raise ParameterError(f"this scheme needs an even {noun} count >= 2, got {n}")
+    _refuse_oversized(n, 2, 2)  # the qubits, path and messenger
     a, b = labels
     pattern = [a if i % 4 in (0, 1) else b for i in range(n)]
     arms = [*range(0, n, 2), *range(1, n, 2)]  # qubit i + 1 rides arm i % 2
@@ -775,11 +775,8 @@ def build_ghz_atoms(n: int) -> Scheme:
     occur with probability 1/2 and hold a GHZ state up to a recorded X
     layer (the relative sign is + at D1 and - at D2).
     """
-    if n < 2 or n % 2:
-        raise ParameterError(f"this scheme needs an even atom count >= 2, got {n}")
-    _refuse_oversized(n, 2, 2)  # the atoms, path and polarization
     pattern, items, corrections, targets = _ghz_wiring(
-        n, "atom", ("L", "R"), el.CavityAtomBlock
+        n, "atom", "atom", ("L", "R"), el.CavityAtomBlock
     )
     return _photon_scheme("ghz-atoms", pattern, items, corrections, targets)
 
@@ -887,11 +884,8 @@ def build_ghz_fields(n: int) -> Scheme:
     cavities through resonant pi passes.  The alternating 1/0 pattern seen
     along each arm keeps the atom out of the doubly excited sector.
     """
-    if n < 2 or n % 2:
-        raise ParameterError(f"this scheme needs an even cavity count >= 2, got {n}")
-    _refuse_oversized(n, 2, 2)  # the fields, path and atom
     pattern, items, corrections, targets = _ghz_wiring(
-        n, "field", ("1", "0"), lambda field, port: el.FieldPiBlock("atom", field, port)
+        n, "field", "cavity", ("1", "0"), lambda f, port: el.FieldPiBlock("atom", f, port)
     )
     fields = [(s, Subsystem(f"field{i + 1}", KIND_FIELD)) for i, s in enumerate(pattern)]
     atom = ("g", Subsystem("atom", KIND_ATOM_GE))
@@ -1069,7 +1063,7 @@ def retry_walk(params: RetryWalkParams) -> RetryWalkResult:
         hop = (1.0 + q * hop) / p
         expected += hop
     return RetryWalkResult(
-        success_prob=float(dist[n + 1]),
+        success_prob=min(float(dist[n + 1]), 1.0),  # the in-place steps may round past 1
         expected_steps=expected,
         conditional_fidelity=1.0,
     )

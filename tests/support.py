@@ -11,7 +11,8 @@ register order and transposed path-first, and every element's guard (its
 naming the scheme and the element.  ``reference_run`` is the detection
 oracle: the flat loop over :func:`schemes.propagate`'s register-order
 state, each outcome projected, its flyers stripped, corrected and scored
-in turn.  ``bare_scheme`` wires a
+in turn.  ``assert_bit_equal`` is the one bit-for-bit comparison of two
+arrays: the same dtype, shape and bytes.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
 identity correction and no target for every outcome id unless given
 others.
@@ -27,6 +28,11 @@ from cavnet.schemes import Scheme, _outcome_combos
 from cavnet.verify import LocalCorrection
 
 PAULI = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def reference_apply(correction, state):

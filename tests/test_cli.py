@@ -172,10 +172,8 @@ def test_an_unwritable_out_path_exits_two_naming_it(argv, target, reason, tmp_pa
     assert captured.err == f"error: cannot write {out}: {reason}\n"
 
 
-@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
-@pytest.mark.parametrize("target", ["missing/out.txt", ".", "plain.txt/out.txt"])
-def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_path, monkeypatch):
-    (tmp_path / "plain.txt").write_text("")  # a regular file
+def refuse_the_work(monkeypatch):
+    """Make the work of every ``OUT_COMMANDS`` command raise, so a refusal must come first."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
@@ -187,6 +185,13 @@ def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_pat
         (schemes, "retry_walk_mc"),
     ]:
         monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
+@pytest.mark.parametrize("target", ["missing/out.txt", ".", "plain.txt/out.txt"])
+def test_an_unwritable_out_path_is_refused_before_any_work(argv, target, tmp_path, monkeypatch):
+    (tmp_path / "plain.txt").write_text("")  # a regular file
+    refuse_the_work(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / target)]) == 2
 
 
@@ -205,16 +210,7 @@ def test_an_out_path_without_permission_is_refused_before_any_work(
         os, "access", lambda path, mode: (str(path), mode) != denied and access(path, mode)
     )
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started")
-
-    for owner, name in [
-        (schemes, "build_field_cz_pair"),
-        (iomodel, "flip_probability_sweep"),
-        (schemes, "retry_walk"),
-        (schemes, "retry_walk_mc"),
-    ]:
-        monkeypatch.setattr(owner, name, refuse)
+    refuse_the_work(monkeypatch)
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -224,16 +220,7 @@ def test_an_out_path_without_permission_is_refused_before_any_work(
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[argv[0] for argv in OUT_COMMANDS])
 def test_an_empty_out_path_is_refused_naming_the_flag_before_any_work(argv, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started")
-
-    for owner, name in [
-        (schemes, "build_field_cz_pair"),
-        (iomodel, "flip_probability_sweep"),
-        (schemes, "retry_walk"),
-        (schemes, "retry_walk_mc"),
-    ]:
-        monkeypatch.setattr(owner, name, refuse)
+    refuse_the_work(monkeypatch)
     assert main([*argv, "--out", ""]) == 2
     assert capsys.readouterr() == ("", "error: --out got an empty path\n")
 
@@ -512,6 +499,7 @@ def test_the_promised_outputs_keep_their_bytes(command, digest, tmp_path):
             "error: sweep point 0 (g = 1.0, tau = 0.0): tau must be positive, got 0.0",
         ),
         ("flip-sweep --g 1,x --tau 1", "error: --g expects comma-separated numbers, got '1,x'"),
+        ("flip-sweep --g , --tau 1", "error: --g got an empty list"),
         (
             "flip-sweep --g 1 --tau-range 1:2",
             "error: --tau-range expects start:stop:count, got '1:2'",

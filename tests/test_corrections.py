@@ -35,14 +35,9 @@ from cavnet.qstate import (
     product_state,
 )
 from cavnet.verify import LocalCorrection
-from support import PAULI, reference_apply
+from support import PAULI, assert_bit_equal, reference_apply
 
 TWO_LEVEL_KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
-
-
-def assert_bit_equal(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 component = st.one_of(

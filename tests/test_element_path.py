@@ -38,7 +38,7 @@ from cavnet.qstate import (
     Register,
     Subsystem,
 )
-from support import bare_scheme, propagate_every_element
+from support import assert_bit_equal, bare_scheme, propagate_every_element
 
 KINDS = {
     "a1": KIND_ATOM_LR,
@@ -74,10 +74,6 @@ def reference_propagate(scheme):
             op = schemes._resolve(register, register.position, item, {})[0]
             schemes._apply_op(tensor, register.position, op)
     return tensor.reshape(-1)
-
-
-def assert_bit_equal(a, b):
-    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------------ kron oracle

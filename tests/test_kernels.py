@@ -34,7 +34,7 @@ from cavnet.qstate import (
     apply_unitary,
 )
 from cavnet.verify import Graph, LocalCorrection
-from support import reference_apply, reference_project_out, sector_mass
+from support import assert_bit_equal, reference_apply, reference_project_out, sector_mass
 
 
 def gemm_apply_op(tensor, axis_of, op, occupied=None):
@@ -55,11 +55,6 @@ def gemm_apply_op(tensor, axis_of, op, occupied=None):
     mixed = qstate._block_product(np.stack(views), [0] + [a + 1 for a in axes], op.block.matrix)
     for view, new in zip(views, mixed):
         view[...] = new
-
-
-def assert_bit_equal(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 BUILDERS = {

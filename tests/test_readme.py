@@ -1,5 +1,6 @@
-"""The README's examples stay true: its command lines parse, and its library snippet runs."""
+"""The README stays true: its command lines parse, its library snippet runs, its budgets hold."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -29,3 +30,12 @@ def test_the_readme_library_snippet_runs(capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed] == ["D1", "D2"]
+
+
+def test_every_readme_budget_value_is_the_constant():
+    # each `module.NAME` (value) pair, the value written with thousands commas
+    pairs = re.findall(r"`(\w+)\.([A-Z_]+)`\s+\(([\d,]+)\)", README)
+    assert len(pairs) >= 8
+    for module, name, value in pairs:
+        constant = getattr(importlib.import_module(f"cavnet.{module}"), name)
+        assert constant == int(value.replace(",", "")), (module, name, value)

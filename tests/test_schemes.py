@@ -793,6 +793,12 @@ def test_retry_walk_success_prob_matches_the_exact_walk(p, n, max_steps):
     assert res.success_prob == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("p,n", [(0.999, 100), (0.9999, 100), (0.999, 50), (0.999999999, 1000)])
+def test_retry_walk_success_prob_is_at_most_one(p, n):
+    # the in-place steps round each of these walks' absorbed mass past 1
+    assert retry_walk(RetryWalkParams(p_flip=p, n_cavities=n)).success_prob <= 1.0
+
+
 def test_retry_walk_success_prob_monotone_in_budget():
     probs = [
         retry_walk(RetryWalkParams(0.6, 4, max_steps=m)).success_prob
