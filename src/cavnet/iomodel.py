@@ -46,8 +46,9 @@ from .errors import (
 
 # Largest grid integrate_pulse accepts, more than 5x the largest grid in use
 # (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
-# An integration peaks at ~80 bytes per step, so this caps one call near
-# 0.3 GB; larger grids raise ParameterError first.
+# An integration peaks at ~60 bytes per step (traced: 60.2 at 367,696 steps,
+# 58.5 at 735,392), so this caps one call near 0.24 GB; larger grids raise
+# ParameterError first.
 MAX_STEPS = 4_000_000
 # Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
@@ -57,6 +58,7 @@ MAX_SWEEP_POINTS = 10_000
 # any one point that MAX_STEPS admits.
 MAX_SWEEP_STEPS = 10 * MAX_STEPS
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
+_SQUARE_CHUNK = 8_192  # samples squared at a time by _trapezoid_of_square
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class TimeGrid:
         return max(1, int(math.ceil(span / self.step - 1e-12)))
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.step * np.arange(self.n_steps + 1)
+        t = np.arange(self.n_steps + 1, dtype=float)
+        t *= self.step
+        t += self.t_start
+        return t
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,32 @@ class PulseResult:
 
 def gaussian_input(tau: float) -> Callable[[np.ndarray], np.ndarray]:
     """Unit-norm Gaussian pulse (tau*sqrt(pi))^(-1/2) exp(-t^2 / 2 tau^2)."""
-    peak = (tau * math.sqrt(math.pi)) ** -0.5
 
     def f(t: np.ndarray) -> np.ndarray:
-        return peak * np.exp(-(t * t) / (2.0 * tau * tau))
+        return _gaussian_of_squares(np.asarray(t * t, dtype=float), tau)
 
     return f
+
+
+def _gaussian_of_squares(t_sq: np.ndarray, tau: float) -> np.ndarray:
+    """``gaussian_input(tau)`` at the times whose squares are ``t_sq``, in place.
+
+    The ufuncs of peak * exp(-(t * t) / (2 tau^2)), in that order.
+    """
+    np.negative(t_sq, out=t_sq)
+    t_sq /= 2.0 * tau * tau
+    np.exp(t_sq, out=t_sq)
+    t_sq *= (tau * math.sqrt(math.pi)) ** -0.5
+    return t_sq
+
+
+def _half_step_samples(tau: float, grid: TimeGrid) -> np.ndarray:
+    """The Gaussian drive at the 2n+1 half-step times t_start + k h/2, in one buffer."""
+    t = np.arange(2 * grid.n_steps + 1, dtype=float)
+    t *= 0.5 * grid.step
+    t += grid.t_start
+    np.multiply(t, t, out=t)
+    return _gaussian_of_squares(t, tau)
 
 
 def slowest_decay_rate(params: PulseParams) -> float:
@@ -210,18 +235,23 @@ def _rk4_tableau(params: PulseParams, h: float) -> tuple[np.ndarray, np.ndarray,
     return m, v1, v2, v3
 
 
-def _trajectory(params: PulseParams, h: float, f_half: np.ndarray) -> np.ndarray:
-    """RK4 states y_0 = 0, ..., y_n as rows (c_L, c_R, c_e), then padding rows.
+def _trajectory(params: PulseParams, h: float, f_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 states y_0 = 0, ..., y_n as rows (c_L, c_R, c_e), then padding rows; and f_in.
 
     The drive terms u_i = v1 f_2i + v2 f_2i+1 + v3 f_2i+2 are one product
     over the length-3 windows of the 2n+1 half-step samples ``f_half``.
+    ``f_in`` is a contiguous copy of the whole-step samples f_0, f_2, ...,
+    f_2n.  The samples are let go before the scan, so they are freed then
+    unless the caller holds them.
     """
     m, v1, v2, v3 = _rk4_tableau(params, h)
     n = (len(f_half) - 1) // 2
     u = np.zeros((-(-n // SCAN_BLOCK) * SCAN_BLOCK, 3))
     windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
     np.matmul(windows, np.array([v1, v2, v3]), out=u[:n])
-    return _scan_affine(m - np.eye(3), u)
+    f_in = f_half[::2].copy()
+    del f_half, windows
+    return _scan_affine(m - np.eye(3), u), f_in
 
 
 def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -248,11 +278,13 @@ def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
         d[k + 1 : 2 * k + 1] = d[1 : k + 1] + (d[k] + d[1 : k + 1] @ d[k])
         k *= 2
     powers = d + np.eye(3)
-    # toeplitz[(k, c), (j, a)] = (m^(j-k))[a, c] for k <= j, zero for k > j
-    lag = np.arange(b)[None, :] - np.arange(b)[:, None]
-    lag[lag < 0] = b
-    table = np.concatenate((powers[:b], np.zeros((1, 3, 3))))
-    toeplitz = table[lag].transpose(0, 3, 1, 2).reshape(3 * b, 3 * b)
+    # toeplitz[(k, c), (j, a)] = (m^(j-k))[a, c] for k <= j, zero for k > j: with the
+    # transposed powers placed after b - 1 zero blocks, that is table[b - 1 - k + j, c, a]
+    table = np.zeros((2 * b - 1, 3, 3))
+    table[b - 1 :] = powers[:b].transpose(0, 2, 1)
+    s0, s1, s2 = table.strides
+    lagged = np.lib.stride_tricks.as_strided(table[b - 1 :], (b, 3, b, 3), (-s0, s1, s0, s2))
+    toeplitz = lagged.reshape(3 * b, 3 * b)
 
     y = np.empty((nb * b + 1, 3), dtype=u.dtype)
     y[0] = 0.0
@@ -293,6 +325,24 @@ def _check_grid(params: PulseParams, grid: TimeGrid) -> None:
         )
 
 
+def _trapezoid_of_square(f: np.ndarray, h: float) -> float:
+    """``np.trapezoid(np.abs(f) ** 2, dx=h)`` of a real ``f``, bit for bit.
+
+    No full-size square is made: the pair sums f_(i+1)^2 + f_i^2 fill one
+    array, squared a chunk at a time.  It is scaled by h and halved, and
+    summed once, as np.trapezoid does, so the pairwise sum runs over the
+    same values.
+    """
+    s = np.empty(len(f) - 1)
+    for start in range(0, len(s), _SQUARE_CHUNK):
+        part = f[start : start + _SQUARE_CHUNK + 1]
+        square = part * part
+        np.add(square[1:], square[:-1], out=s[start : start + _SQUARE_CHUNK])
+    s *= h
+    s /= 2.0
+    return float(s.sum())
+
+
 def integrate_pulse(params: PulseParams, grid: TimeGrid | None = None) -> PulseResult:
     """RK4 trajectory from empty initial conditions and integrated outputs.
 
@@ -317,24 +367,24 @@ def integrate_pulse(params: PulseParams, grid: TimeGrid | None = None) -> PulseR
 
     n = grid.n_steps
     h = grid.step
-    f_half = gaussian_input(params.tau)(grid.t_start + 0.5 * h * np.arange(2 * n + 1))
     with np.errstate(all="ignore"):  # a blow-up is reported by the check below
-        y = _trajectory(params, h, f_half)[: n + 1]
+        # the samples go in unnamed, so _trajectory can free them before its scan
+        y, f_in = _trajectory(params, h, _half_step_samples(params.tau, grid))
+    y = y[: n + 1]
     if not np.isfinite(y).all():
         raise NumericalBlowupError(
             "non-finite amplitudes during integration; check parameters and step"
         )
     c_l, c_r, c_e = y.T
 
-    times = grid.times()
-    f_in = f_half[::2]
     sqrt_k = math.sqrt(params.kappa)
-    f_l_out = f_in + sqrt_k * c_l
     f_r_out = sqrt_k * c_r
-    p_flip = float(np.trapezoid(np.abs(f_r_out) ** 2, dx=h))
-    p_noflip = float(np.trapezoid(np.abs(f_l_out) ** 2, dx=h))
+    p_flip = _trapezoid_of_square(f_r_out, h)
+    f_l_out = sqrt_k * c_l
+    f_l_out += f_in
+    p_noflip = _trapezoid_of_square(f_l_out, h)
     return PulseResult(
-        time_grid=times,
+        time_grid=grid.times(),
         c_L=c_l,
         c_R=c_r,
         c_e=c_e,

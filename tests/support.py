@@ -11,7 +11,9 @@ register order and transposed path-first, and every element's guard (its
 naming the scheme and the element.  ``reference_run`` is the detection
 oracle: the flat loop over :func:`schemes.propagate`'s register-order
 state, each outcome projected, its flyers stripped, corrected and scored
-in turn.  ``assert_bit_equal`` is the one bit-for-bit comparison of two
+in turn.  ``unchunked_retry_walk_mc`` is the Monte-Carlo walk oracle:
+every live walker drawn for and moved in one buffer per step.
+``assert_bit_equal`` is the one bit-for-bit comparison of two
 arrays: the same dtype, shape and bytes.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
 identity correction and no target for every outcome id unless given
@@ -127,6 +129,37 @@ def reference_run(scheme):
         total += prob
     assert abs(total - 1.0) <= schemes.PROB_SUM_ATOL
     return reports
+
+
+def unchunked_retry_walk_mc(params, trajectories, seed):
+    """:func:`schemes.retry_walk_mc`'s walk in full-size buffers, every live walker at once.
+
+    The live walkers are the prefix ``pos[:live]`` in their original order,
+    so the k-th uniform draw of a step goes to the same walker as in the
+    chunked walk; the walk stops early by the same rule.
+    """
+    rng = np.random.default_rng(seed)
+    n, p = params.n_cavities, params.p_flip
+    pos = np.ones(trajectories, dtype=np.int16)
+    draws = np.empty(trajectories)
+    step = np.empty(trajectories, dtype=np.int8)
+    keep = np.empty(trajectories, dtype=bool)
+    live = trajectories
+    for left in range(params.max_steps, 0, -1):
+        if live == 0 or (left <= n and int(pos[:live].max()) + left <= n):
+            break
+        walkers, s, k = pos[:live], step[:live], keep[:live]
+        np.less(rng.random(out=draws[:live]), p, out=s)
+        s *= 2
+        s -= 1
+        walkers += s
+        np.abs(walkers, out=walkers)
+        np.less_equal(walkers, n, out=k)
+        survivors = int(np.count_nonzero(k))
+        if survivors < live:
+            pos[:survivors] = walkers[k]
+            live = survivors
+    return (trajectories - live) / trajectories
 
 
 def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):

@@ -1,6 +1,9 @@
 """Pulse integrator: frozen references, an independent frequency-domain
 oracle, unitarity, adiabatic formulas, and grid validation."""
 
+import dataclasses
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,17 +266,19 @@ def test_step_budget_rejects_before_sampling(monkeypatch):
     params = matched(1.0)
     grid = default_grid(params)
     monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps - 1)
-    gaussian = io.gaussian_input
+    samples = io._half_step_samples
+    calls = []
 
-    def refuse(tau):
+    def refuse(tau, grid):
         raise AssertionError("sampled the drive over the step budget")
 
-    monkeypatch.setattr(io, "gaussian_input", refuse)
+    monkeypatch.setattr(io, "_half_step_samples", refuse)
     with pytest.raises(ParameterError, match=str(grid.n_steps)):
         integrate_pulse(params, grid=grid)
-    monkeypatch.setattr(io, "gaussian_input", gaussian)
+    monkeypatch.setattr(io, "_half_step_samples", lambda *a: calls.append(a) or samples(*a))
     monkeypatch.setattr(io, "MAX_STEPS", grid.n_steps)
     assert integrate_pulse(params, grid=grid).P_flip > 0.0
+    assert len(calls) == 1  # the probe sees the one sampling of an integration
 
 
 def test_step_budget_rejects_infinite_step_count():
@@ -349,6 +354,128 @@ def test_sweep_point_budget_rejects_before_any_grid(monkeypatch):
 def test_sweep_point_budget_accepts_exactly_the_budget(monkeypatch):
     monkeypatch.setattr(io, "MAX_SWEEP_POINTS", 2)
     assert len(flip_probability_sweep([1.0, 2.0], [1.0])) == 2
+
+
+def reference_scan_affine(e, u):
+    """``_scan_affine`` with its block-Toeplitz matrix built by fancy indexing on a lag table."""
+    b = io.SCAN_BLOCK
+    nb = len(u) // b
+    d = np.zeros((b + 1, 3, 3))
+    d[1] = e
+    k = 1
+    while k < b:
+        d[k + 1 : 2 * k + 1] = d[1 : k + 1] + (d[k] + d[1 : k + 1] @ d[k])
+        k *= 2
+    powers = d + np.eye(3)
+    lag = np.arange(b)[None, :] - np.arange(b)[:, None]
+    lag[lag < 0] = b
+    table = np.concatenate((powers[:b], np.zeros((1, 3, 3))))
+    toeplitz = table[lag].transpose(0, 3, 1, 2).reshape(3 * b, 3 * b)
+    y = np.empty((nb * b + 1, 3), dtype=u.dtype)
+    y[0] = 0.0
+    body = y[1:].reshape(nb, 3 * b)
+    np.matmul(u.reshape(nb, 3 * b), toeplitz, out=body)
+    if nb > 1:
+        ends = np.zeros((-(-(nb - 1) // b) * b, 3), dtype=u.dtype)
+        ends[: nb - 1] = body[:-1, -3:]
+        starts = reference_scan_affine(d[b], ends)[1:nb]
+        carry = u.reshape(nb, 3 * b)[1:]
+        np.matmul(starts, powers[1:].transpose(2, 0, 1).reshape(3, 3 * b), out=carry)
+        body[1:] += carry
+    return y
+
+
+def reference_pulse(params, grid):
+    """Every ``PulseResult`` field in the expression forms the integrator first had.
+
+    Full-size temporaries throughout: the lattice as one expression, the
+    drive as ``peak * np.exp(-(t * t) / (2 tau^2))``, ``f_in`` a strided
+    view of the samples, and each probability ``np.trapezoid`` of
+    ``np.abs(f) ** 2``.
+    """
+    n, h, tau = grid.n_steps, grid.step, params.tau
+    t = grid.t_start + 0.5 * h * np.arange(2 * n + 1)
+    f_half = (tau * math.sqrt(math.pi)) ** -0.5 * np.exp(-(t * t) / (2.0 * tau * tau))
+    m, v1, v2, v3 = io._rk4_tableau(params, h)
+    u = np.zeros((-(-n // io.SCAN_BLOCK) * io.SCAN_BLOCK, 3))
+    windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
+    np.matmul(windows, np.array([v1, v2, v3]), out=u[:n])
+    c_l, c_r, c_e = reference_scan_affine(m - np.eye(3), u)[: n + 1].T
+    f_in = f_half[::2]
+    sqrt_k = math.sqrt(params.kappa)
+    f_l_out = f_in + sqrt_k * c_l
+    f_r_out = sqrt_k * c_r
+    return io.PulseResult(
+        time_grid=grid.t_start + h * np.arange(n + 1),
+        c_L=c_l,
+        c_R=c_r,
+        c_e=c_e,
+        f_in=f_in,
+        f_L_out=f_l_out,
+        f_R_out=f_r_out,
+        P_flip=float(np.trapezoid(np.abs(f_r_out) ** 2, dx=h)),
+        P_noflip=float(np.trapezoid(np.abs(f_l_out) ** 2, dx=h)),
+    )
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "params,grid",
+    [
+        # the golden sweep's corners: 5,496 to 367,696 steps
+        (matched(0.5, tau=0.1), None),
+        (matched(0.5, tau=40.0), None),
+        (matched(5.0, tau=0.1), None),
+        (matched(5.0, tau=40.0), None),
+        # unequal couplings, another kappa, an empty cavity
+        (PulseParams(1.0, 2.0, 1.0, 3.0), None),
+        (PulseParams(0.3, 0.9, 2.0, 5.0), None),
+        (PulseParams(0.0, 0.0, 1.0, 2.0), None),
+        # custom grids: a step off the default and a window ending off the block size
+        (PulseParams(1.0, 0.7, 1.0, 2.0), TimeGrid(-13.0, 40.3, 0.0037)),
+        (PulseParams(1.0, 0.7, 1.0, 2.0), TimeGrid(-10.5, 30.0, 0.01)),
+    ],
+)
+def test_every_pulse_result_field_keeps_its_bits(params, grid):
+    grid = grid or default_grid(params)
+    got, want = integrate_pulse(params, grid), reference_pulse(params, grid)
+    for field in dataclasses.fields(io.PulseResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.shape(a) == np.shape(b), field.name
+        assert np.array_equal(bits(a), bits(b)), field.name
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 9, 10, 11, 21, 8_192, 8_193, 8_194, 20_000])
+def test_the_chunked_trapezoid_is_np_trapezoid_bit_for_bit(length, monkeypatch):
+    f = np.random.default_rng(length).normal(size=length)
+    want = float(np.trapezoid(np.abs(f) ** 2, dx=0.013))
+    assert bits(io._trapezoid_of_square(f, 0.013)) == bits(want)
+    monkeypatch.setattr(io, "_SQUARE_CHUNK", 4)  # chunks of 4 pair sums, one square shared
+    assert bits(io._trapezoid_of_square(f, 0.013)) == bits(want)
+
+
+def test_the_largest_golden_point_peaks_under_64_bytes_per_step():
+    # the samples are freed before the scan and no full-size square is built:
+    # y (24 B/step), f_in, f_R_out and f_L_out (8 each) and one pair-sum array
+    params = matched(5.0, tau=40.0)
+    grid = default_grid(params)
+    integrate_pulse(params, grid)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = integrate_pulse(params, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result.c_L.shape == (grid.n_steps + 1,)
+    assert peak <= 64 * grid.n_steps
 
 
 # ---------------------------------------------------------------- adiabatic

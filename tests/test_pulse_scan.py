@@ -103,8 +103,9 @@ def stable_step(params):
 def test_scan_matches_loop_at_block_edges(params, n, seed):
     h = stable_step(params)
     f_half = drive_samples(n, seed)
-    y = io._trajectory(params, h, f_half)
+    y, f_in = io._trajectory(params, h, f_half)
     assert y.shape[0] >= n + 1 and y.shape[1] == 3
+    assert f_in.flags.c_contiguous and f_in.tobytes() == f_half[::2].tobytes()
     for got, ref in zip(y[: n + 1].T, loop_trajectory(params, h, f_half)):
         assert_close_trajectory(got, ref)
 
@@ -115,7 +116,7 @@ def test_three_level_scan_matches_loop():
     n = B**3 + 1
     h = stable_step(params)
     f_half = drive_samples(n, 5)
-    y = io._trajectory(params, h, f_half)
+    y, _ = io._trajectory(params, h, f_half)
     for got, ref in zip(y[: n + 1].T, loop_trajectory(params, h, f_half)):
         assert_close_trajectory(got, ref)
 

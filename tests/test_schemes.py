@@ -46,7 +46,7 @@ from cavnet.schemes import (
     run,
 )
 from cavnet.verify import Graph, fidelity, ghz_target, stabilizer_expectations, w_target
-from support import bare_scheme
+from support import bare_scheme, unchunked_retry_walk_mc
 
 SQ2 = np.sqrt(0.5)
 
@@ -1010,6 +1010,20 @@ def reference_retry_walk_mc(params, trajectories, seed):
             absorbed += hits
             pos = pos[~done]
     return absorbed / trajectories
+
+
+@pytest.mark.parametrize("chunk", [1_000, 65_536, 100_003])
+@pytest.mark.parametrize("trajectories", [1, 65_535, 65_536, 65_537, 131_073])
+def test_the_chunked_mc_walk_matches_the_unchunked_walk(chunk, trajectories, monkeypatch):
+    # step limits that leave walkers alive, and one walk run until every walker is absorbed
+    monkeypatch.setattr(schemes, "_MC_CHUNK", chunk)
+    for params, seed in (
+        (RetryWalkParams(0.5, 4, max_steps=20), 9),
+        (RetryWalkParams(0.55, 30, max_steps=50), 2**40 + 3),
+        (RetryWalkParams(0.8, 4, max_steps=200), 7),
+    ):
+        got = retry_walk_mc(params, trajectories, seed)
+        assert got == unchunked_retry_walk_mc(params, trajectories, seed)
 
 
 def test_retry_walk_positions_fit_int16():
