@@ -6,8 +6,6 @@ visits.  Erasing the path information at the closing splitter leaves the
 atoms in a GHZ state, with the detector click telling us which sign we got.
 """
 
-import numpy as np
-
 from cavnet import build_ghz_atoms, run
 
 for n in (2, 4, 6):

@@ -7,8 +7,6 @@ between two cavities, and arbitrary graph states from repeated dispersive
 passes.
 """
 
-import numpy as np
-
 from cavnet import (
     Graph,
     build_field_cz_pair,

@@ -7,8 +7,6 @@ corrupts the state - the conditional fidelity is exactly one and the only
 price of imperfection is time.
 """
 
-import numpy as np
-
 from cavnet import RetryWalkParams, retry_walk, retry_walk_mc
 
 print(f"{'p':>5} {'n':>3} {'P(success)':>12} {'E[steps]':>10} {'MC check':>10}")

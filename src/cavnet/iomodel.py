@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,19 +127,11 @@ class PulseResult:
     P_noflip: float
 
 
-def gaussian_input(tau: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Unit-norm Gaussian pulse (tau*sqrt(pi))^(-1/2) exp(-t^2 / 2 tau^2)."""
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _gaussian_of_squares(np.asarray(t * t, dtype=float), tau)
-
-    return f
-
-
 def _gaussian_of_squares(t_sq: np.ndarray, tau: float) -> np.ndarray:
-    """``gaussian_input(tau)`` at the times whose squares are ``t_sq``, in place.
+    """The unit-norm Gaussian pulse at the times whose squares are ``t_sq``, in place.
 
-    The ufuncs of peak * exp(-(t * t) / (2 tau^2)), in that order.
+    The pulse is peak * exp(-t^2 / 2 tau^2) with peak (tau*sqrt(pi))^(-1/2),
+    its ufuncs applied in the order of peak * exp(-(t * t) / (2 tau^2)).
     """
     np.negative(t_sq, out=t_sq)
     t_sq /= 2.0 * tau * tau

@@ -285,13 +285,6 @@ class PureState:
         return self.amplitudes.reshape(self.register.dims)
 
 
-def product_state(register: Register, labels: Sequence[str | int]) -> PureState:
-    """Basis product state |l_0 l_1 ...> from one label per subsystem."""
-    amps = np.zeros(register.total_dim, dtype=complex)
-    amps[register.index_of_labels(labels)] = 1.0
-    return PureState(register, amps)
-
-
 def _factor_product(
     register: Register, factors, cut: Sequence[slice] | None = None
 ) -> np.ndarray:

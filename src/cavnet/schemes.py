@@ -37,6 +37,7 @@ import numpy as np
 from . import elements as el
 from . import qstate, verify
 from .errors import (
+    CavnetError,
     ContractViolationError,
     DegenerateCouplingError,
     InvalidConfigurationError,
@@ -70,10 +71,10 @@ _MC_CHUNK = 65_536  # walkers drawn and moved at a time by retry_walk_mc
 MAX_WALK_CAVITIES = 1_000
 # Most steps RetryWalkParams accepts, 10x the default budget: both walks
 # loop over steps in Python, and one step of retry_walk at MAX_WALK_CAVITIES
-# takes about 3 us (2-vCPU Xeon), so this caps that loop near 0.3 s.
+# takes about 5 us (2-vCPU Xeon), so this caps that loop near 0.5 s.
 MAX_WALK_STEPS = 100_000
 # Most walkers x max_steps retry_walk_mc accepts, 1M walkers for the default 10,000
-# steps: at ~2.3 ns per walker step (2-vCPU Xeon) this caps one call near 25 s.
+# steps: at ~3.3 ns per walker step (2-vCPU Xeon) this caps one call near 33 s.
 MAX_MC_WALKER_STEPS = 10**10
 
 
@@ -442,13 +443,12 @@ def propagate(scheme: Scheme, upto: int | None = None) -> PureState:
 def _strip_flyer(state: PureState, label: str) -> PureState:
     """Remove a flying subsystem that must be in a product with the rest.
 
-    Every outcome's mass is read, and the subsystem is projected out once,
-    onto the largest.
+    It is projected out once, onto the first outcome holding more than half
+    the mass, else the last, so a two-level flyer's mass is read once.
     """
-    sub = state.register.subsystem(label)
-    probs = [qstate.projection_probability(state, label, out) for out in sub.basis_labels]
-    best = int(np.argmax(probs))
-    prob, post = qstate.project_out(state, label, sub.basis_labels[best])
+    *first, last = state.register.subsystem(label).basis_labels
+    best = next((o for o in first if qstate.projection_probability(state, label, o) > 0.5), last)
+    prob, post = qstate.project_out(state, label, best)
     if post is None or prob < 1.0 - FLYER_PURITY_ATOL:
         raise LossyWiringError(
             f"flying subsystem {label!r} is still entangled at detection "
@@ -486,12 +486,13 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
     :class:`PureState` over :func:`_path_first`'s register: each path
     outcome is one contiguous slab, and no register-order copy is made (a
     post state that keeps the path keeps it first).  Every combination is
-    projected and its flyers stripped first; the propagated state is then
-    released, and only then are the corrections applied and the
-    fidelities computed, in report order.  So when one outcome fails at
-    detection and another at its correction, the detection error is
+    projected and its flyers stripped first (a refusal keeping its type and
+    text after the scheme's name and the outcome's id); the propagated
+    state is then released, and only then are the corrections applied and
+    the fidelities computed, in report order.  So when one outcome fails
+    at detection and another at its correction, the detection error is
     raised, whatever their order.  Probabilities must account for the
-    whole state (sum to 1 within 1e-9).
+    whole state (sum to 1 within 1e-9), or the refusal names the scheme.
     """
     combos = list(_outcome_combos(scheme.detectors)) if scheme.detectors else []
     for combo_id, _ in combos:
@@ -517,8 +518,11 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
                 break
         if st is not None:
             for label in scheme.flying:
-                if label in st.register.labels:
+                try:
                     st = _strip_flyer(st, label)
+                except CavnetError as exc:
+                    where = f"scheme {scheme.name!r}, outcome {combo_id!r}: "
+                    raise type(exc)(where + str(exc)) from None
         detected.append((combo_id, prob, st))
         total += prob
     del state
@@ -537,7 +541,8 @@ def run(scheme: Scheme) -> list[OutcomeReport]:
 
     if abs(total - 1.0) > PROB_SUM_ATOL:
         raise LossyWiringError(
-            f"detector probabilities sum to {total!r}, scheme loses amplitude"
+            f"scheme {scheme.name!r}: detector probabilities sum to {total!r}, "
+            "scheme loses amplitude"
         )
     return reports
 

@@ -17,19 +17,37 @@ every live walker drawn for and moved in one buffer per step.
 arrays: the same dtype, shape and bytes.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
 identity correction and no target for every outcome id unless given
-others.
+others.  ``product_state`` builds a basis product state, and
+``gaussian_input`` is the integrator's Gaussian drive as a function of
+time.
 """
 
 import numpy as np
 
 from cavnet import elements as el
-from cavnet import qstate, schemes, verify
+from cavnet import iomodel, qstate, schemes, verify
 from cavnet.errors import InvalidConfigurationError
 from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
 from cavnet.schemes import Scheme, _outcome_combos
 from cavnet.verify import LocalCorrection
 
 PAULI = {"X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
+
+
+def product_state(register, labels):
+    """Basis product state |l_0 l_1 ...> from one label per subsystem."""
+    amps = np.zeros(register.total_dim, dtype=complex)
+    amps[register.index_of_labels(labels)] = 1.0
+    return PureState(register, amps)
+
+
+def gaussian_input(tau):
+    """Unit-norm Gaussian pulse (tau*sqrt(pi))^(-1/2) exp(-t^2 / 2 tau^2), as integrated."""
+
+    def f(t):
+        return iomodel._gaussian_of_squares(np.asarray(t * t, dtype=float), tau)
+
+    return f
 
 
 def assert_bit_equal(a, b):
@@ -120,8 +138,7 @@ def reference_run(scheme):
                 break
         if st is not None:
             for label in scheme.flying:
-                if label in st.register.labels:
-                    st = schemes._strip_flyer(st, label)
+                st = schemes._strip_flyer(st, label)
         correction, target = scheme.corrections[combo_id], scheme.targets[combo_id]
         corrected = None if st is None else correction.apply(st)
         fid = None if corrected is None or target is None else verify.fidelity(corrected, target)

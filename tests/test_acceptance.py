@@ -9,9 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from cavnet import elements as el
 from cavnet import schemes
 from cavnet.iomodel import (
     PulseParams,
@@ -31,8 +29,6 @@ from cavnet.qstate import (
     Register,
     Subsystem,
     apply_unitary,
-    product_state,
-    project_out,
     projection_probability,
 )
 from cavnet.schemes import (

@@ -32,10 +32,9 @@ from cavnet.qstate import (
     PureState,
     Register,
     Subsystem,
-    product_state,
 )
 from cavnet.verify import LocalCorrection
-from support import PAULI, assert_bit_equal, reference_apply
+from support import PAULI, assert_bit_equal, product_state, reference_apply
 
 TWO_LEVEL_KINDS = (KIND_ATOM_LR, KIND_ATOM_GE, KIND_FIELD, KIND_POL)
 

@@ -1,8 +1,9 @@
-"""Every package module uses every name it imports, and every name it defines is read.
+"""Every module, test and demo uses every name it imports; every name the package defines is read.
 
 The checks read the source with ``ast``.  A name bound by an import must
-appear as a name somewhere else in the module; ``__init__.py`` is exempt,
-since its imports are the package's re-exports, and so is ``__future__``.
+appear as a name somewhere else in its module or script; ``__init__.py`` is
+exempt, since its imports are the package's re-exports, and so is
+``__future__``.
 A module-level ``_name`` (a function, class or assignment) must be read as
 a name or an attribute somewhere in the package, so a helper left behind
 by removed code fails.  A module-level public name must be read as a name,
@@ -23,6 +24,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cavnet"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(
+    f"{folder}/{p.name}" for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,6 +61,15 @@ def test_modules_were_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_scripts_were_found():
+    assert {"tests/support.py", "tests/test_imports.py", "demos/02_ghz_chain.py"} <= set(SCRIPTS)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_test_or_demo_has_no_unused_imports(script):
+    assert unused_imports((ROOT / script).read_text(encoding="utf-8")) == []
 
 
 def definitions(tree: ast.Module) -> dict[str, int]:

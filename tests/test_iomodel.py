@@ -25,11 +25,11 @@ from cavnet.iomodel import (
     default_grid,
     flip_probability_sweep,
     format_float,
-    gaussian_input,
     integrate_pulse,
     slowest_decay_rate,
     sweep_csv_text,
 )
+from support import gaussian_input
 
 # Flip probabilities frozen from a half-step-converged run; the integrator
 # must stay on these to a millionth.

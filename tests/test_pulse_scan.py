@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from cavnet import iomodel as io
 from cavnet.iomodel import SCAN_BLOCK as B
-from cavnet.iomodel import PulseParams, TimeGrid, gaussian_input, integrate_pulse
+from cavnet.iomodel import PulseParams, TimeGrid, integrate_pulse
+from support import gaussian_input
 
 TRAJ_REL = 1e-12  # relative to the trajectory's peak amplitude
 PROB_ABS = 1e-13

@@ -24,11 +24,10 @@ from cavnet.qstate import (
     Subsystem,
     apply_unitary,
     overlap,
-    product_state,
     project_out,
     projection_probability,
 )
-from support import bare_scheme
+from support import bare_scheme, product_state
 
 SQ2 = np.sqrt(0.5)
 

@@ -1,11 +1,11 @@
-"""The README stays true: its command lines parse, its library snippet runs, its budgets hold."""
+"""The README stays true: its command lines parse, its examples run as shown, its budgets hold."""
 
 import importlib
 import re
 import shlex
 from pathlib import Path
 
-from cavnet.cli import build_parser
+from cavnet.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -23,6 +23,15 @@ def test_every_readme_command_line_parses():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])  # argparse exits 2 on a bad line
         assert args.func is not None, line
+
+
+def test_the_readme_walk_example_prints_the_output_shown(tmp_path):
+    block = next(body for body in fenced("sh") if "cavnet run-scheme" in body)
+    line = next(line for line in block.splitlines() if line.startswith("cavnet retry-walk"))
+    (shown,) = [body for body in fenced("json") if '"mc_success_prob"' in body]
+    out = tmp_path / "walk.json"
+    assert main(shlex.split(line)[1:] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == shown.encode()
 
 
 def test_the_readme_library_snippet_runs(capsys):

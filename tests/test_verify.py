@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cavnet import verify
 from cavnet.errors import GraphError, NotSingleExcitationError, ParameterError, ShapeError
 from cavnet.qstate import (
     KIND_ATOM_LR,
@@ -14,7 +13,6 @@ from cavnet.qstate import (
     Register,
     Subsystem,
     apply_unitary,
-    product_state,
 )
 from cavnet.verify import (
     Graph,
@@ -26,6 +24,7 @@ from cavnet.verify import (
     stabilizer_expectations,
     w_target,
 )
+from support import product_state
 
 
 def qubit_register(n, kind=KIND_ATOM_LR, prefix="q"):
