@@ -46,9 +46,12 @@ from .errors import (
 
 # Largest grid integrate_pulse accepts, more than 5x the largest grid in use
 # (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
-# An integration peaks at ~60 bytes per step (traced: 60.2 at 367,696 steps,
-# 58.5 at 735,392), so this caps one call near 0.24 GB; larger grids raise
-# ParameterError first.
+# An integration's numpy arrays peak at ~60 bytes per step (traced: 60.2 at
+# 367,696 steps, 58.5 at 735,392).  Its RSS above import peaks at ~66 bytes
+# per step with two BLAS threads (66.4 and 65.2; 85.9 and 83.9 before the
+# Toeplitz product was chunked), which adds the BLAS threads' work buffers
+# that tracemalloc does not see.  So this caps one call near 0.26 GB; larger
+# grids raise ParameterError first.
 MAX_STEPS = 4_000_000
 # Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
@@ -59,6 +62,7 @@ MAX_SWEEP_POINTS = 10_000
 MAX_SWEEP_STEPS = 10 * MAX_STEPS
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
 _SQUARE_CHUNK = 8_192  # samples squared at a time by _trapezoid_of_square
+_TOEPLITZ_ROWS = 512  # scan blocks multiplied at a time by _scan_affine's Toeplitz matrix
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,7 @@ def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States y_0 = 0, y_{i+1} = m y_i + u_i with m = 1 + e, as a (len(u)+1, 3) array.
 
     ``len(u)`` is a multiple of SCAN_BLOCK = B.  Every block is solved from
-    zero by one product with the block-Toeplitz matrix of m^0..m^(B-1).  The
+    zero by a product with the block-Toeplitz matrix of m^0..m^(B-1).  The
     block starts obey the same recurrence with m^B, driven by the blocks'
     last local states (a recursive call), and m^(j+1) start is added to step
     j of each block by one more product, using ``u`` as scratch space (its
@@ -281,7 +285,12 @@ def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     y = np.empty((nb * b + 1, 3), dtype=u.dtype)
     y[0] = 0.0
     body = y[1:].reshape(nb, 3 * b)
-    np.matmul(u.reshape(nb, 3 * b), toeplitz, out=body)
+    # by row chunks, so BLAS packs one chunk, not all nb rows, into its work
+    # buffers; as in qstate._rows_product no chunk of a larger product has one
+    # row, which numpy multiplies as a matrix-vector product with other rounding
+    bounds = [*range(0, max(nb - 1, 1), _TOEPLITZ_ROWS), nb]
+    for start, stop in zip(bounds, bounds[1:]):
+        np.matmul(u.reshape(nb, 3 * b)[start:stop], toeplitz, out=body[start:stop])
     if nb > 1:
         ends = np.zeros((-(-(nb - 1) // b) * b, 3), dtype=u.dtype)
         ends[: nb - 1] = body[:-1, -3:]

@@ -11,8 +11,11 @@ register order and transposed path-first, and every element's guard (its
 naming the scheme and the element.  ``reference_run`` is the detection
 oracle: the flat loop over :func:`schemes.propagate`'s register-order
 state, each outcome projected, its flyers stripped, corrected and scored
-in turn.  ``unchunked_retry_walk_mc`` is the Monte-Carlo walk oracle:
-every live walker drawn for and moved in one buffer per step.
+in turn, with its own flyer rule (``strip_flyer``).
+``unchunked_retry_walk_mc`` is the Monte-Carlo walk oracle: every live
+walker drawn for and moved in one buffer per step.
+``unchunked_scan_affine`` is the RK4 scan oracle: every block multiplied
+by the block-Toeplitz matrix in one product.
 ``assert_bit_equal`` is the one bit-for-bit comparison of two
 arrays: the same dtype, shape and bytes.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
@@ -26,7 +29,7 @@ import numpy as np
 
 from cavnet import elements as el
 from cavnet import iomodel, qstate, schemes, verify
-from cavnet.errors import InvalidConfigurationError
+from cavnet.errors import InvalidConfigurationError, LossyWiringError
 from cavnet.qstate import PROJECT_EPS, PureState, Register, apply_unitary
 from cavnet.schemes import Scheme, _outcome_combos
 from cavnet.verify import LocalCorrection
@@ -120,11 +123,26 @@ def propagate_every_element(scheme):
     return tensor.transpose(axis).reshape(-1)
 
 
+def strip_flyer(state, label):
+    """``state`` with the flying ``label`` projected onto its most probable outcome and dropped.
+
+    The outcome is the first of largest ``projection_probability``; a
+    projection below ``1 - FLYER_PURITY_ATOL`` is refused.
+    """
+    outcomes = state.register.subsystem(label).basis_labels
+    best = max(outcomes, key=lambda o: qstate.projection_probability(state, label, o))
+    prob, post = qstate.project_out(state, label, best)
+    if post is None or prob < 1.0 - schemes.FLYER_PURITY_ATOL:
+        raise LossyWiringError(f"flyer {label!r} is entangled: outcome {best!r} has {prob}")
+    return post
+
+
 def reference_run(scheme):
     """:func:`schemes.run`'s reports from the register-order state, one outcome at a time.
 
     Every outcome is projected from ``propagate(scheme)``, its flyers
-    stripped, and it is corrected and scored before the next is projected.
+    stripped by :func:`strip_flyer`, and it is corrected and scored before
+    the next is projected.
     """
     state = schemes.propagate(scheme)
     reports, total = [], 0.0
@@ -138,7 +156,7 @@ def reference_run(scheme):
                 break
         if st is not None:
             for label in scheme.flying:
-                st = schemes._strip_flyer(st, label)
+                st = strip_flyer(st, label)
         correction, target = scheme.corrections[combo_id], scheme.targets[combo_id]
         corrected = None if st is None else correction.apply(st)
         fid = None if corrected is None or target is None else verify.fidelity(corrected, target)
@@ -177,6 +195,41 @@ def unchunked_retry_walk_mc(params, trajectories, seed):
             pos[:survivors] = walkers[k]
             live = survivors
     return (trajectories - live) / trajectories
+
+
+def unchunked_scan_affine(e, u):
+    """:func:`iomodel._scan_affine` with every block's product by the Toeplitz matrix made at once.
+
+    Its body otherwise, recursion included: the powers by doubling, the
+    strided Toeplitz view, and the carry product written into ``u``.
+    """
+    b = iomodel.SCAN_BLOCK
+    nb = len(u) // b
+    d = np.zeros((b + 1, 3, 3))
+    d[1] = e
+    k = 1
+    while k < b:
+        d[k + 1 : 2 * k + 1] = d[1 : k + 1] + (d[k] + d[1 : k + 1] @ d[k])
+        k *= 2
+    powers = d + np.eye(3)
+    table = np.zeros((2 * b - 1, 3, 3))
+    table[b - 1 :] = powers[:b].transpose(0, 2, 1)
+    s0, s1, s2 = table.strides
+    lagged = np.lib.stride_tricks.as_strided(table[b - 1 :], (b, 3, b, 3), (-s0, s1, s0, s2))
+    toeplitz = lagged.reshape(3 * b, 3 * b)
+
+    y = np.empty((nb * b + 1, 3), dtype=u.dtype)
+    y[0] = 0.0
+    body = y[1:].reshape(nb, 3 * b)
+    np.matmul(u.reshape(nb, 3 * b), toeplitz, out=body)
+    if nb > 1:
+        ends = np.zeros((-(-(nb - 1) // b) * b, 3), dtype=u.dtype)
+        ends[: nb - 1] = body[:-1, -3:]
+        starts = unchunked_scan_affine(d[b], ends)[1:nb]
+        carry = u.reshape(nb, 3 * b)[1:]
+        np.matmul(starts, powers[1:].transpose(2, 0, 1).reshape(3, 3 * b), out=carry)
+        body[1:] += carry
+    return y
 
 
 def bare_scheme(register, amplitudes, items=(), detectors=(), **fields):

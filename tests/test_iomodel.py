@@ -459,7 +459,9 @@ def test_the_chunked_trapezoid_is_np_trapezoid_bit_for_bit(length, monkeypatch):
 
 def test_the_largest_golden_point_peaks_under_64_bytes_per_step():
     # the samples are freed before the scan and no full-size square is built:
-    # y (24 B/step), f_in, f_R_out and f_L_out (8 each) and one pair-sum array
+    # y (24 B/step), f_in, f_R_out and f_L_out (8 each) and one pair-sum array.
+    # This bounds traced numpy bytes only: BLAS's work buffers are not traced
+    # (RSS per step is in the comment above iomodel.MAX_STEPS)
     params = matched(5.0, tau=40.0)
     grid = default_grid(params)
     integrate_pulse(params, grid)

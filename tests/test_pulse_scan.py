@@ -2,7 +2,9 @@
 
 ``loop_trajectory`` is the reference: the plain per-step RK4 loop over the
 same affine tableau, in Python scalars.  The scan reorders the sums, so the
-two agree to rounding, not bit for bit.
+two agree to rounding, not bit for bit.  The scan's Toeplitz product, made
+in row chunks, is held bit for bit to ``unchunked_scan_affine``, which
+makes it in one.
 """
 
 import math
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 from cavnet import iomodel as io
 from cavnet.iomodel import SCAN_BLOCK as B
 from cavnet.iomodel import PulseParams, TimeGrid, integrate_pulse
-from support import gaussian_input
+from support import gaussian_input, unchunked_scan_affine
 
 TRAJ_REL = 1e-12  # relative to the trajectory's peak amplitude
 PROB_ABS = 1e-13
+C = io._TOEPLITZ_ROWS
 
 
 def loop_trajectory(params, h, f_half):
@@ -140,3 +143,35 @@ def test_integrate_pulse_matches_loop(params, extra, blocks):
         assert_close_trajectory(got, want)
     assert res.P_flip == pytest.approx(p_flip, abs=PROB_ABS)
     assert res.P_noflip == pytest.approx(p_noflip, abs=PROB_ABS)
+
+
+@pytest.mark.parametrize("params", [PulseParams(5.0, 5.0, 1.0, 40.0), PulseParams(1.0, 0.3, 2.0, 1.5)])
+@pytest.mark.parametrize("nb", [1, 2, C - 1, C, C + 1, C + 2, 2 * C + 1, 3 * C + 1])
+def test_the_chunked_toeplitz_product_keeps_the_bits_of_one_product(params, nb):
+    # a chunk of one row would be a matrix-vector product, which rounds otherwise
+    m = io._rk4_tableau(params, stable_step(params))[0]
+    u = np.random.default_rng(nb).normal(size=(nb * B, 3))
+    got = io._scan_affine(m - np.eye(3), u.copy())
+    want = unchunked_scan_affine(m - np.eye(3), u.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_every_toeplitz_product_of_the_largest_golden_point_has_two_to_c_plus_one_rows(monkeypatch):
+    # each scan level's chunks cover its nb blocks; only a scan of one block
+    # (the bottom of the block-start recursion) is a product of one row
+    matmul, products = np.matmul, []
+
+    def spy(a, b, *args, out=None, **kwargs):
+        if np.shape(b) == (3 * B, 3 * B):
+            blocks = (len(out.base) - 1) // B  # out is a slice of the (nb B + 1, 3) states
+            products.append((len(a), blocks))
+        return matmul(a, b, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    integrate_pulse(PulseParams(5.0, 5.0, 1.0, 40.0))
+    monkeypatch.undo()
+    levels = {blocks for _, blocks in products}
+    assert max(levels) == 5_746
+    for level in levels:
+        assert sum(rows for rows, blocks in products if blocks == level) == level
+    assert all(2 <= rows <= C + 1 or rows == blocks == 1 for rows, blocks in products)
