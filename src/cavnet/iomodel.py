@@ -23,6 +23,8 @@ One RK4 step of this linear system is an affine map y <- M y + u_i, so the
 recurrence is evaluated as a blocked scan: one matrix product per block of
 64 steps, with the block-start states carried by M^64.  It takes the same
 RK4 steps as a per-step loop and agrees with one to rounding (~1e-14).
+The scan runs in place on the drive terms, and a result's output pulses
+and time grid are made on first access.
 
 ``adiabatic_output_coefficients`` evaluates the long-pulse closed form;
 ``flip_probability_sweep`` maps P_flip over a (g, tau) grid with
@@ -31,6 +33,7 @@ g_L = g_R = g and exports CSV.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,12 +49,13 @@ from .errors import (
 
 # Largest grid integrate_pulse accepts, more than 5x the largest grid in use
 # (735,392 steps: g = 5 kappa, kappa tau = 40 at half the default step).
-# An integration's numpy arrays peak at ~60 bytes per step (traced: 60.2 at
-# 367,696 steps, 58.5 at 735,392).  Its RSS above import peaks at ~66 bytes
-# per step with two BLAS threads (66.4 and 65.2; 85.9 and 83.9 before the
-# Toeplitz product was chunked), which adds the BLAS threads' work buffers
-# that tracemalloc does not see.  So this caps one call near 0.26 GB; larger
-# grids raise ParameterError first.
+# An integration's numpy arrays peak at ~40 bytes per step (traced: 40.4 at
+# 367,696 steps, 40.2 at 735,392; 56.0 once every output pulse is read).
+# Its RSS above import peaks at ~45 bytes per step with two BLAS threads
+# (44.8 and 43.3; 60.7 and 58.6 with every output pulse read), which adds
+# the BLAS threads' work buffers that tracemalloc does not see.  So this
+# caps one call near 0.18 GB (0.24 GB with every pulse read); larger grids
+# raise ParameterError first.
 MAX_STEPS = 4_000_000
 # Most (g, tau) points flip_probability_sweep accepts, 125x the 80-point
 # golden sweep; larger sweeps raise ParameterError before any grid is built.
@@ -61,7 +65,7 @@ MAX_SWEEP_POINTS = 10_000
 # any one point that MAX_STEPS admits.
 MAX_SWEEP_STEPS = 10 * MAX_STEPS
 SCAN_BLOCK = 64  # RK4 steps per block of the scan in _scan_affine
-_SQUARE_CHUNK = 8_192  # samples squared at a time by _trapezoid_of_square
+_SQUARE_CHUNK = 8_192  # steps sampled, and samples squared, at a time
 _TOEPLITZ_ROWS = 512  # scan blocks multiplied at a time by _scan_affine's Toeplitz matrix
 
 
@@ -118,17 +122,36 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PulseResult:
-    """Trajectories, output pulses, and integrated probabilities."""
+    """Trajectories, input and output pulses, and integrated probabilities.
 
-    time_grid: np.ndarray
+    ``c_L``, ``c_R`` and ``c_e`` are views of one trajectory array.
+    ``time_grid``, ``f_L_out`` and ``f_R_out`` are made from it on first
+    access and then kept, so a caller that reads only the probabilities
+    never holds them.
+    """
+
+    params: PulseParams
+    grid: TimeGrid
     c_L: np.ndarray
     c_R: np.ndarray
     c_e: np.ndarray
     f_in: np.ndarray
-    f_L_out: np.ndarray
-    f_R_out: np.ndarray
     P_flip: float
     P_noflip: float
+
+    @functools.cached_property
+    def time_grid(self) -> np.ndarray:
+        return self.grid.times()
+
+    @functools.cached_property
+    def f_L_out(self) -> np.ndarray:
+        f = math.sqrt(self.params.kappa) * self.c_L
+        f += self.f_in
+        return f
+
+    @functools.cached_property
+    def f_R_out(self) -> np.ndarray:
+        return math.sqrt(self.params.kappa) * self.c_R
 
 
 def _gaussian_of_squares(t_sq: np.ndarray, tau: float) -> np.ndarray:
@@ -144,9 +167,9 @@ def _gaussian_of_squares(t_sq: np.ndarray, tau: float) -> np.ndarray:
     return t_sq
 
 
-def _half_step_samples(tau: float, grid: TimeGrid) -> np.ndarray:
-    """The Gaussian drive at the 2n+1 half-step times t_start + k h/2, in one buffer."""
-    t = np.arange(2 * grid.n_steps + 1, dtype=float)
+def _half_step_samples(tau: float, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
+    """The Gaussian drive at the half-step times t_start + k h/2, k = 2 start, ..., 2 stop."""
+    t = np.arange(2 * start, 2 * stop + 1, dtype=float)
     t *= 0.5 * grid.step
     t += grid.t_start
     np.multiply(t, t, out=t)
@@ -231,40 +254,56 @@ def _rk4_tableau(params: PulseParams, h: float) -> tuple[np.ndarray, np.ndarray,
     return m, v1, v2, v3
 
 
-def _trajectory(params: PulseParams, h: float, f_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 states y_0 = 0, ..., y_n as rows (c_L, c_R, c_e), then padding rows; and f_in.
+def _row_chunks(n: int, size: int) -> zip:
+    """(start, stop) of ``n`` rows taken ``size`` at a time.
 
-    The drive terms u_i = v1 f_2i + v2 f_2i+1 + v3 f_2i+2 are one product
-    over the length-3 windows of the 2n+1 half-step samples ``f_half``.
-    ``f_in`` is a contiguous copy of the whole-step samples f_0, f_2, ...,
-    f_2n.  The samples are let go before the scan, so they are freed then
-    unless the caller holds them.
+    As in qstate._rows_product, no chunk of a larger product has one row,
+    which numpy multiplies as a matrix-vector product with other rounding.
     """
-    m, v1, v2, v3 = _rk4_tableau(params, h)
-    n = (len(f_half) - 1) // 2
-    u = np.zeros((-(-n // SCAN_BLOCK) * SCAN_BLOCK, 3))
-    windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
-    np.matmul(windows, np.array([v1, v2, v3]), out=u[:n])
-    f_in = f_half[::2].copy()
-    del f_half, windows
-    return _scan_affine(m - np.eye(3), u), f_in
+    bounds = [*range(0, max(n - 1, 1), size), n]
+    return zip(bounds, bounds[1:])
 
 
-def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States y_0 = 0, y_{i+1} = m y_i + u_i with m = 1 + e, as a (len(u)+1, 3) array.
+def _trajectory(params: PulseParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 states y_0 = 0, ..., y_n as rows (c_L, c_R, c_e), then zero padding rows; and f_in.
 
-    ``len(u)`` is a multiple of SCAN_BLOCK = B.  Every block is solved from
+    The drive is sampled ``_SQUARE_CHUNK`` steps at a time, and each step's
+    term u_i = v1 f_2i + v2 f_2i+1 + v3 f_2i+2 is written into row i + 1
+    of the buffer that ``_scan_affine`` then solves in place.  ``f_in``
+    holds the whole-step samples f_0, f_2, ..., f_2n.
+    """
+    n = grid.n_steps
+    m, v1, v2, v3 = _rk4_tableau(params, grid.step)
+    drive = np.array([v1, v2, v3])
+    y = np.empty((-(-n // SCAN_BLOCK) * SCAN_BLOCK + 1, 3))
+    y[0] = 0.0
+    y[n + 1 :] = 0.0
+    f_in = np.empty(n + 1)
+    for start, stop in _row_chunks(n, _SQUARE_CHUNK):
+        f = _half_step_samples(params.tau, grid, start, stop)
+        windows = np.lib.stride_tricks.sliding_window_view(f, 3)[::2]
+        np.matmul(windows, drive, out=y[1 + start : 1 + stop])
+        f_in[start : stop + 1] = f[::2]
+    return _scan_affine(m - np.eye(3), y), f_in
+
+
+def _scan_affine(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve y_0 = 0, y_{i+1} = m y_i + u_i with m = 1 + e in place, and return ``y``.
+
+    ``y`` has nb B + 1 rows, B = SCAN_BLOCK: row 0 is zero, and row i + 1
+    holds u_i on entry and y_{i+1} on return.  Every block is solved from
     zero by a product with the block-Toeplitz matrix of m^0..m^(B-1).  The
     block starts obey the same recurrence with m^B, driven by the blocks'
     last local states (a recursive call), and m^(j+1) start is added to step
-    j of each block by one more product, using ``u`` as scratch space (its
-    contents are overwritten).  Powers are formed as m^j - 1, whose
-    small entries would lose their low digits if rounded against the
-    identity at every product; this keeps the scan as accurate as a per-step
-    loop.
+    j of each block by one more product.  Both products run
+    ``_TOEPLITZ_ROWS`` blocks at a time through one scratch array, so BLAS
+    packs one chunk, not all nb rows, into its work buffers.  Powers are
+    formed as m^j - 1, whose small entries would lose their low digits if
+    rounded against the identity at every product; this keeps the scan as
+    accurate as a per-step loop.
     """
     b = SCAN_BLOCK
-    nb = len(u) // b
+    nb = (len(y) - 1) // b
     # d[j] = m^j - 1 by doubling, B being a power of two:
     # m^(j+k) - 1 = d_j + d_k + d_j d_k
     d = np.zeros((b + 1, 3, 3))
@@ -282,22 +321,20 @@ def _scan_affine(e: np.ndarray, u: np.ndarray) -> np.ndarray:
     lagged = np.lib.stride_tricks.as_strided(table[b - 1 :], (b, 3, b, 3), (-s0, s1, s0, s2))
     toeplitz = lagged.reshape(3 * b, 3 * b)
 
-    y = np.empty((nb * b + 1, 3), dtype=u.dtype)
-    y[0] = 0.0
     body = y[1:].reshape(nb, 3 * b)
-    # by row chunks, so BLAS packs one chunk, not all nb rows, into its work
-    # buffers; as in qstate._rows_product no chunk of a larger product has one
-    # row, which numpy multiplies as a matrix-vector product with other rounding
-    bounds = [*range(0, max(nb - 1, 1), _TOEPLITZ_ROWS), nb]
-    for start, stop in zip(bounds, bounds[1:]):
-        np.matmul(u.reshape(nb, 3 * b)[start:stop], toeplitz, out=body[start:stop])
+    scratch = np.empty((min(nb, _TOEPLITZ_ROWS + 1), 3 * b))
+    for start, stop in _row_chunks(nb, _TOEPLITZ_ROWS):
+        rows = scratch[: stop - start]
+        rows[...] = body[start:stop]
+        np.matmul(rows, toeplitz, out=body[start:stop])
     if nb > 1:
-        ends = np.zeros((-(-(nb - 1) // b) * b, 3), dtype=u.dtype)
-        ends[: nb - 1] = body[:-1, -3:]
+        ends = np.zeros((-(-(nb - 1) // b) * b + 1, 3))
+        ends[1:nb] = body[:-1, -3:]
         starts = _scan_affine(d[b], ends)[1:nb]
-        carry = u.reshape(nb, 3 * b)[1:]  # u is spent: reuse it, not a new buffer
-        np.matmul(starts, powers[1:].transpose(2, 0, 1).reshape(3, 3 * b), out=carry)
-        body[1:] += carry
+        lift = powers[1:].transpose(2, 0, 1).reshape(3, 3 * b)
+        for start, stop in _row_chunks(nb - 1, _TOEPLITZ_ROWS):
+            carry = np.matmul(starts[start:stop], lift, out=scratch[: stop - start])
+            body[1 + start : 1 + stop] += carry
     return y
 
 
@@ -326,18 +363,22 @@ def _check_grid(params: PulseParams, grid: TimeGrid) -> None:
         )
 
 
-def _trapezoid_of_square(f: np.ndarray, h: float) -> float:
-    """``np.trapezoid(np.abs(f) ** 2, dx=h)`` of a real ``f``, bit for bit.
+def _trapezoid_of_square(
+    c: np.ndarray, scale: float, h: float, shift: np.ndarray | None = None
+) -> float:
+    """``np.trapezoid(np.abs(f) ** 2, dx=h)`` of the real ``f = scale * c + shift``, bit for bit.
 
-    No full-size square is made: the pair sums f_(i+1)^2 + f_i^2 fill one
-    array, squared a chunk at a time.  It is scaled by h and halved, and
-    summed once, as np.trapezoid does, so the pairwise sum runs over the
-    same values.
+    No full-size f or square is made: f is formed and squared a chunk at a
+    time, and the pair sums f_(i+1)^2 + f_i^2 fill one array.  It is scaled
+    by h and halved, and summed once, as np.trapezoid does, so the pairwise
+    sum runs over the same values.
     """
-    s = np.empty(len(f) - 1)
+    s = np.empty(len(c) - 1)
     for start in range(0, len(s), _SQUARE_CHUNK):
-        part = f[start : start + _SQUARE_CHUNK + 1]
-        square = part * part
+        part = scale * c[start : start + _SQUARE_CHUNK + 1]
+        if shift is not None:
+            part += shift[start : start + _SQUARE_CHUNK + 1]
+        square = np.multiply(part, part, out=part)
         np.add(square[1:], square[:-1], out=s[start : start + _SQUARE_CHUNK])
     s *= h
     s /= 2.0
@@ -366,34 +407,24 @@ def integrate_pulse(params: PulseParams, grid: TimeGrid | None = None) -> PulseR
         grid = default_grid(params)
     _check_grid(params, grid)
 
-    n = grid.n_steps
-    h = grid.step
     with np.errstate(all="ignore"):  # a blow-up is reported by the check below
-        # the samples go in unnamed, so _trajectory can free them before its scan
-        y, f_in = _trajectory(params, h, _half_step_samples(params.tau, grid))
-    y = y[: n + 1]
+        y, f_in = _trajectory(params, grid)
+    y = y[: grid.n_steps + 1]
     if not np.isfinite(y).all():
         raise NumericalBlowupError(
             "non-finite amplitudes during integration; check parameters and step"
         )
     c_l, c_r, c_e = y.T
-
     sqrt_k = math.sqrt(params.kappa)
-    f_r_out = sqrt_k * c_r
-    p_flip = _trapezoid_of_square(f_r_out, h)
-    f_l_out = sqrt_k * c_l
-    f_l_out += f_in
-    p_noflip = _trapezoid_of_square(f_l_out, h)
     return PulseResult(
-        time_grid=grid.times(),
+        params=params,
+        grid=grid,
         c_L=c_l,
         c_R=c_r,
         c_e=c_e,
         f_in=f_in,
-        f_L_out=f_l_out,
-        f_R_out=f_r_out,
-        P_flip=p_flip,
-        P_noflip=p_noflip,
+        P_flip=_trapezoid_of_square(c_r, sqrt_k, grid.step),
+        P_noflip=_trapezoid_of_square(c_l, sqrt_k, grid.step, f_in),
     )
 
 

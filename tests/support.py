@@ -15,7 +15,8 @@ in turn, with its own flyer rule (``strip_flyer``).
 ``unchunked_retry_walk_mc`` is the Monte-Carlo walk oracle: every live
 walker drawn for and moved in one buffer per step.
 ``unchunked_scan_affine`` is the RK4 scan oracle: every block multiplied
-by the block-Toeplitz matrix in one product.
+by the block-Toeplitz matrix in one product, and every block's carry in
+one more.
 ``assert_bit_equal`` is the one bit-for-bit comparison of two
 arrays: the same dtype, shape and bytes.  ``bare_scheme`` wires a
 :class:`Scheme` by hand from a register and its amplitudes, declaring the
@@ -198,10 +199,11 @@ def unchunked_retry_walk_mc(params, trajectories, seed):
 
 
 def unchunked_scan_affine(e, u):
-    """:func:`iomodel._scan_affine` with every block's product by the Toeplitz matrix made at once.
+    """:func:`iomodel._scan_affine`'s states for the drive terms ``u``, each product made at once.
 
-    Its body otherwise, recursion included: the powers by doubling, the
-    strided Toeplitz view, and the carry product written into ``u``.
+    Every block's product by the Toeplitz matrix is one product, and so is
+    the carry, written into ``u``.  Its body otherwise, recursion included:
+    the powers by doubling and the strided Toeplitz view.
     """
     b = iomodel.SCAN_BLOCK
     nb = len(u) // b

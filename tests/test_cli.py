@@ -489,6 +489,27 @@ def test_the_promised_outputs_keep_their_bytes(command, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_the_golden_sweep_reaches_every_point_through_the_traced_attribute(monkeypatch, tmp_path):
+    # a tracer wraps iomodel.integrate_pulse by module attribute and counts
+    # RK4 steps from each call's (params, grid), so the sweep must make every
+    # integration through that attribute
+    integrate, grids = iomodel.integrate_pulse, []
+
+    def traced(*args, **kwargs):
+        params = args[0] if args else kwargs["params"]
+        grid = args[1] if len(args) > 1 else kwargs.get("grid")
+        grids.append(grid if grid is not None else iomodel.default_grid(params))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(iomodel, "integrate_pulse", traced)
+    command = "flip-sweep --g 0.5,1,2,5 --tau-range 0.1:40:20"
+    out = tmp_path / "sweep.csv"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    assert len(grids) == 80
+    assert sum(grid.n_steps for grid in grids) == 3_449_430
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROMISED_BYTES[command]
+
+
 @pytest.mark.parametrize(
     "command,line",
     [

@@ -2,9 +2,10 @@
 
 ``loop_trajectory`` is the reference: the plain per-step RK4 loop over the
 same affine tableau, in Python scalars.  The scan reorders the sums, so the
-two agree to rounding, not bit for bit.  The scan's Toeplitz product, made
-in row chunks, is held bit for bit to ``unchunked_scan_affine``, which
-makes it in one.
+two agree to rounding, not bit for bit.  ``scan_trajectory`` runs the scan
+on any drive, not only the Gaussian that ``_trajectory`` samples.  The
+scan's Toeplitz and carry products, made in row chunks, are held bit for
+bit to ``unchunked_scan_affine``, which makes each in one.
 """
 
 import math
@@ -50,6 +51,16 @@ def loop_trajectory(params, h, f_half):
         c_r[i + 1] = y1
         c_e[i + 1] = y2
     return c_l, c_r, c_e
+
+
+def scan_trajectory(params, h, f_half):
+    """The scan's states for the drive samples ``f_half``, its terms written as ``_trajectory`` writes them."""
+    m, v1, v2, v3 = io._rk4_tableau(params, h)
+    n = (len(f_half) - 1) // 2
+    y = np.zeros((-(-n // B) * B + 1, 3))
+    windows = np.lib.stride_tricks.sliding_window_view(f_half, 3)[::2]
+    np.matmul(windows, np.array([v1, v2, v3]), out=y[1 : n + 1])
+    return io._scan_affine(m - np.eye(3), y)
 
 
 def loop_pulse(params, grid):
@@ -107,9 +118,8 @@ def stable_step(params):
 def test_scan_matches_loop_at_block_edges(params, n, seed):
     h = stable_step(params)
     f_half = drive_samples(n, seed)
-    y, f_in = io._trajectory(params, h, f_half)
+    y = scan_trajectory(params, h, f_half)
     assert y.shape[0] >= n + 1 and y.shape[1] == 3
-    assert f_in.flags.c_contiguous and f_in.tobytes() == f_half[::2].tobytes()
     for got, ref in zip(y[: n + 1].T, loop_trajectory(params, h, f_half)):
         assert_close_trajectory(got, ref)
 
@@ -120,7 +130,7 @@ def test_three_level_scan_matches_loop():
     n = B**3 + 1
     h = stable_step(params)
     f_half = drive_samples(n, 5)
-    y, _ = io._trajectory(params, h, f_half)
+    y = scan_trajectory(params, h, f_half)
     for got, ref in zip(y[: n + 1].T, loop_trajectory(params, h, f_half)):
         assert_close_trajectory(got, ref)
 
@@ -139,6 +149,7 @@ def test_integrate_pulse_matches_loop(params, extra, blocks):
     grid = TimeGrid(t_start, t_start + n * step, step)
     res = integrate_pulse(params, grid=grid)
     ref, p_flip, p_noflip = loop_pulse(params, grid)
+    assert res.f_in.flags.c_contiguous
     for got, want in zip((res.c_L, res.c_R, res.c_e), ref):
         assert_close_trajectory(got, want)
     assert res.P_flip == pytest.approx(p_flip, abs=PROB_ABS)
@@ -151,7 +162,7 @@ def test_the_chunked_toeplitz_product_keeps_the_bits_of_one_product(params, nb):
     # a chunk of one row would be a matrix-vector product, which rounds otherwise
     m = io._rk4_tableau(params, stable_step(params))[0]
     u = np.random.default_rng(nb).normal(size=(nb * B, 3))
-    got = io._scan_affine(m - np.eye(3), u.copy())
+    got = io._scan_affine(m - np.eye(3), np.concatenate((np.zeros((1, 3)), u)))
     want = unchunked_scan_affine(m - np.eye(3), u.copy())
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
